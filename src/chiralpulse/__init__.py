@@ -10,12 +10,10 @@ from ._version import __version__
 from .dynamics import (
     Handedness,
     QuantumState,
-    RabiSample,
     Trajectory,
     basis_state,
-    build_general_hamiltonian,
-    build_hamiltonian,
     fidelity,
+    hamiltonian_stack,
     make_grid,
     propagate,
 )
@@ -71,9 +69,8 @@ from .sweeps import (
 __all__ = [
     "__version__",
     # dynamics
-    "Handedness", "QuantumState", "RabiSample", "Trajectory", "basis_state",
-    "build_hamiltonian", "build_general_hamiltonian", "fidelity", "make_grid",
-    "propagate",
+    "Handedness", "QuantumState", "Trajectory", "basis_state", "fidelity",
+    "hamiltonian_stack", "make_grid", "propagate",
     # errors
     "ChiralPulseError", "ClampViolation", "GridTooCoarse", "NoInteriorMinimum",
     "NonFiniteHamiltonian", "QuadratureFailure", "SingularTheta",

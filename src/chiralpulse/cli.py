@@ -24,11 +24,10 @@ from .invariants import (
     pulses_from_invariant,
     validate_schedule,
 )
-from .robustness import ErrorModel, optimize_n
+from .robustness import ErrorModel, exact_fidelity, optimize_n
 from .sweeps import (
     ErrorAxis,
     SweepSpec,
-    exact_fidelity_point,
     fidelity_curve,
     fidelity_heatmap,
     population_trace,
@@ -342,8 +341,8 @@ def cmd_optimize(cfg: dict) -> int:
     schedule = ansatz_schedule(result.n_star, cfg["T"])
     probe = (ErrorModel.systematic(0.1) if result.kind == "systematic"
              else ErrorModel.detuning(0.1 / cfg["T"]))
-    cross = exact_fidelity_point(schedule, probe, Handedness.LEFT,
-                                 steps=cfg["steps"], clamp=_absolute_clamp(cfg))
+    cross = exact_fidelity(schedule, probe, Handedness.LEFT,
+                           steps=cfg["steps"], clamp=_absolute_clamp(cfg))
     print(f"optimal n for {result.kind} sensitivity: n* = {result.n_star:.4f}, "
           f"q_min = {result.q_min:.6g}")
     _summary("optimize", {
@@ -374,7 +373,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return COMMANDS[args.command](cfg)
-    except (ChiralPulseError, ValueError) as exc:
+    except (ChiralPulseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

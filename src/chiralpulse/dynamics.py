@@ -17,6 +17,10 @@ Conventions (hbar = 1 throughout):
   with s = +1 for left-handed and s = -1 for right-handed molecules, i.e.
   the two enantiomers see the same pulses but an opposite-sign loop phase.
 
+``hamiltonian_stack`` is the one assembly of this matrix, error terms
+included: every Hamiltonian the package propagates or checks is built there
+from sampled (Omega, Omega_q).
+
 Propagation is piecewise-exponential: each step applies the exact matrix
 exponential of the midpoint-sampled Hamiltonian, computed by eigendecomposition
 of the (Hermitian) 3x3 matrix.  The per-step propagator is therefore unitary by
@@ -97,68 +101,26 @@ class QuantumState:
         return self.amplitudes if dtype is None else self.amplitudes.astype(dtype)
 
 
-@dataclass(frozen=True)
-class RabiSample:
-    """Pulse values at one instant: Omega >= 0, Omega_q, and the loop phase gamma."""
+def hamiltonian_stack(omega, omega_q, sign: int, alpha: float = 0.0,
+                      delta: float = 0.0) -> np.ndarray:
+    """(N,3,3) stack of (1 + alpha) * H + delta * (|3><3| - |1><1|) from pulse samples.
 
-    omega: float
-    omega_q: float
-    gamma: float = np.pi / 2
-
-    def __post_init__(self):
-        if not np.isfinite(self.omega) or self.omega < 0:
-            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
-        if not np.isfinite(self.omega_q):
-            raise ValueError(f"omega_q must be finite, got {self.omega_q}")
-
-
-def build_hamiltonian(handedness: Handedness, sample: RabiSample) -> np.ndarray:
-    """Cyclic Hamiltonian at gamma = pi/2, Omega_p = Omega_s = Omega.
-
-    The 1-3 entry is -i*Omega_q for left and +i*Omega_q for right handedness;
-    the conjugate entry and the zero diagonal make the matrix Hermitian exactly.
+    H is the cyclic Hamiltonian of the module docstring with Omega = omega[k]
+    and Omega_q = omega_q[k]; `sign` is ``Handedness.coupling_sign`` (-s).
+    alpha is the systematic amplitude error and delta the detuning, in the
+    units of the pulses.  This is the only place the matrix entries are written.
     """
-    if sample.gamma != np.pi / 2:
-        raise ValueError("build_hamiltonian is defined at gamma = pi/2; "
-                         "use build_general_hamiltonian for other phases")
-    s = handedness.coupling_sign
-    om, oq = sample.omega, sample.omega_q
-    return np.array(
-        [
-            [0.0, om, s * 1j * oq],
-            [om, 0.0, om],
-            [-s * 1j * oq, om, 0.0],
-        ],
-        dtype=complex,
-    )
-
-
-def build_general_hamiltonian(
-    handedness: Handedness,
-    omega_p: float,
-    omega_s: float,
-    omega_q: float,
-    gamma: float,
-) -> np.ndarray:
-    """Full cyclic Hamiltonian with independent Omega_p, Omega_s and loop phase gamma.
-
-    Entry (1,3) is -+Omega_q * exp(i*gamma) for left/right handedness; at
-    gamma = pi/2 with omega_p = omega_s this reproduces ``build_hamiltonian``
-    exactly (the phase is taken as the exact imaginary unit at that point).
-    """
-    # exp(i*pi/2) in floats carries ~1e-16 of real dust; the pi/2 design point
-    # must match build_hamiltonian bit for bit.
-    phase = 1j if gamma == np.pi / 2 else complex(np.cos(gamma), np.sin(gamma))
-    s = handedness.coupling_sign
-    h13 = s * omega_q * phase
-    return np.array(
-        [
-            [0.0, omega_p, h13],
-            [omega_p, 0.0, omega_s],
-            [np.conj(h13), omega_s, 0.0],
-        ],
-        dtype=complex,
-    )
+    omega = np.asarray(omega, dtype=float)
+    omega_q = np.asarray(omega_q, dtype=float)
+    out = np.zeros((len(omega), 3, 3), dtype=complex)
+    out[:, 0, 1] = out[:, 1, 0] = omega
+    out[:, 1, 2] = out[:, 2, 1] = omega
+    out[:, 0, 2] = sign * 1j * omega_q
+    out[:, 2, 0] = -sign * 1j * omega_q
+    out *= 1.0 + alpha
+    out[:, 0, 0] -= delta
+    out[:, 2, 2] += delta
+    return out
 
 
 def make_grid(duration: float, steps: int = 4000) -> np.ndarray:

@@ -45,12 +45,20 @@ Two schedule families are provided:
       cot(theta) = (X - 1)/(X + 1),   X = sin(phi) * (3n cos(3*phi) + 1),
 
   taken on the branch that is continuous in t and starts at theta(0) = 3*pi/4.
-  For n above ~0.65 the cotangent passes through infinity and the continuous
-  branch leaves (0, pi); theta still returns to pi/2 at t = T exactly, and
-  sin(theta) - cos(theta) stays positive for every n >= 0, so the pulses are
-  finite and smooth on the whole window (no clamping is ever active: the
-  sin(theta)+cos(theta) zero at t=0 cancels the cot(phi) pole, leaving
-  Omega_q(0) = 2*(3n+1)*phi_dot).
+  That branch has the closed form
+
+      theta = arctan2(1, (X - 1)/(X + 1)) + (pi where X < -1, else 0):
+
+  the principal value jumps by pi wherever X crosses -1, and X dips below -1
+  on at most one arc of (0, pi/2) (for n above ~0.65), so the continuous
+  branch sits pi above the principal value on that arc only.
+  theta returns to pi/2 at t = T exactly, and on every sample
+
+      sin(theta) - cos(theta) = sqrt(2) / sqrt(X^2 + 1) > 0,
+
+  so the pulses are finite and smooth on the whole window (no clamping is
+  ever active: the sin(theta)+cos(theta) zero at t=0 cancels the cot(phi)
+  pole, leaving Omega_q(0) = 2*(3n+1)*phi_dot).
 """
 
 from __future__ import annotations
@@ -61,13 +69,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import Handedness
-from .errors import ClampViolation, SingularTheta
+from .dynamics import Handedness, hamiltonian_stack
+from .errors import ChiralPulseError, ClampViolation, SingularTheta
 from .quadrature import DEFAULT_ABS_TOL, real_quad
 
 DEFAULT_STEPS = 4000
 SINGULAR_TOL = 1e-9
 CLAMP_WINDOW_FRACTION = 0.01
+PULSE_HEADER = "t,omega,omega_q,gamma"
 
 
 def default_clamp(duration: float) -> float:
@@ -234,43 +243,15 @@ def sps_schedule(duration: float) -> InvariantSchedule:
     )
 
 
-def _branch_crossings(n: float) -> list[tuple[float, float]]:
-    """phi values in (0, pi/2) where X = sin(phi)(3n cos(3phi)+1) crosses -1.
-
-    Returns (phi_c, shift) pairs; crossing with X decreasing adds +pi to the
-    principal-branch theta, X increasing adds -pi.
-    """
-    def x_plus_one(p):
-        return np.sin(p) * (3.0 * n * np.cos(3.0 * p) + 1.0) + 1.0
-
-    grid = np.linspace(0.0, np.pi / 2, 8193)
-    vals = x_plus_one(grid)
-    # an exact zero at a node would hide the sign change from the bracketing test
-    vals = np.where(vals == 0.0, 1e-300, vals)
-    out = []
-    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-        a, b = grid[i], grid[i + 1]
-        fa = x_plus_one(a)
-        for _ in range(100):
-            m = 0.5 * (a + b)
-            fm = x_plus_one(m)
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-        pc = 0.5 * (a + b)
-        out.append((pc, np.pi if vals[i + 1] < vals[i] else -np.pi))
-    return out
-
-
 def ansatz_schedule(n: float, duration: float) -> InvariantSchedule:
     """Single-harmonic phase-ansatz family: eta_plus = -[n sin(3 phi) + phi].
 
     phi ramps linearly; theta follows cot(theta) = (X-1)/(X+1) with
-    X = sin(phi)(3n cos(3 phi) + 1), continued continuously from
-    theta(0) = 3*pi/4.  theta(T) = pi/2 holds exactly for every n, and
-    sin(theta) - cos(theta) never vanishes, so the synthesized pulses are
-    finite on the whole window.
+    X = sin(phi)(3n cos(3 phi) + 1) on the continuous branch from
+    theta(0) = 3*pi/4, evaluated in closed form as
+    arctan2(1, (X-1)/(X+1)) + (pi where X < -1).  theta(T) = pi/2 holds
+    exactly for every n, and sin(theta) - cos(theta) = sqrt(2)/sqrt(X^2+1)
+    never vanishes, so the synthesized pulses are finite on the whole window.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -279,7 +260,6 @@ def ansatz_schedule(n: float, duration: float) -> InvariantSchedule:
     T = float(duration)
     n = float(n)
     rate = np.pi / (2.0 * T)
-    crossings = _branch_crossings(n)
 
     def phi_of(t):
         return rate * np.asarray(t, dtype=float)
@@ -295,13 +275,8 @@ def ansatz_schedule(n: float, duration: float) -> InvariantSchedule:
                 - 9.0 * n * np.sin(p) * np.sin(3.0 * p))
 
     def theta_of(t):
-        p = phi_of(t)
-        x = _x(p)
-        principal = np.arctan2(1.0, (x - 1.0) / (x + 1.0))
-        shift = np.zeros_like(p)
-        for pc, delta in crossings:
-            shift = shift + np.where(p > pc, delta, 0.0)
-        return principal + shift
+        x = _x(phi_of(t))
+        return np.arctan2(1.0, (x - 1.0) / (x + 1.0)) + np.where(x < -1.0, np.pi, 0.0)
 
     def theta_dot_of(t):
         p = phi_of(t)
@@ -423,7 +398,7 @@ class PulseSchedule:
         buf = io.StringIO()
         for key, value in meta.items():
             buf.write(f"# {key} = {value}\n")
-        buf.write("t,omega,omega_q,gamma\n")
+        buf.write(PULSE_HEADER + "\n")
         T = self.duration
         for t, om, oq in zip(self.times, self.omega, self.omega_q):
             buf.write(f"{t / T:.15g},{om * T:.15g},{oq * T:.15g},{self.gamma:.15g}\n")
@@ -432,18 +407,40 @@ class PulseSchedule:
 
     @classmethod
     def from_csv(cls, path) -> "PulseSchedule":
+        """Read a file written by ``to_csv``.
+
+        Raises ``ChiralPulseError`` naming what is wrong: a missing `T` or
+        `clamp_value` metadata line, a missing or different column header, a
+        row with the wrong number of columns, or no rows at all.
+        """
         meta: dict[str, str] = {}
+        header = None
         rows = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 if line.startswith("#"):
                     key, _, value = line[1:].partition("=")
                     meta[key.strip()] = value.strip()
-                elif not line.startswith("t,"):
-                    rows.append([float(x) for x in line.split(",")])
+                elif header is None:
+                    header = line
+                else:
+                    fields = line.split(",")
+                    if len(fields) != 4:
+                        raise ChiralPulseError(
+                            f"{path}: line {lineno} has {len(fields)} columns, "
+                            f"expected 4 ({PULSE_HEADER})")
+                    rows.append([float(x) for x in fields])
+        missing = [key for key in ("T", "clamp_value") if key not in meta]
+        if missing:
+            raise ChiralPulseError(f"{path}: missing metadata {', '.join(missing)}")
+        if header != PULSE_HEADER:
+            raise ChiralPulseError(
+                f"{path}: column header {header!r}, expected {PULSE_HEADER!r}")
+        if not rows:
+            raise ChiralPulseError(f"{path}: no pulse rows")
         data = np.asarray(rows, dtype=float)
         T = float(meta["T"])
         return cls(
@@ -485,19 +482,12 @@ def pulses_from_invariant(schedule: InvariantSchedule, grid: np.ndarray,
 def schedule_hamiltonian(schedule: InvariantSchedule, handedness: Handedness,
                          clamp: float | None = None) -> Callable:
     """Vectorized t -> H(t) callable for ``propagate``, with clamped pulses."""
-    if clamp is None:
-        clamp = default_clamp(schedule.duration)
     sign = handedness.coupling_sign
 
     def hamiltonian_at(t):
         times = np.atleast_1d(np.asarray(t, dtype=float))
-        omega, omega_q = _raw_pulses(schedule, times)
-        omega_q = _clamp_omega_q(omega_q, times, schedule.duration, clamp)
-        out = np.zeros((len(times), 3, 3), dtype=complex)
-        out[:, 0, 1] = out[:, 1, 0] = omega
-        out[:, 1, 2] = out[:, 2, 1] = omega
-        out[:, 0, 2] = sign * 1j * omega_q
-        out[:, 2, 0] = -sign * 1j * omega_q
+        pulses = pulses_from_invariant(schedule, times, clamp)
+        out = hamiltonian_stack(pulses.omega, pulses.omega_q, sign)
         return out if np.ndim(t) else out[0]
 
     return hamiltonian_at
@@ -641,12 +631,7 @@ def validate_schedule(schedule: InvariantSchedule, steps: int = 2000,
     pd, td = schedule.phi_dot_of(t_in), schedule.theta_dot_of(t_in)
     worst_res = 0.0
     for handedness in Handedness:
-        sgn = handedness.coupling_sign
-        ham = np.zeros((len(t_in), 3, 3), dtype=complex)
-        ham[:, 0, 1] = ham[:, 1, 0] = omega
-        ham[:, 1, 2] = ham[:, 2, 1] = omega
-        ham[:, 0, 2] = sgn * 1j * omega_q
-        ham[:, 2, 0] = -sgn * 1j * omega_q
+        ham = hamiltonian_stack(omega, omega_q, handedness.coupling_sign)
         inv = invariant_matrix(handedness, phi, theta)
         inv_dot = invariant_matrix_dot(handedness, phi, theta, pd, td)
         residual = inv_dot - 1j * (inv @ ham - ham @ inv)

@@ -35,14 +35,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Handedness, basis_state, make_grid, _propagate_states
+from .dynamics import (
+    Handedness,
+    basis_state,
+    hamiltonian_stack,
+    make_grid,
+    _propagate_states,
+)
 from .errors import NoInteriorMinimum
 from .invariants import (
     InvariantSchedule,
-    _clamp_omega_q,
-    _raw_pulses,
+    PulseSchedule,
     ansatz_schedule,
-    default_clamp,
+    pulses_from_invariant,
 )
 from .quadrature import DEFAULT_ABS_TOL, complex_quad
 
@@ -127,6 +132,16 @@ def q_delta(schedule: InvariantSchedule, abs_tol: float = DEFAULT_ABS_TOL) -> fl
     return float(np.abs(_sensitivity_amplitude(schedule, "delta", abs_tol)) ** 2)
 
 
+def sensitivity_kind(kind: str):
+    """("systematic", q_alpha) or ("detuning", q_delta) for a kind name or alias."""
+    key = kind.strip().lower()
+    if key in ("systematic", "alpha", "systematicsensitivity"):
+        return "systematic", q_alpha
+    if key in ("detuning", "delta", "detuningsensitivity"):
+        return "detuning", q_delta
+    raise ValueError(f"unknown sensitivity kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class SensitivityResult:
     n: float
@@ -162,39 +177,30 @@ def perturbative_fidelity(schedule: InvariantSchedule, error: ErrorModel,
     raise ValueError("perturbative fidelity is defined for pure error kinds only")
 
 
-def _perturbed_stack(schedule: InvariantSchedule, handedness: Handedness,
-                     times: np.ndarray, clamp: float, alpha: float,
-                     delta: float) -> np.ndarray:
-    """(1+alpha) * H(t) + delta * (|3><3| - |1><1|) sampled on `times`."""
-    omega, omega_q = _raw_pulses(schedule, times)
-    omega_q = _clamp_omega_q(omega_q, times, schedule.duration, clamp)
-    sign = handedness.coupling_sign
-    stack = np.zeros((len(times), 3, 3), dtype=complex)
-    stack[:, 0, 1] = stack[:, 1, 0] = omega
-    stack[:, 1, 2] = stack[:, 2, 1] = omega
-    stack[:, 0, 2] = sign * 1j * omega_q
-    stack[:, 2, 0] = -sign * 1j * omega_q
-    stack *= (1.0 + alpha)
-    stack[:, 0, 0] -= delta
-    stack[:, 2, 2] += delta
-    return stack
-
-
 def exact_fidelity(schedule: InvariantSchedule, error: ErrorModel,
                    handedness: Handedness, steps: int = 4000,
                    clamp: float | None = None) -> float:
     """Propagate |2> under the perturbed Hamiltonian; overlap with the unperturbed target.
 
     The target stays |3> (left) or |1> (right): the error perturbs the
-    dynamics, not the goal.
+    dynamics, not the goal.  Pulses are sampled, clamped (default 100/T), at
+    the midpoints of the uniform `steps`-interval grid.
     """
-    if clamp is None:
-        clamp = default_clamp(schedule.duration)
     grid = make_grid(schedule.duration, steps)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    stack = _perturbed_stack(schedule, handedness, mids, clamp,
-                             error.alpha, error.delta)
-    states = _propagate_states(stack, np.diff(grid), basis_state(2))
+    pulses = pulses_from_invariant(schedule, 0.5 * (grid[:-1] + grid[1:]), clamp)
+    return fidelity_from_pulses(pulses, np.diff(grid), error, handedness)
+
+
+def fidelity_from_pulses(pulses: PulseSchedule, dts: np.ndarray, error: ErrorModel,
+                         handedness: Handedness) -> float:
+    """Target-level population after the steps `dts`, pulses sampled at their midpoints.
+
+    The propagation behind ``exact_fidelity``; sweeps sample each scheme's
+    pulses once and call this for every error point.
+    """
+    stack = hamiltonian_stack(pulses.omega, pulses.omega_q, handedness.coupling_sign,
+                              error.alpha, error.delta)
+    states = _propagate_states(stack, dts, basis_state(2))
     return float(np.abs(states[-1, handedness.target_level - 1]) ** 2)
 
 
@@ -232,13 +238,7 @@ def optimize_n(kind: str, n_range: tuple[float, float] = (0.5, 1.5),
     search refines it to |delta n| < tolerance.  ``NoInteriorMinimum`` is
     raised when the coarse minimum sits on the range boundary.
     """
-    key = kind.strip().lower()
-    if key in ("systematic", "alpha", "systematicsensitivity"):
-        measure, key = q_alpha, "systematic"
-    elif key in ("detuning", "delta", "detuningsensitivity"):
-        measure, key = q_delta, "detuning"
-    else:
-        raise ValueError(f"unknown sensitivity kind {kind!r}")
+    key, measure = sensitivity_kind(kind)
     lo, hi = float(n_range[0]), float(n_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid n range {n_range}")

@@ -19,15 +19,22 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .dynamics import Handedness, basis_state, make_grid, _propagate_states
-from .invariants import InvariantSchedule, ansatz_schedule, default_clamp
+from .dynamics import Handedness, basis_state, make_grid, propagate
+from .invariants import (
+    InvariantSchedule,
+    ansatz_schedule,
+    default_clamp,
+    pulses_from_invariant,
+    schedule_hamiltonian,
+)
 from .quadrature import DEFAULT_ABS_TOL
 from .robustness import (
     ErrorModel,
-    _perturbed_stack,
+    fidelity_from_pulses,
     perturbative_fidelity,
     q_alpha,
     q_delta,
+    sensitivity_kind,
 )
 
 FLOAT_FORMAT = "%.15g"
@@ -125,20 +132,6 @@ def _scheme_meta(label: str, schedule: InvariantSchedule) -> str:
     return f"{label}:" + ",".join(f"{k}={v}" for k, v in desc.items())
 
 
-def _final_fidelity(schedule: InvariantSchedule, handedness: Handedness,
-                    mids: np.ndarray, dts: np.ndarray, clamp: float,
-                    alpha: float, delta: float,
-                    base_stack: np.ndarray | None = None) -> float:
-    if base_stack is None:
-        stack = _perturbed_stack(schedule, handedness, mids, clamp, alpha, delta)
-    else:
-        stack = base_stack * (1.0 + alpha)
-        stack[:, 0, 0] -= delta
-        stack[:, 2, 2] += delta
-    states = _propagate_states(stack, dts, basis_state(2))
-    return float(np.abs(states[-1, handedness.target_level - 1]) ** 2)
-
-
 def _map_indexed(worker, count: int, workers: int) -> list:
     if workers <= 1:
         return [worker(i) for i in range(count)]
@@ -160,10 +153,8 @@ def population_trace(schedule: InvariantSchedule, handedness: Handedness,
     if clamp is None:
         clamp = default_clamp(T)
     grid = make_grid(T, steps)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    stack = _perturbed_stack(schedule, handedness, mids, clamp, 0.0, 0.0)
-    states = _propagate_states(stack, np.diff(grid), basis_state(2))
-    pops = np.abs(states) ** 2
+    pops = propagate(schedule_hamiltonian(schedule, handedness, clamp),
+                     basis_state(2), grid).populations
     keep = np.unique(np.round(np.linspace(0, steps, points)).astype(int))
     data = np.column_stack([grid[keep] / T, pops[keep, 0], pops[keep, 1], pops[keep, 2]])
     meta = _base_metadata({
@@ -186,36 +177,33 @@ def fidelity_curve(spec: SweepSpec) -> SweepResult:
     columns: list[str] = [axis.column]
     meta_schemes = []
 
-    tasks = []  # per scheme: (schedule, clamp, mids, dts, {hand: base}, q)
+    tasks = []  # per scheme: (pulses or None, dts, q or None)
     for label, schedule in spec.schemes:
-        clamp = spec.clamp if spec.clamp is not None else default_clamp(schedule.duration)
         grid = make_grid(schedule.duration, spec.steps)
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        bases = {}
+        pulses = None
         if spec.mode in ("exact", "both"):
-            for hand in spec.handedness_list:
-                bases[hand] = _perturbed_stack(schedule, hand, mids, clamp, 0.0, 0.0)
-                columns.append(f"F_{label}_exact_{hand.value}")
+            pulses = pulses_from_invariant(schedule, 0.5 * (grid[:-1] + grid[1:]),
+                                           spec.clamp)
+            columns += [f"F_{label}_exact_{hand.value}" for hand in spec.handedness_list]
         sens = None
         if spec.mode in ("perturbative", "both"):
             measure = q_alpha if axis.kind == "systematic" else q_delta
             sens = measure(schedule, spec.abs_tol)
             columns.append(f"F_{label}_pert")
-        tasks.append((schedule, clamp, mids, np.diff(grid), bases, sens))
+        tasks.append((pulses, np.diff(grid), sens))
         meta_schemes.append(_scheme_meta(label, schedule))
 
     def row(i: int) -> list[float]:
         amp = float(amplitudes[i])
-        alpha = amp if axis.kind == "systematic" else 0.0
-        delta = amp if axis.kind == "detuning" else 0.0
+        error = (ErrorModel.systematic(amp) if axis.kind == "systematic"
+                 else ErrorModel.detuning(amp))
         out = [amp]
-        for schedule, clamp, mids, dts, bases, sens in tasks:
-            for hand in spec.handedness_list:
-                if hand in bases:
-                    out.append(_final_fidelity(schedule, hand, mids, dts, clamp,
-                                               alpha, delta, bases[hand].copy()))
+        for pulses, dts, sens in tasks:
+            if pulses is not None:
+                out += [fidelity_from_pulses(pulses, dts, error, hand)
+                        for hand in spec.handedness_list]
             if sens is not None:
-                scale = alpha ** 2 if axis.kind == "systematic" else 0.25 * delta ** 2
+                scale = amp ** 2 if axis.kind == "systematic" else 0.25 * amp ** 2
                 out.append(1.0 - scale * sens)
         return out
 
@@ -279,22 +267,17 @@ def fidelity_heatmap(spec: SweepSpec) -> SweepResult:
     if len(spec.schemes) != 1:
         raise ValueError("fidelity_heatmap sweeps one scheme at a time")
     label, schedule = spec.schemes[0]
-    clamp = spec.clamp if spec.clamp is not None else default_clamp(schedule.duration)
     grid = make_grid(schedule.duration, spec.steps)
-    mids = 0.5 * (grid[:-1] + grid[1:])
+    pulses = pulses_from_invariant(schedule, 0.5 * (grid[:-1] + grid[1:]), spec.clamp)
     dts = np.diff(grid)
-    bases = {hand: _perturbed_stack(schedule, hand, mids, clamp, 0.0, 0.0)
-             for hand in spec.handedness_list}
     alphas, deltas = spec.axis1.values, spec.axis2.values
     pairs = [(a, d) for a in alphas for d in deltas]
 
     def row(i: int) -> list[float]:
         a, d = pairs[i]
-        out = [a, d]
-        for hand in spec.handedness_list:
-            out.append(_final_fidelity(schedule, hand, mids, dts, clamp,
-                                       a, d, bases[hand].copy()))
-        return out
+        error = ErrorModel(alpha=a, delta=d)
+        return [a, d] + [fidelity_from_pulses(pulses, dts, error, hand)
+                         for hand in spec.handedness_list]
 
     rows = _map_indexed(row, len(pairs), spec.workers)
     data = np.asarray(rows, dtype=float)
@@ -346,13 +329,8 @@ def sensitivity_curve(kind: str, n_range: tuple[float, float], points: int,
                       duration: float = 1.0,
                       abs_tol: float = DEFAULT_ABS_TOL) -> SweepResult:
     """Tabulate q_alpha(n) or q_delta(n) over the ansatz family."""
-    key = kind.strip().lower()
-    if key in ("systematic", "alpha", "systematicsensitivity"):
-        measure, name = q_alpha, "q_alpha"
-    elif key in ("detuning", "delta", "detuningsensitivity"):
-        measure, name = q_delta, "q_delta"
-    else:
-        raise ValueError(f"unknown sensitivity kind {kind!r}")
+    key, measure = sensitivity_kind(kind)
+    name = "q_alpha" if key == "systematic" else "q_delta"
     if points < 2:
         raise ValueError("points must be >= 2")
     ns = np.linspace(float(n_range[0]), float(n_range[1]), points)
@@ -368,21 +346,8 @@ def sensitivity_curve(kind: str, n_range: tuple[float, float], points: int,
                        metadata=meta)
 
 
-def exact_fidelity_point(schedule: InvariantSchedule, error: ErrorModel,
-                         handedness: Handedness, steps: int = 4000,
-                         clamp: float | None = None) -> float:
-    """Single exact-propagation fidelity; convenience wrapper used by the CLI."""
-    if clamp is None:
-        clamp = default_clamp(schedule.duration)
-    grid = make_grid(schedule.duration, steps)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    return _final_fidelity(schedule, handedness, mids, np.diff(grid), clamp,
-                           error.alpha, error.delta)
-
-
 __all__ = [
     "ErrorAxis", "SweepSpec", "SweepResult",
     "population_trace", "fidelity_curve", "fidelity_heatmap",
-    "sensitivity_curve", "high_fidelity_region", "exact_fidelity_point",
-    "perturbative_fidelity",
+    "sensitivity_curve", "high_fidelity_region", "perturbative_fidelity",
 ]

@@ -73,6 +73,13 @@ def test_simulate_zero_duration_rejected(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_out_below_a_regular_file_is_rejected(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli(["design", "--out", str(blocker / "sub")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_scan_writes_one_file_per_scheme(tmp_path, capsys):
     code = run_cli(["scan", "--error", "systematic", "--schemes", "sps,oss",
                     "--mode", "exact", "--points", "5", "--min", "-0.1",

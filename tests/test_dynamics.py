@@ -6,11 +6,10 @@ from chiralpulse import (
     Handedness,
     NonFiniteHamiltonian,
     QuantumState,
-    RabiSample,
     basis_state,
-    build_general_hamiltonian,
-    build_hamiltonian,
+    detuning_operator,
     fidelity,
+    hamiltonian_stack,
     make_grid,
     propagate,
     schedule_hamiltonian,
@@ -21,68 +20,42 @@ L, R = Handedness.LEFT, Handedness.RIGHT
 
 
 def test_build_hamiltonian_left_example():
-    h = build_hamiltonian(L, RabiSample(omega=1.0, omega_q=2.0))
+    h = hamiltonian_stack([1.0], [2.0], L.coupling_sign)[0]
     expected = np.array([[0, 1, -2j], [1, 0, 1], [2j, 1, 0]], dtype=complex)
     np.testing.assert_array_equal(h, expected)
+    # error terms: (1 + alpha) * H + delta * (|3><3| - |1><1|)
+    om, oq, alpha, delta = [0.3, 1.0, 2.5], [1.7, -2.0, 0.0], 0.07, -0.4
+    np.testing.assert_array_equal(
+        hamiltonian_stack(om, oq, L.coupling_sign, alpha, delta),
+        (1 + alpha) * hamiltonian_stack(om, oq, L.coupling_sign)
+        + delta * detuning_operator())
 
 
 def test_build_hamiltonian_right_sign_flip():
-    h = build_hamiltonian(R, RabiSample(omega=1.0, omega_q=2.0))
+    h = hamiltonian_stack([1.0], [2.0], R.coupling_sign)[0]
     expected = np.array([[0, 1, 2j], [1, 0, 1], [-2j, 1, 0]], dtype=complex)
     np.testing.assert_array_equal(h, expected)
 
 
 def test_build_hamiltonian_zero_couplings():
-    h = build_hamiltonian(R, RabiSample(omega=0.0, omega_q=0.0))
-    np.testing.assert_array_equal(h, np.zeros((3, 3), dtype=complex))
+    h = hamiltonian_stack([0.0], [0.0], R.coupling_sign)
+    np.testing.assert_array_equal(h, np.zeros((1, 3, 3), dtype=complex))
 
 
 def test_left_right_related_by_omega_q_negation():
-    for om, oq in ((0.3, 1.7), (2.0, -0.4)):
-        hl = build_hamiltonian(L, RabiSample(om, oq))
-        hr = build_hamiltonian(R, RabiSample(om, oq))
-        hl_neg = build_hamiltonian(L, RabiSample(om, -oq))
-        np.testing.assert_array_equal(hr, hl_neg)
+    om, oq = np.array([0.3, 2.0]), np.array([1.7, -0.4])
+    hr = hamiltonian_stack(om, oq, R.coupling_sign)
+    hl_neg = hamiltonian_stack(om, -oq, L.coupling_sign)
+    np.testing.assert_array_equal(hr, hl_neg)
 
 
 def test_hermiticity_exact():
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        om, oq = rng.uniform(0, 5), rng.uniform(-5, 5)
-        for hand in (L, R):
-            h = build_hamiltonian(hand, RabiSample(om, oq))
-            np.testing.assert_array_equal(h, h.conj().T)
-        g = build_general_hamiltonian(hand, rng.uniform(0, 2), rng.uniform(0, 2),
-                                      oq, rng.uniform(0, 2 * np.pi))
-        np.testing.assert_array_equal(g, g.conj().T)
-
-
-def test_general_hamiltonian_specializes_exactly():
+    om, oq = rng.uniform(0, 5, 50), rng.uniform(-5, 5, 50)
     for hand in (L, R):
-        g = build_general_hamiltonian(hand, 1.3, 1.3, 0.7, np.pi / 2)
-        h = build_hamiltonian(hand, RabiSample(1.3, 0.7))
-        np.testing.assert_array_equal(g, h)
-
-
-def test_general_hamiltonian_zero_phase():
-    g = build_general_hamiltonian(L, 1.0, 1.0, 1.0, 0.0)
-    assert g[0, 2] == -1.0
-
-
-def test_general_hamiltonian_right_pi_phase():
-    g = build_general_hamiltonian(R, 2.0, 3.0, 1.0, np.pi)
-    assert abs(g[0, 2] - (-1.0)) < 1e-15
-    assert g[0, 1] == 2.0 and g[1, 2] == 3.0
-
-
-def test_rabi_sample_rejects_negative_omega():
-    with pytest.raises(ValueError):
-        RabiSample(omega=-1.0, omega_q=0.0)
-
-
-def test_build_hamiltonian_requires_quadrature_phase():
-    with pytest.raises(ValueError):
-        build_hamiltonian(L, RabiSample(1.0, 1.0, gamma=0.3))
+        for alpha, delta in ((0.0, 0.0), (rng.uniform(-0.3, 0.3), rng.uniform(-1, 1))):
+            h = hamiltonian_stack(om, oq, hand.coupling_sign, alpha, delta)
+            np.testing.assert_array_equal(h, h.conj().transpose(0, 2, 1))
 
 
 def test_quantum_state_normalization_guard():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chiralpulse import (
+    ChiralPulseError,
     ClampViolation,
     Handedness,
     InvariantSchedule,
@@ -105,11 +106,19 @@ def test_ansatz_theta_starts_at_three_quarter_pi():
 
 
 def test_ansatz_theta_continuous():
-    for n in (0.8, 1.07, 1.5):
+    for n in (0.0, 0.8, 1.07, 1.5, 3.0, 10.0):
         s = ansatz_schedule(n, 1.0)
         t = np.linspace(0, 1, 20001)
         theta = s.theta_of(t)
         assert np.max(np.abs(np.diff(theta))) < 0.01
+        # the pulse denominator never vanishes: sin - cos = sqrt(2)/sqrt(X^2+1);
+        # atol covers the rounding of theta (~4e-16 near 5*pi/4), which at
+        # n = 10 is 1.2e-14 of the smallest value, 0.055
+        phi = s.phi_of(t)
+        x = np.sin(phi) * (3 * n * np.cos(3 * phi) + 1)
+        np.testing.assert_allclose(np.sin(theta) - np.cos(theta),
+                                   np.sqrt(2) / np.sqrt(x * x + 1),
+                                   rtol=1e-14, atol=1e-15)
 
 
 def test_schedule_derivatives_match_finite_differences():
@@ -229,6 +238,24 @@ def test_pulse_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(loaded.omega, pulses.omega, rtol=1e-14)
     np.testing.assert_allclose(loaded.omega_q, pulses.omega_q, rtol=1e-13, atol=1e-13)
     assert loaded.kind == "ansatz" and loaded.n == pytest.approx(1.07)
+
+
+@pytest.mark.parametrize("drop, replace, message", [
+    ("# T = ", None, "missing metadata T"),
+    ("# clamp_value = ", None, "missing metadata clamp_value"),
+    ("t,omega,omega_q,gamma", None, "column header"),
+    ("t,omega,omega_q,gamma", "t,omega,gamma", "column header"),
+    ("0.5,", "0.5,1.0,2.0", "has 3 columns"),
+], ids=["no-T", "no-clamp_value", "no-header", "wrong-header", "short-row"])
+def test_pulse_csv_rejects_malformed_file(tmp_path, drop, replace, message):
+    path = tmp_path / "pulses.csv"
+    pulses_from_invariant(sps_schedule(1.0), make_grid(1.0, 10)).to_csv(path)
+    lines = path.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith(drop))
+    lines[k:k + 1] = [] if replace is None else [replace]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ChiralPulseError, match=message):
+        PulseSchedule.from_csv(path)
 
 
 # ---------------------------------------------------------------------------
