@@ -70,7 +70,8 @@ def _common_parser() -> argparse.ArgumentParser:
     p.add_argument("--clamp", type=float,
                    help="cap on |Omega_q| in units of 1/T (default 100)")
     p.add_argument("--workers", type=int,
-                   help="worker threads for sweeps (default: CPU count)")
+                   help="accepted (>= 1) and echoed in the metadata; no longer "
+                        "changes anything, sweeps run in one thread")
     p.add_argument("--out", help="output directory (default: current)")
     p.add_argument("--config",
                    help="flat key=value config file; CLI flags override it")
@@ -298,8 +299,7 @@ def cmd_scan(cfg: dict) -> int:
     for token in str(cfg["schemes"]).split(","):
         label, schedule = _parse_scheme_token(token, cfg["T"])
         spec = SweepSpec(schemes=((label, schedule),), axis1=axis, mode=cfg["mode"],
-                         steps=cfg["steps"], clamp=_absolute_clamp(cfg),
-                         workers=cfg["workers"])
+                         steps=cfg["steps"], clamp=_absolute_clamp(cfg))
         result = fidelity_curve(spec)
         result.metadata.update(_effective_metadata(cfg))
         path = out / f"{kind}_{label}_{cfg['mode']}.csv"
@@ -320,7 +320,7 @@ def cmd_heatmap(cfg: dict) -> int:
         axis1=ErrorAxis("systematic", cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_points"]),
         axis2=ErrorAxis("detuning", cfg["delta_min"], cfg["delta_max"], cfg["delta_points"]),
         mode="exact", handedness=cfg["handedness"], steps=cfg["steps"],
-        clamp=_absolute_clamp(cfg), workers=cfg["workers"],
+        clamp=_absolute_clamp(cfg),
     )
     result = fidelity_heatmap(spec)
     result.metadata.update(_effective_metadata(cfg))

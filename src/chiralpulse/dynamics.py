@@ -22,9 +22,17 @@ included: every Hamiltonian the package propagates or checks is built there
 from sampled (Omega, Omega_q).
 
 Propagation is piecewise-exponential: each step applies the exact matrix
-exponential of the midpoint-sampled Hamiltonian, computed by eigendecomposition
-of the (Hermitian) 3x3 matrix.  The per-step propagator is therefore unitary by
-construction and the state norm is preserved structurally, not by tolerance.
+exponential of the midpoint-sampled Hamiltonian, so every step is unitary and
+the state norm is preserved structurally, not by tolerance.  Two routes
+compute that exponential:
+
+* ``propagate`` accepts any Hermitian callable and returns every intermediate
+  state; it exponentiates by eigendecomposition (``eigh``) and advances the
+  state step by step.  It is the only user of ``eigh``.
+* exact fidelities need only the final state of a ``hamiltonian_stack``
+  output.  ``step_propagators`` exponentiates such a stack in closed form
+  (its spectrum is exactly {-r, 0, r}) and ``ordered_product`` multiplies the
+  steps by pairwise reduction.
 """
 
 from __future__ import annotations
@@ -160,18 +168,61 @@ def _sample_hamiltonian(hamiltonian_at: Callable, times: np.ndarray) -> np.ndarr
     """Evaluate a Hamiltonian callable on an array of times as an (N,3,3) stack.
 
     Vectorized callables (returning (N,3,3) for an (N,) argument) are used
-    directly; scalar callables are looped.
+    directly; scalar callables are looped.  A scalar-only callable given an
+    array raises ``TypeError`` or ``ValueError``; any other exception, package
+    errors included, propagates without re-sampling.
     """
     try:
         stack = np.asarray(hamiltonian_at(times), dtype=complex)
         if stack.shape == (len(times), 3, 3):
             return stack
-    except Exception:
+    except (TypeError, ValueError):
         pass
     stack = np.empty((len(times), 3, 3), dtype=complex)
     for k, t in enumerate(times):
         stack[k] = np.asarray(hamiltonian_at(float(t)), dtype=complex)
     return stack
+
+
+def step_propagators(stack: np.ndarray, dts: np.ndarray) -> np.ndarray:
+    """(N,3,3) stack of exp(-i*H_k*dt_k) in closed form, for ``hamiltonian_stack`` output.
+
+    Such an H = (1 + alpha) H0 + delta * diag(-1, 0, 1) has equal real 1-2
+    and 2-3 couplings w and an imaginary 1-3 coupling +-i*q.  It is traceless,
+    and det H = 2 Re(H12 H23 H31) + delta * w^2 - delta * w^2 = 0 because
+    H12 H23 H31 = w^2 * (+-i*q) is imaginary.  Its characteristic polynomial is
+    therefore lambda^3 - r^2 lambda with r^2 = tr(H^2)/2 = 2 w^2 + q^2 + delta^2,
+    the spectrum is exactly {-r, 0, r}, and H^3 = r^2 H gives
+
+        exp(-i*H*dt) = I - i*sin(r*dt)/r * H + (cos(r*dt) - 1)/r^2 * H^2.
+
+    Both coefficients are written with sinc, dt*sinc(r*dt/pi) = sin(r*dt)/r
+    and (dt*sinc(r*dt/2pi))^2 / 2 = (1 - cos(r*dt))/r^2, so r = 0 gives the
+    identity with no branch.  The identity holds for every Hamiltonian
+    ``hamiltonian_stack`` builds, which is every Hamiltonian the package
+    builds; a general Hermitian stack goes through ``propagate``.
+    """
+    h2 = stack @ stack
+    r = np.sqrt(0.5 * np.sum(stack.real ** 2 + stack.imag ** 2, axis=(1, 2)))
+    sin_r = dts * np.sinc(r * dts / np.pi)
+    one_minus_cos_r2 = 0.5 * (dts * np.sinc(r * dts / (2.0 * np.pi))) ** 2
+    props = -1j * sin_r[:, None, None] * stack - one_minus_cos_r2[:, None, None] * h2
+    props[:, (0, 1, 2), (0, 1, 2)] += 1.0
+    return props
+
+
+def ordered_product(props: np.ndarray) -> np.ndarray:
+    """U_{N-1} ... U_1 U_0 of an (N,3,3) stack, by pairwise (tree) reduction.
+
+    Each level multiplies neighbours (U_{2j+1} U_{2j}) in one batched matmul;
+    an odd trailing factor is folded in on the left of the last pair.
+    """
+    while len(props) > 1:
+        paired = props[1::2] @ props[:len(props) - 1:2]
+        if len(props) % 2:
+            paired[-1] = props[-1] @ paired[-1]
+        props = paired
+    return props[0]
 
 
 def _propagate_states(stack: np.ndarray, dts: np.ndarray, psi0: np.ndarray) -> np.ndarray:

@@ -37,10 +37,10 @@ import numpy as np
 
 from .dynamics import (
     Handedness,
-    basis_state,
     hamiltonian_stack,
     make_grid,
-    _propagate_states,
+    ordered_product,
+    step_propagators,
 )
 from .errors import NoInteriorMinimum
 from .invariants import (
@@ -171,10 +171,16 @@ def perturbative_fidelity(schedule: InvariantSchedule, error: ErrorModel,
     if kind == "none":
         return 1.0
     if kind == "systematic":
-        return 1.0 - error.alpha ** 2 * q_alpha(schedule, abs_tol)
+        return second_order_fidelity(kind, error.alpha, q_alpha(schedule, abs_tol))
     if kind == "detuning":
-        return 1.0 - 0.25 * error.delta ** 2 * q_delta(schedule, abs_tol)
+        return second_order_fidelity(kind, error.delta, q_delta(schedule, abs_tol))
     raise ValueError("perturbative fidelity is defined for pure error kinds only")
+
+
+def second_order_fidelity(kind: str, amplitude: float, q: float) -> float:
+    """1 - alpha^2 * q ("systematic") or 1 - (delta^2 / 4) * q ("detuning")."""
+    scale = amplitude ** 2 if kind == "systematic" else 0.25 * amplitude ** 2
+    return 1.0 - scale * q
 
 
 def exact_fidelity(schedule: InvariantSchedule, error: ErrorModel,
@@ -196,12 +202,15 @@ def fidelity_from_pulses(pulses: PulseSchedule, dts: np.ndarray, error: ErrorMod
     """Target-level population after the steps `dts`, pulses sampled at their midpoints.
 
     The propagation behind ``exact_fidelity``; sweeps sample each scheme's
-    pulses once and call this for every error point.
+    pulses once and call this for every error point.  Only the final state
+    from |2> is needed, so the closed-form step propagators are multiplied
+    into one matrix and its |2> column read off.  Each point is computed on its
+    own, so its value does not depend on which sweep asked for it.
     """
     stack = hamiltonian_stack(pulses.omega, pulses.omega_q, handedness.coupling_sign,
                               error.alpha, error.delta)
-    states = _propagate_states(stack, dts, basis_state(2))
-    return float(np.abs(states[-1, handedness.target_level - 1]) ** 2)
+    total = ordered_product(step_propagators(stack, dts))
+    return float(np.abs(total[handedness.target_level - 1, 1]) ** 2)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,13 @@ population traces over time, fidelity against a single error axis, the 2-D
 (alpha, delta) fidelity map, and sensitivity against the ansatz weight n.
 
 Every output is deterministic: no timestamps, fixed float formatting (15
-significant digits), and worker-count-independent results (points are
-independent work items merged by index).  CSV files start with a commented
-metadata block (`# key = value`) sufficient to reproduce the run.
+significant digits), and every error point is computed on its own, in order,
+in the calling thread.  CSV files start with a commented metadata block
+(`# key = value`) sufficient to reproduce the run.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,6 +33,7 @@ from .robustness import (
     perturbative_fidelity,
     q_alpha,
     q_delta,
+    second_order_fidelity,
     sensitivity_kind,
 )
 
@@ -78,7 +78,6 @@ class SweepSpec:
     steps: int = 4000
     clamp: Optional[float] = None
     abs_tol: float = DEFAULT_ABS_TOL
-    workers: int = 1
 
     def __post_init__(self):
         if not self.schemes:
@@ -89,8 +88,6 @@ class SweepSpec:
             raise ValueError(f"unknown handedness {self.handedness!r}")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     @property
     def handedness_list(self) -> tuple[Handedness, ...]:
@@ -130,13 +127,6 @@ def _base_metadata(spec_like: dict) -> dict:
 def _scheme_meta(label: str, schedule: InvariantSchedule) -> str:
     desc = schedule.describe()
     return f"{label}:" + ",".join(f"{k}={v}" for k, v in desc.items())
-
-
-def _map_indexed(worker, count: int, workers: int) -> list:
-    if workers <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +183,7 @@ def fidelity_curve(spec: SweepSpec) -> SweepResult:
         tasks.append((pulses, np.diff(grid), sens))
         meta_schemes.append(_scheme_meta(label, schedule))
 
-    def row(i: int) -> list[float]:
-        amp = float(amplitudes[i])
+    def row(amp: float) -> list[float]:
         error = (ErrorModel.systematic(amp) if axis.kind == "systematic"
                  else ErrorModel.detuning(amp))
         out = [amp]
@@ -203,12 +192,10 @@ def fidelity_curve(spec: SweepSpec) -> SweepResult:
                 out += [fidelity_from_pulses(pulses, dts, error, hand)
                         for hand in spec.handedness_list]
             if sens is not None:
-                scale = amp ** 2 if axis.kind == "systematic" else 0.25 * amp ** 2
-                out.append(1.0 - scale * sens)
+                out.append(second_order_fidelity(axis.kind, amp, sens))
         return out
 
-    rows = _map_indexed(row, len(amplitudes), spec.workers)
-    data = np.asarray(rows, dtype=float)
+    data = np.asarray([row(float(amp)) for amp in amplitudes], dtype=float)
     meta = _base_metadata({
         "sweep": "fidelity_curve",
         "error_axis": f"{axis.kind}[{axis.minimum:g},{axis.maximum:g}]x{axis.points}",
@@ -271,16 +258,13 @@ def fidelity_heatmap(spec: SweepSpec) -> SweepResult:
     pulses = pulses_from_invariant(schedule, 0.5 * (grid[:-1] + grid[1:]), spec.clamp)
     dts = np.diff(grid)
     alphas, deltas = spec.axis1.values, spec.axis2.values
-    pairs = [(a, d) for a in alphas for d in deltas]
 
-    def row(i: int) -> list[float]:
-        a, d = pairs[i]
+    def row(a: float, d: float) -> list[float]:
         error = ErrorModel(alpha=a, delta=d)
         return [a, d] + [fidelity_from_pulses(pulses, dts, error, hand)
                          for hand in spec.handedness_list]
 
-    rows = _map_indexed(row, len(pairs), spec.workers)
-    data = np.asarray(rows, dtype=float)
+    data = np.asarray([row(a, d) for a in alphas for d in deltas], dtype=float)
     columns = ["alpha", "delta"] + [f"F_exact_{h.value}" for h in spec.handedness_list]
     meta = _base_metadata({
         "sweep": "fidelity_heatmap",

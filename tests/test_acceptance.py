@@ -41,7 +41,6 @@ L, R = Handedness.LEFT, Handedness.RIGHT
 # linear-ramp schedule's truncation bias (5.8e-5 at the default cap, 2.8e-8
 # at 5000/T) stays far below the 1e-6 comparison margin.
 COMPARISON_CLAMP = 5000.0
-WORKERS = 4
 
 
 def report(tag: str, passed: bool, detail: str = "") -> None:
@@ -135,7 +134,7 @@ def _ordering_margin(kind, lo, hi, better_label, better_schedule):
         schemes=(("sps", sps_schedule(1.0)), (better_label, better_schedule)),
         axis1=ErrorAxis(kind, lo, hi, 51),
         mode="exact", handedness="left", steps=4000,
-        clamp=COMPARISON_CLAMP, workers=WORKERS,
+        clamp=COMPARISON_CLAMP,
     )
     result = fidelity_curve(spec)
     margin = (result.column(f"F_{better_label}_exact_left")
@@ -219,7 +218,7 @@ def test_criterion_6_heatmap():
         schemes=(("ansatz1.1", ansatz_schedule(1.10, 1.0)),),
         axis1=ErrorAxis("systematic", -0.1, 0.1, 41),
         axis2=ErrorAxis("detuning", -0.5, 0.5, 41),
-        mode="exact", handedness="left", steps=4000, workers=WORKERS,
+        mode="exact", handedness="left", steps=4000,
     )
     result = fidelity_heatmap(spec)
     rows = result.data

@@ -73,6 +73,31 @@ def test_simulate_zero_duration_rejected(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_zero_workers_rejected(tmp_path, capsys):
+    assert run_cli(["scan", "--workers", "0", "--out", str(tmp_path)]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
+def test_parallel_serial_equivalence(tmp_path):
+    # --workers is accepted and echoed, but the outputs do not depend on it
+    commands = {
+        "detuning_oss_exact.csv": ["scan", "--error", "detuning", "--schemes", "oss",
+                                   "--mode", "exact", "--points", "9", "--min", "-0.6",
+                                   "--max", "0.6", "--steps", "500"],
+        "heatmap_ansatz1.1_exact.csv": ["heatmap", "--alpha-points", "3",
+                                        "--delta-points", "3", "--steps", "500"],
+    }
+
+    def run(name, args, workers):
+        out = tmp_path / f"{name}-w{workers}"
+        assert run_cli(args + ["--workers", str(workers), "--out", str(out)]) == 0
+        lines = (out / name).read_text().replace(str(out), "OUT").splitlines()
+        return [ln for ln in lines if not ln.startswith("# config.workers =")]
+
+    for name, args in commands.items():
+        assert run(name, args, 1) == run(name, args, 2)
+
+
 def test_out_below_a_regular_file_is_rejected(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -1,6 +1,12 @@
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
+from chiralpulse import invariants
 from chiralpulse import (
     GridTooCoarse,
     Handedness,
@@ -15,6 +21,8 @@ from chiralpulse import (
     schedule_hamiltonian,
     sps_schedule,
 )
+from chiralpulse.dynamics import ordered_product, step_propagators
+from chiralpulse.errors import ClampViolation
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 
@@ -107,6 +115,59 @@ def test_scalar_and_vectorized_callables_agree():
     a = propagate(vec, QuantumState.basis(2), grid)
     b = propagate(scalar, QuantumState.basis(2), grid)
     np.testing.assert_allclose(a.states, b.states, atol=1e-14)
+
+
+def test_library_error_is_not_resampled(monkeypatch):
+    # a ChiralPulseError from a vectorized callable propagates at once; only
+    # TypeError/ValueError (a scalar-only callable given an array) loop
+    calls = []
+    original = invariants.pulses_from_invariant
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "pulses_from_invariant", counting)
+    ham = schedule_hamiltonian(sps_schedule(1.0), L, clamp=1.0)
+    with pytest.raises(ClampViolation):
+        propagate(ham, QuantumState.basis(2), make_grid(1.0, 4000))
+    assert len(calls) == 1
+
+
+def _amplitudes(bound):
+    # eigvalsh squares off-diagonal entries, which underflow near 1e-154 and
+    # cost the reference itself ~1e-12 accuracy; the kernel is not at fault
+    return st.floats(-bound, bound).filter(lambda x: x == 0.0 or abs(x) > 1e-100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(omega=_amplitudes(200.0), omega_q=_amplitudes(200.0), alpha=st.floats(-0.5, 0.5),
+       delta=_amplitudes(5.0), sign=st.sampled_from((-1, 1)), dt=st.floats(0.0, 0.5))
+def test_step_propagator_closed_form(omega, omega_q, alpha, delta, sign, dt):
+    h = hamiltonian_stack([omega], [omega_q], sign, alpha, delta)
+    w, q, d = h[0, 0, 1].real, h[0, 0, 2].imag, h[0, 2, 2].real
+    r = math.hypot(math.sqrt(2.0) * w, q, d)
+    np.testing.assert_allclose(np.linalg.eigvalsh(h)[0], [-r, 0.0, r],
+                               rtol=0, atol=1e-13 * r)
+    u = step_propagators(h, np.array([dt]))[0]
+    np.testing.assert_allclose(u, expm(-1j * h[0] * dt), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(3), rtol=0, atol=1e-14)
+
+
+def test_step_propagator_of_zero_pulses_is_identity():
+    h = hamiltonian_stack(np.zeros(3), np.zeros(3), L.coupling_sign, alpha=0.2)
+    props = step_propagators(h, np.array([0.1, 0.5, 2.0]))
+    np.testing.assert_array_equal(props, np.broadcast_to(np.eye(3), (3, 3, 3)))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 7, 1001])
+def test_ordered_product_matches_sequential_product(length):
+    rng = np.random.default_rng(length)
+    h = hamiltonian_stack(rng.uniform(-5, 5, length), rng.uniform(-5, 5, length),
+                          R.coupling_sign, 0.1, rng.uniform(-1, 1))
+    props = step_propagators(h, rng.uniform(0.0, 0.2, length))
+    sequential = reduce(lambda acc, u: u @ acc, props, np.eye(3, dtype=complex))
+    np.testing.assert_allclose(ordered_product(props), sequential, rtol=0, atol=1e-13)
 
 
 def test_second_order_convergence_on_smooth_schedule():

@@ -5,13 +5,17 @@ from chiralpulse import (
     ErrorModel,
     Handedness,
     NoInteriorMinimum,
+    QuantumState,
     ansatz_schedule,
     detuning_operator,
     exact_fidelity,
+    make_grid,
     optimize_n,
     perturbative_fidelity,
+    propagate,
     q_alpha,
     q_delta,
+    schedule_hamiltonian,
     sensitivity_pair,
     sps_schedule,
 )
@@ -84,6 +88,22 @@ def test_exact_fidelity_no_error_full_transfer():
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0)):
         for hand in (L, R):
             assert exact_fidelity(schedule, ErrorModel(), hand) > 1.0 - 1e-4
+
+
+def test_exact_fidelity_matches_stepwise_propagation():
+    # closed-form step propagators + tree product against propagate's eigh loop
+    grid = make_grid(1.0, 4000)
+    for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0)):
+        for hand in (L, R):
+            ham = schedule_hamiltonian(schedule, hand)
+            for error in (ErrorModel(), ErrorModel(alpha=0.05, delta=0.3)):
+                def perturbed(t, ham=ham, error=error):
+                    return (1.0 + error.alpha) * ham(t) + error.delta * detuning_operator()
+
+                traj = propagate(perturbed, QuantumState.basis(2), grid)
+                expected = traj.final_populations[hand.target_level - 1]
+                assert exact_fidelity(schedule, error, hand) == pytest.approx(
+                    expected, rel=0, abs=1e-12)
 
 
 def test_exact_fidelity_handedness_symmetry():
