@@ -1,15 +1,16 @@
 """Command-line front end: design, simulate, scan, heatmap, optimize.
 
 Configuration precedence is CLI flag > config file (`--config`, flat
-`key = value` lines) > built-in default.  The effective configuration is
-echoed into every output file's metadata block, and each run ends with a
-single machine-parsable `key=value` summary line on stdout.
+`key = value` lines, each value converted with its flag's type) > built-in
+default.  The effective configuration is echoed into every output file's
+metadata block, and each run ends with a single machine-parsable
+`key=value` summary line on stdout.  `--workers` is accepted (>= 1) and
+ignored: sweeps run in one thread, and it is not echoed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -41,7 +42,7 @@ COMMON_DEFAULTS = {
     "T": 1.0,
     "steps": 4000,
     "clamp": 100.0,
-    "workers": os.cpu_count() or 1,
+    "workers": 1,
     "out": ".",
 }
 
@@ -70,8 +71,7 @@ def _common_parser() -> argparse.ArgumentParser:
     p.add_argument("--clamp", type=float,
                    help="cap on |Omega_q| in units of 1/T (default 100)")
     p.add_argument("--workers", type=int,
-                   help="accepted (>= 1) and echoed in the metadata; no longer "
-                        "changes anything, sweeps run in one thread")
+                   help="accepted (>= 1) and ignored: sweeps run in one thread")
     p.add_argument("--out", help="output directory (default: current)")
     p.add_argument("--config",
                    help="flat key=value config file; CLI flags override it")
@@ -138,22 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 # configuration handling
 # ---------------------------------------------------------------------------
 
-def _parse_value(text: str):
-    text = text.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered in ("none", ""):
-        return None
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
-
-
 def read_config_file(path: str) -> dict:
+    """Flat `key = value` lines as {key: text}; `none` or an empty value is None."""
     values = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -162,8 +148,16 @@ def read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {raw!r} is not key = value")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = _parse_value(value)
+        value = value.strip()
+        values[key.strip().replace("-", "_")] = None if value.lower() in ("none", "") else value
     return values
+
+
+def _flag_types(command: str) -> dict:
+    """{dest: the `type=` its flag declares} for every flag of `command`."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.type for a in sub.choices[command]._actions}
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -174,7 +168,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
     unknown = set(file_values) - set(cfg)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    cfg.update(file_values)
+    types = _flag_types(args.command) if file_values else {}
+    for key, text in file_values.items():
+        if text is None:        # `none` leaves the default in place
+            continue
+        flag_type = types[key] or str
+        try:
+            cfg[key] = flag_type(text)
+        except ValueError:
+            raise ValueError(f"config {key}: invalid {flag_type.__name__} "
+                             f"value: {text!r}") from None
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
@@ -216,7 +219,9 @@ def _validate_config(command: str, cfg: dict) -> None:
 
 
 def _effective_metadata(cfg: dict) -> dict:
-    return {f"config.{k}": v for k, v in sorted(cfg.items()) if v is not None}
+    # --workers changes nothing, so it is not echoed
+    return {f"config.{k}": v for k, v in sorted(cfg.items())
+            if v is not None and k != "workers"}
 
 
 def _summary(command: str, pairs: dict) -> None:

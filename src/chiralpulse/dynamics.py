@@ -23,16 +23,16 @@ from sampled (Omega, Omega_q).
 
 Propagation is piecewise-exponential: each step applies the exact matrix
 exponential of the midpoint-sampled Hamiltonian, so every step is unitary and
-the state norm is preserved structurally, not by tolerance.  Two routes
-compute that exponential:
+the state norm is preserved structurally, not by tolerance.  One routine,
+``step_propagators``, computes that exponential, in closed form.  It is exact
+for a Hermitian, traceless H with det H = 0 (spectrum exactly {-r, 0, r}),
+which every ``hamiltonian_stack`` output is:
 
-* ``propagate`` accepts any Hermitian callable and returns every intermediate
-  state; it exponentiates by eigendecomposition (``eigh``) and advances the
-  state step by step.  It is the only user of ``eigh``.
-* exact fidelities need only the final state of a ``hamiltonian_stack``
-  output.  ``step_propagators`` exponentiates such a stack in closed form
-  (its spectrum is exactly {-r, 0, r}) and ``ordered_product`` multiplies the
-  steps by pairwise reduction.
+* ``propagate`` samples a Hamiltonian callable, rejects samples that break
+  that precondition, and advances the state through the step propagators,
+  returning every intermediate state;
+* exact fidelities need only the final state, so ``ordered_product``
+  multiplies the steps by pairwise reduction.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def step_propagators(stack: np.ndarray, dts: np.ndarray) -> np.ndarray:
     and (dt*sinc(r*dt/2pi))^2 / 2 = (1 - cos(r*dt))/r^2, so r = 0 gives the
     identity with no branch.  The identity holds for every Hamiltonian
     ``hamiltonian_stack`` builds, which is every Hamiltonian the package
-    builds; a general Hermitian stack goes through ``propagate``.
+    builds; ``propagate`` checks it for callables from outside.
     """
     h2 = stack @ stack
     r = np.sqrt(0.5 * np.sum(stack.real ** 2 + stack.imag ** 2, axis=(1, 2)))
@@ -225,21 +225,6 @@ def ordered_product(props: np.ndarray) -> np.ndarray:
     return props[0]
 
 
-def _propagate_states(stack: np.ndarray, dts: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    """Apply exp(-i*H_k*dt_k) step by step; returns all states incl. the initial one."""
-    w, v = np.linalg.eigh(stack)
-    phases = np.exp(-1j * w * dts[:, None])
-    # U_k = V_k diag(phases_k) V_k^dagger
-    props = np.einsum("kij,kj,klj->kil", v, phases, v.conj())
-    out = np.empty((len(stack) + 1, 3), dtype=complex)
-    out[0] = psi0
-    psi = psi0
-    for k in range(len(props)):
-        psi = props[k] @ psi
-        out[k + 1] = psi
-    return out
-
-
 def propagate(
     hamiltonian_at: Callable,
     initial: QuantumState | np.ndarray,
@@ -249,30 +234,41 @@ def propagate(
     """Solve i d|psi>/dt = H(t)|psi> on `grid` by the midpoint-exponential rule.
 
     Each step advances the state with the exact 3x3 matrix exponential of the
-    Hamiltonian sampled at the interval midpoint, so every step is unitary.
+    Hamiltonian sampled at the interval midpoint, computed in closed form by
+    ``step_propagators``, so every step is unitary.
 
     Parameters
     ----------
     hamiltonian_at : callable
         Maps a time (scalar, or array for vectorized callables) to a 3x3
-        Hermitian matrix (or (N,3,3) stack).
+        matrix (or (N,3,3) stack) that is Hermitian, traceless and singular
+        (det H = 0), as every ``hamiltonian_stack`` output and every
+        ``schedule_hamiltonian`` callable is.
     initial : QuantumState or complex 3-vector
     grid : strictly increasing time samples covering the evolution window
     check : bool
         When True, re-propagate with every step halved and raise
         ``GridTooCoarse`` if any final population moves by more than 1e-8.
 
+    Returns
+    -------
+    Trajectory
+        the state at every grid time, the initial state included.
+
     Raises
     ------
     NonFiniteHamiltonian
         if any sampled entry is NaN or infinite.
+    ValueError
+        naming the first sample time whose Hamiltonian is not exactly
+        Hermitian, or has |tr H| > 1e-12 r or |det H| > 1e-12 r^3, where
+        r^2 = sum |H_ij|^2 / 2; the closed form is exact only when all three hold.
     GridTooCoarse
         see `check`.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be a strictly increasing 1-D array of times")
-    psi0 = np.asarray(initial, dtype=complex)
     mids = 0.5 * (grid[:-1] + grid[1:])
     stack = _sample_hamiltonian(hamiltonian_at, mids)
     if not np.all(np.isfinite(stack.view(float))):
@@ -281,7 +277,24 @@ def propagate(
             f"Hamiltonian sample at t={mids[bad]:.6g} has non-finite entries "
             "(unclamped pulse singularity?)"
         )
-    states = _propagate_states(stack, np.diff(grid), psi0)
+    r = np.sqrt(0.5 * np.sum(stack.real ** 2 + stack.imag ** 2, axis=(1, 2)))
+    broken = {
+        "Hermitian": np.any(stack != stack.conj().transpose(0, 2, 1), axis=(1, 2)),
+        "traceless": np.abs(np.trace(stack, axis1=1, axis2=2)) > 1e-12 * r,
+        "singular": np.abs(np.linalg.det(stack)) > 1e-12 * r ** 3,
+    }
+    bad = np.logical_or.reduce(list(broken.values()))
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        missing = " or ".join(name for name, mask in broken.items() if mask[k])
+        raise ValueError(
+            f"Hamiltonian sample at t={mids[k]:.6g} is not {missing}; the "
+            "closed-form step needs a Hermitian, traceless H with det H = 0"
+        )
+    states = np.empty((len(grid), 3), dtype=complex)
+    states[0] = np.asarray(initial, dtype=complex)
+    for k, step in enumerate(step_propagators(stack, np.diff(grid))):
+        states[k + 1] = step @ states[k]
     traj = Trajectory(times=grid, states=states)
     if check:
         fine = np.sort(np.concatenate([grid, mids]))

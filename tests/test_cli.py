@@ -79,7 +79,7 @@ def test_zero_workers_rejected(tmp_path, capsys):
 
 
 def test_parallel_serial_equivalence(tmp_path):
-    # --workers is accepted and echoed, but the outputs do not depend on it
+    # --workers is accepted and ignored: the files are identical, byte for byte
     commands = {
         "detuning_oss_exact.csv": ["scan", "--error", "detuning", "--schemes", "oss",
                                    "--mode", "exact", "--points", "9", "--min", "-0.6",
@@ -91,8 +91,7 @@ def test_parallel_serial_equivalence(tmp_path):
     def run(name, args, workers):
         out = tmp_path / f"{name}-w{workers}"
         assert run_cli(args + ["--workers", str(workers), "--out", str(out)]) == 0
-        lines = (out / name).read_text().replace(str(out), "OUT").splitlines()
-        return [ln for ln in lines if not ln.startswith("# config.workers =")]
+        return (out / name).read_text().replace(str(out), "OUT")
 
     for name, args in commands.items():
         assert run(name, args, 1) == run(name, args, 2)
@@ -173,10 +172,19 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 
 def test_read_config_file_parsing(tmp_path):
+    # values stay text; resolve_config converts each with its flag's type
     config = tmp_path / "c.cfg"
-    config.write_text("a = 1\nb = 2.5\nc = text\nd = true\n")
+    config.write_text("a = 1\nb-c = 2.5 # note\nd = text\ne = none\n")
     values = read_config_file(config)
-    assert values == {"a": 1, "b": 2.5, "c": "text", "d": True}
+    assert values == {"a": "1", "b_c": "2.5", "d": "text", "e": None}
+
+
+@pytest.mark.parametrize("line", ["steps = 2.5", "points = abc", "T = abc"])
+def test_config_file_value_of_wrong_type_rejected(tmp_path, capsys, line):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    assert run_cli(["scan", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_rerun_is_byte_identical(tmp_path):

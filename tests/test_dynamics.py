@@ -183,6 +183,17 @@ def test_second_order_convergence_on_smooth_schedule():
     assert 3.0 < ratio < 6.0, f"halving the step gave error ratio {ratio}"
 
 
+@pytest.mark.parametrize("matrix", [
+    np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex),  # not Hermitian
+    np.diag([1.0, 2.0, 3.0]).astype(complex),                   # tr H = 6
+    np.diag([1.0, 1.0, -2.0]).astype(complex),                  # traceless, det H = -2
+], ids=["non_hermitian", "nonzero_trace", "nonzero_det"])
+def test_propagate_rejects_non_cyclic_hamiltonian(matrix):
+    # the closed-form step is exact only for Hermitian, traceless, singular H
+    with pytest.raises(ValueError, match="t=0.005"):
+        propagate(lambda t: matrix, QuantumState.basis(2), make_grid(1.0, 100))
+
+
 def test_non_finite_hamiltonian_raises():
     def bad(t):
         h = np.zeros((3, 3), complex)
