@@ -30,7 +30,6 @@ from .quadrature import DEFAULT_ABS_TOL
 from .robustness import (
     ErrorModel,
     fidelity_from_pulses,
-    perturbative_fidelity,
     q_alpha,
     q_delta,
     second_order_fidelity,
@@ -333,5 +332,5 @@ def sensitivity_curve(kind: str, n_range: tuple[float, float], points: int,
 __all__ = [
     "ErrorAxis", "SweepSpec", "SweepResult",
     "population_trace", "fidelity_curve", "fidelity_heatmap",
-    "sensitivity_curve", "high_fidelity_region", "perturbative_fidelity",
+    "sensitivity_curve", "high_fidelity_region",
 ]

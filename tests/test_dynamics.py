@@ -167,7 +167,11 @@ def test_ordered_product_matches_sequential_product(length):
                           R.coupling_sign, 0.1, rng.uniform(-1, 1))
     props = step_propagators(h, rng.uniform(0.0, 0.2, length))
     sequential = reduce(lambda acc, u: u @ acc, props, np.eye(3, dtype=complex))
-    np.testing.assert_allclose(ordered_product(props), sequential, rtol=0, atol=1e-13)
+    # step_propagators returns a transposed view; a C-contiguous copy and an
+    # (N,3,3) view with swapped strides must give the same product
+    swapped = np.ascontiguousarray(props.transpose(0, 2, 1)).transpose(0, 2, 1)
+    for stack in (props, np.ascontiguousarray(props), swapped):
+        np.testing.assert_allclose(ordered_product(stack), sequential, rtol=0, atol=1e-13)
 
 
 def test_second_order_convergence_on_smooth_schedule():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from chiralpulse import (
     ErrorModel,
@@ -12,12 +13,14 @@ from chiralpulse import (
     make_grid,
     optimize_n,
     perturbative_fidelity,
+    pulses_from_invariant,
     q_alpha,
     q_delta,
     schedule_hamiltonian,
     sensitivity_pair,
     sps_schedule,
 )
+from chiralpulse.robustness import fidelity_from_pulses
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 
@@ -104,6 +107,30 @@ def test_exact_fidelity_matches_stepwise_propagation():
                     psi = v[k] @ (np.exp(-1j * w[k] * dts[k]) * (v[k].conj().T @ psi))
                 expected = abs(psi[hand.target_level - 1]) ** 2
                 assert exact_fidelity(schedule, error, hand) == pytest.approx(
+                    expected, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("steps", [777, 4001])
+def test_fidelity_from_pulses_matches_expm_sequential_product(steps):
+    # odd step counts leave a trailing factor at every other tree level; the
+    # sps pulses are clamped, with a kink, inside the first and last 1%
+    grid = make_grid(1.0, steps)
+    mids, dts = 0.5 * (grid[:-1] + grid[1:]), np.diff(grid)
+    for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0)):
+        pulses = pulses_from_invariant(schedule, mids)
+        for hand in (L, R):
+            for error in (ErrorModel(), ErrorModel(alpha=0.05, delta=0.3)):
+                # H of the dynamics module docstring, written out here
+                h = np.zeros((steps, 3, 3), dtype=complex)
+                h[:, 0, 1] = h[:, 1, 0] = h[:, 1, 2] = h[:, 2, 1] = pulses.omega
+                h[:, 0, 2] = hand.coupling_sign * 1j * pulses.omega_q
+                h[:, 2, 0] = -hand.coupling_sign * 1j * pulses.omega_q
+                h = (1.0 + error.alpha) * h + error.delta * np.diag([-1.0, 0.0, 1.0])
+                total = np.eye(3, dtype=complex)
+                for u in expm(-1j * h * dts[:, None, None]):
+                    total = u @ total
+                expected = abs(total[hand.target_level - 1, 1]) ** 2
+                assert fidelity_from_pulses(pulses, dts, error, hand) == pytest.approx(
                     expected, rel=0, abs=1e-12)
 
 
