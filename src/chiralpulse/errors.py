@@ -22,7 +22,7 @@ class ClampViolation(ChiralPulseError):
 
 
 class QuadratureFailure(ChiralPulseError):
-    """Adaptive quadrature did not converge to the requested tolerance."""
+    """Quadrature did not converge to the requested tolerance within its panel cap."""
 
 
 class NoInteriorMinimum(ChiralPulseError):

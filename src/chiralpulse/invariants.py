@@ -71,7 +71,7 @@ import numpy as np
 
 from .dynamics import Handedness, hamiltonian_stack
 from .errors import ChiralPulseError, ClampViolation, SingularTheta
-from .quadrature import DEFAULT_ABS_TOL, real_quad
+from .quadrature import complex_quad
 
 DEFAULT_STEPS = 4000
 SINGULAR_TOL = 1e-9
@@ -506,8 +506,8 @@ class LRPhase:
     anchor_time: float
 
 
-def lr_phase(schedule: InvariantSchedule, abs_tol: float = DEFAULT_ABS_TOL) -> LRPhase:
-    """Evaluate the +channel phase by adaptive quadrature of the defining integrand.
+def lr_phase(schedule: InvariantSchedule) -> LRPhase:
+    """Evaluate the +channel phase by composite Gauss-Legendre quadrature from the anchor to t.
 
     The integrand is computed trigonometrically from theta_of, independently of
     the schedule's closed-form phase, so comparing the two is a meaningful
@@ -526,14 +526,7 @@ def lr_phase(schedule: InvariantSchedule, abs_tol: float = DEFAULT_ABS_TOL) -> L
 
     def eta_plus(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        order = np.argsort(ts)
-        pts = np.concatenate([[anchor], ts[order]])
-        segments = np.array([
-            real_quad(integrand, pts[k], pts[k + 1], abs_tol)
-            for k in range(len(pts) - 1)
-        ])
-        values = np.empty_like(ts)
-        values[order] = np.cumsum(segments)
+        values = np.array([complex_quad(integrand, anchor, tk).real for tk in ts])
         return values if np.ndim(t) else float(values[0])
 
     def eta_zero(t):

@@ -26,7 +26,7 @@ from .invariants import (
     pulses_from_invariant,
     schedule_hamiltonian,
 )
-from .quadrature import DEFAULT_ABS_TOL
+from .quadrature import ABS_TOL
 from .robustness import (
     ErrorModel,
     fidelity_from_pulses,
@@ -76,7 +76,6 @@ class SweepSpec:
     handedness: str = "both"  # left | right | both
     steps: int = 4000
     clamp: Optional[float] = None
-    abs_tol: float = DEFAULT_ABS_TOL
 
     def __post_init__(self):
         if not self.schemes:
@@ -104,6 +103,11 @@ class SweepResult:
     columns: tuple
     data: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        bad = [c for c, ok in zip(self.columns, np.isfinite(self.data).all(axis=0)) if not ok]
+        if bad:
+            raise ValueError(f"{self.metadata.get('sweep', 'sweep')}: non-finite {', '.join(bad)}")
 
     def column(self, name: str) -> np.ndarray:
         return self.data[:, self.columns.index(name)]
@@ -177,7 +181,7 @@ def fidelity_curve(spec: SweepSpec) -> SweepResult:
         sens = None
         if spec.mode in ("perturbative", "both"):
             measure = q_alpha if axis.kind == "systematic" else q_delta
-            sens = measure(schedule, spec.abs_tol)
+            sens = measure(schedule)
             columns.append(f"F_{label}_pert")
         tasks.append((pulses, np.diff(grid), sens))
         meta_schemes.append(_scheme_meta(label, schedule))
@@ -202,7 +206,7 @@ def fidelity_curve(spec: SweepSpec) -> SweepResult:
         "handedness": spec.handedness,
         "steps": spec.steps,
         "clamp": spec.clamp if spec.clamp is not None else "default(100/T)",
-        "quad_abs_tol": spec.abs_tol,
+        "quad_abs_tol": ABS_TOL,
         "schemes": ";".join(meta_schemes),
     })
     if spec.mode == "both":
@@ -309,21 +313,20 @@ def high_fidelity_region(fidelities: np.ndarray, alphas: np.ndarray,
 
 
 def sensitivity_curve(kind: str, n_range: tuple[float, float], points: int,
-                      duration: float = 1.0,
-                      abs_tol: float = DEFAULT_ABS_TOL) -> SweepResult:
+                      duration: float = 1.0) -> SweepResult:
     """Tabulate q_alpha(n) or q_delta(n) over the ansatz family."""
     key, measure = sensitivity_kind(kind)
     name = "q_alpha" if key == "systematic" else "q_delta"
     if points < 2:
         raise ValueError("points must be >= 2")
     ns = np.linspace(float(n_range[0]), float(n_range[1]), points)
-    qs = np.array([measure(ansatz_schedule(n, duration), abs_tol) for n in ns])
+    qs = np.array([measure(ansatz_schedule(n, duration)) for n in ns])
     meta = _base_metadata({
         "sweep": "sensitivity_curve",
         "kind": name,
         "n_range": f"[{n_range[0]:g},{n_range[1]:g}]x{points}",
         "T": duration,
-        "quad_abs_tol": abs_tol,
+        "quad_abs_tol": ABS_TOL,
     })
     return SweepResult(columns=("n", name), data=np.column_stack([ns, qs]),
                        metadata=meta)

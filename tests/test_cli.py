@@ -148,6 +148,32 @@ def test_optimize_systematic_prints_optimum(capsys):
     assert 0.99 < float(fields["exact_fidelity_checkpoint"]) < 1.0
 
 
+def test_optimize_tolerance_below_float_spacing_terminates(capsys):
+    assert run_cli(["optimize", "--kind", "detuning", "--tol", "1e-17",
+                    "--steps", "500"]) == 0
+    assert "n_star=1.13" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("args", [
+    ["simulate", "--T", "1e-300"],
+    ["scan", "--error", "detuning", "--schemes", "sps", "--mode", "perturbative",
+     "--T", "1e300", "--points", "3"],
+])
+def test_non_finite_sweep_data_rejected(tmp_path, capsys, args):
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # rejected before any file is written
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_optimize_with_overflowing_sensitivities_exits_2(capsys):
+    # q_delta grows like T^2 and overflows at T = 1e300
+    assert run_cli(["optimize", "--kind", "detuning", "--T", "1e300"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_config_file_and_precedence(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("scheme = sps\nsteps = 600\nT = 1.0\n# comment\n")

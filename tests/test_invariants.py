@@ -337,6 +337,13 @@ def test_lr_phase_eta_zero_vanishes():
     np.testing.assert_array_equal(phase.eta_zero(t), np.zeros_like(t))
 
 
+def test_lr_phase_is_zero_at_its_anchor():
+    # the anchor segment is empty; at t = 0 the ansatz integrand is 0/0
+    for schedule in (ansatz_schedule(1.07, 1.0), sps_schedule(1.0)):
+        phase = lr_phase(schedule)
+        assert phase.eta_plus(phase.anchor_time) == 0.0
+
+
 def test_lr_phase_matches_ansatz_closed_form():
     for n in (0.8, 1.07):
         schedule = ansatz_schedule(n, 1.0)

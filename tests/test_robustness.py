@@ -20,7 +20,7 @@ from chiralpulse import (
     sensitivity_pair,
     sps_schedule,
 )
-from chiralpulse.robustness import fidelity_from_pulses
+from chiralpulse.robustness import fidelity_from_pulses, golden_section
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 
@@ -183,6 +183,19 @@ def test_optimize_n_refinement_consistency():
     fine = optimize_n("systematic", (1.04, 1.09), tolerance=1e-4)
     assert abs(coarse.n_star - fine.n_star) < 2e-2
     assert fine.q_min <= coarse.q_min + 1e-10
+
+
+def test_golden_section_stops_below_float_spacing():
+    # a bracket width of 1e-17 is below the float spacing near 1.06: never reached
+    calls = []
+
+    def objective(x):
+        calls.append(x)
+        if len(calls) > 200:
+            raise AssertionError("golden_section did not terminate")
+        return (x - 1.0648) ** 2
+
+    assert golden_section(objective, 1.06, 1.07, 1e-17) == pytest.approx(1.0648, abs=1e-8)
 
 
 def test_optimize_n_boundary_minimum_raises():
