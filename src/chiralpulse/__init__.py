@@ -12,7 +12,6 @@ from .dynamics import (
     QuantumState,
     Trajectory,
     basis_state,
-    fidelity,
     hamiltonian_stack,
     make_grid,
     propagate,
@@ -20,7 +19,6 @@ from .dynamics import (
 from .errors import (
     ChiralPulseError,
     ClampViolation,
-    GridTooCoarse,
     NoInteriorMinimum,
     NonFiniteHamiltonian,
     QuadratureFailure,
@@ -46,14 +44,10 @@ from .invariants import (
 from .robustness import (
     ErrorModel,
     OptimumResult,
-    SensitivityResult,
-    detuning_operator,
     exact_fidelity,
     optimize_n,
-    perturbative_fidelity,
     q_alpha,
     q_delta,
-    sensitivity_pair,
 )
 from .sweeps import (
     ErrorAxis,
@@ -63,16 +57,15 @@ from .sweeps import (
     fidelity_heatmap,
     high_fidelity_region,
     population_trace,
-    sensitivity_curve,
 )
 
 __all__ = [
     "__version__",
     # dynamics
-    "Handedness", "QuantumState", "Trajectory", "basis_state", "fidelity",
+    "Handedness", "QuantumState", "Trajectory", "basis_state",
     "hamiltonian_stack", "make_grid", "propagate",
     # errors
-    "ChiralPulseError", "ClampViolation", "GridTooCoarse", "NoInteriorMinimum",
+    "ChiralPulseError", "ClampViolation", "NoInteriorMinimum",
     "NonFiniteHamiltonian", "QuadratureFailure", "SingularTheta",
     # invariants
     "InvariantSchedule", "LRPhase", "PulseSchedule", "ValidationReport",
@@ -81,11 +74,9 @@ __all__ = [
     "pulses_from_invariant", "schedule_hamiltonian", "sps_schedule",
     "validate_schedule",
     # robustness
-    "ErrorModel", "OptimumResult", "SensitivityResult", "detuning_operator",
-    "exact_fidelity", "optimize_n", "perturbative_fidelity", "q_alpha",
-    "q_delta", "sensitivity_pair",
+    "ErrorModel", "OptimumResult", "exact_fidelity", "optimize_n", "q_alpha",
+    "q_delta",
     # sweeps
     "ErrorAxis", "SweepResult", "SweepSpec", "fidelity_curve",
     "fidelity_heatmap", "high_fidelity_region", "population_trace",
-    "sensitivity_curve",
 ]

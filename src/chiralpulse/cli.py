@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .dynamics import Handedness, make_grid
+from .dynamics import DEFAULT_STEPS, Handedness, make_grid
 from .errors import ChiralPulseError
 from .invariants import (
+    DEFAULT_CLAMP,
     ansatz_schedule,
     make_schedule,
     pulses_from_invariant,
@@ -40,8 +41,8 @@ COMMON_DEFAULTS = {
     "scheme": "sps",
     "n": None,
     "T": 1.0,
-    "steps": 4000,
-    "clamp": 100.0,
+    "steps": DEFAULT_STEPS,
+    "clamp": DEFAULT_CLAMP,
     "workers": 1,
     "out": ".",
 }
@@ -67,9 +68,9 @@ def _common_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, dest="T",
                    help="pulse duration T (time unit; frequencies are in 1/T)")
     p.add_argument("--steps", type=int,
-                   help="propagation steps on [0,T] (default 4000)")
+                   help=f"propagation steps on [0,T] (default {DEFAULT_STEPS})")
     p.add_argument("--clamp", type=float,
-                   help="cap on |Omega_q| in units of 1/T (default 100)")
+                   help=f"cap on |Omega_q| in units of 1/T (default {DEFAULT_CLAMP:g})")
     p.add_argument("--workers", type=int,
                    help="accepted (>= 1) and ignored: sweeps run in one thread")
     p.add_argument("--out", help="output directory (default: current)")

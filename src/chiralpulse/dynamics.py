@@ -28,9 +28,10 @@ the state norm is preserved structurally, not by tolerance.  One routine,
 for a Hermitian, traceless H with det H = 0 (spectrum exactly {-r, 0, r}),
 which every ``hamiltonian_stack`` output is:
 
-* ``propagate`` samples a Hamiltonian callable, rejects samples that break
-  that precondition, and advances the state through the step propagators,
-  returning every intermediate state;
+* ``propagate`` calls a vectorized Hamiltonian callable once, on the array
+  of step midpoints, rejects a result that is not an (N,3,3) stack or whose
+  samples break that precondition, and advances the state through the step
+  propagators, returning every intermediate state;
 * exact fidelities need only the final state, so ``ordered_product``
   multiplies the steps by pairwise reduction.
 
@@ -50,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridTooCoarse, NonFiniteHamiltonian
+from .errors import NonFiniteHamiltonian
 
 NORM_TOL = 1e-12
 
@@ -70,14 +71,6 @@ class Handedness(Enum):
     def target_level(self) -> int:
         """Level (1-indexed) that receives the full population from |2>."""
         return 3 if self is Handedness.LEFT else 1
-
-    @classmethod
-    def parse(cls, text: str) -> "Handedness":
-        key = text.strip().lower()
-        for h in cls:
-            if h.value == key or h.value[0] == key:
-                return h
-        raise ValueError(f"unknown handedness {text!r} (use 'left' or 'right')")
 
 
 def basis_state(level: int) -> np.ndarray:
@@ -108,10 +101,6 @@ class QuantumState:
     def basis(cls, level: int) -> "QuantumState":
         return cls(basis_state(level))
 
-    @property
-    def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def __array__(self, dtype=None):
         return self.amplitudes if dtype is None else self.amplitudes.astype(dtype)
 
@@ -138,7 +127,10 @@ def hamiltonian_stack(omega, omega_q, sign: int, alpha: float = 0.0,
     return out
 
 
-def make_grid(duration: float, steps: int = 4000) -> np.ndarray:
+DEFAULT_STEPS = 4000
+
+
+def make_grid(duration: float, steps: int = DEFAULT_STEPS) -> np.ndarray:
     """Uniform time grid with `steps` intervals on [0, duration]."""
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -158,37 +150,9 @@ class Trajectory:
     def __post_init__(self):
         object.__setattr__(self, "populations", np.abs(self.states) ** 2)
 
-    @property
-    def final_state(self) -> QuantumState:
-        return QuantumState(self.states[-1])
-
-    @property
-    def final_populations(self) -> np.ndarray:
-        return self.populations[-1]
-
     def norm_deviation(self) -> float:
         """Worst deviation of the state norm from 1 along the trajectory."""
         return float(np.max(np.abs(np.sum(self.populations, axis=1) - 1.0)))
-
-
-def _sample_hamiltonian(hamiltonian_at: Callable, times: np.ndarray) -> np.ndarray:
-    """Evaluate a Hamiltonian callable on an array of times as an (N,3,3) stack.
-
-    Vectorized callables (returning (N,3,3) for an (N,) argument) are used
-    directly; scalar callables are looped.  A scalar-only callable given an
-    array raises ``TypeError`` or ``ValueError``; any other exception, package
-    errors included, propagates without re-sampling.
-    """
-    try:
-        stack = np.asarray(hamiltonian_at(times), dtype=complex)
-        if stack.shape == (len(times), 3, 3):
-            return stack
-    except (TypeError, ValueError):
-        pass
-    stack = np.empty((len(times), 3, 3), dtype=complex)
-    for k, t in enumerate(times):
-        stack[k] = np.asarray(hamiltonian_at(float(t)), dtype=complex)
-    return stack
 
 
 def _mul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -263,7 +227,6 @@ def propagate(
     hamiltonian_at: Callable,
     initial: QuantumState | np.ndarray,
     grid: np.ndarray,
-    check: bool = False,
 ) -> Trajectory:
     """Solve i d|psi>/dt = H(t)|psi> on `grid` by the midpoint-exponential rule.
 
@@ -274,15 +237,12 @@ def propagate(
     Parameters
     ----------
     hamiltonian_at : callable
-        Maps a time (scalar, or array for vectorized callables) to a 3x3
-        matrix (or (N,3,3) stack) that is Hermitian, traceless and singular
-        (det H = 0), as every ``hamiltonian_stack`` output and every
-        ``schedule_hamiltonian`` callable is.
+        Vectorized: called once with the (N,) array of step midpoints, it
+        returns the (N,3,3) stack of Hamiltonians there, each Hermitian,
+        traceless and singular (det H = 0), as every ``hamiltonian_stack``
+        output and every ``schedule_hamiltonian`` callable is.
     initial : QuantumState or complex 3-vector
     grid : strictly increasing time samples covering the evolution window
-    check : bool
-        When True, re-propagate with every step halved and raise
-        ``GridTooCoarse`` if any final population moves by more than 1e-8.
 
     Returns
     -------
@@ -294,17 +254,21 @@ def propagate(
     NonFiniteHamiltonian
         if any sampled entry is NaN or infinite.
     ValueError
+        naming the shape the callable returned, if it is not (N,3,3); or
         naming the first sample time whose Hamiltonian is not exactly
         Hermitian, or has |tr H| > 1e-12 r or |det H| > 1e-12 r^3, where
         r^2 = sum |H_ij|^2 / 2; the closed form is exact only when all three hold.
-    GridTooCoarse
-        see `check`.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be a strictly increasing 1-D array of times")
     mids = 0.5 * (grid[:-1] + grid[1:])
-    stack = _sample_hamiltonian(hamiltonian_at, mids)
+    stack = np.asarray(hamiltonian_at(mids), dtype=complex)
+    if stack.shape != (len(mids), 3, 3):
+        raise ValueError(
+            f"Hamiltonian callable returned shape {stack.shape} for {len(mids)} "
+            f"times; propagate needs a vectorized callable returning ({len(mids)}, 3, 3)"
+        )
     if not np.all(np.isfinite(stack.view(float))):
         bad = int(np.flatnonzero(~np.isfinite(stack.view(float)))[0] // 18)
         raise NonFiniteHamiltonian(
@@ -334,20 +298,4 @@ def propagate(
     props = np.moveaxis(_exp_steps(h, r, np.diff(grid)), -1, 0)
     for k, step in enumerate(props):
         states[k + 1] = step @ states[k]
-    traj = Trajectory(times=grid, states=states)
-    if check:
-        fine = np.sort(np.concatenate([grid, mids]))
-        fine_traj = propagate(hamiltonian_at, initial, fine, check=False)
-        drift = float(np.max(np.abs(traj.final_populations - fine_traj.final_populations)))
-        if drift > 1e-8:
-            raise GridTooCoarse(
-                f"final populations move by {drift:.3e} under step halving; refine the grid"
-            )
-    return traj
-
-
-def fidelity(target: QuantumState | np.ndarray, actual: QuantumState | np.ndarray) -> float:
-    """Squared overlap |<target|actual>|^2 of two normalized states."""
-    t = np.asarray(target, dtype=complex)
-    a = np.asarray(actual, dtype=complex)
-    return float(np.abs(np.vdot(t, a)) ** 2)
+    return Trajectory(times=grid, states=states)

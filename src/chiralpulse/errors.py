@@ -9,10 +9,6 @@ class NonFiniteHamiltonian(ChiralPulseError):
     """A sampled Hamiltonian entry is NaN or infinite (unclamped pulse singularity)."""
 
 
-class GridTooCoarse(ChiralPulseError):
-    """Halving the time step changed the final populations by more than the tolerance."""
-
-
 class SingularTheta(ChiralPulseError):
     """The mixing angle hits sin(theta) = cos(theta), where the coupling diverges."""
 

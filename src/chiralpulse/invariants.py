@@ -73,15 +73,16 @@ from .dynamics import Handedness, hamiltonian_stack
 from .errors import ChiralPulseError, ClampViolation, SingularTheta
 from .quadrature import complex_quad
 
-DEFAULT_STEPS = 4000
+DEFAULT_CLAMP = 100.0   # cap on |Omega_q| in units of 1/T
+VALIDATION_SAMPLES = 2000
 SINGULAR_TOL = 1e-9
 CLAMP_WINDOW_FRACTION = 0.01
 PULSE_HEADER = "t,omega,omega_q,gamma"
 
 
 def default_clamp(duration: float) -> float:
-    """Default cap on |Omega_q|, in absolute angular-frequency units."""
-    return 100.0 / duration
+    """Default cap on |Omega_q|, DEFAULT_CLAMP/T, in absolute angular-frequency units."""
+    return DEFAULT_CLAMP / duration
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +460,10 @@ def pulses_from_invariant(schedule: InvariantSchedule, grid: np.ndarray,
                           clamp: float | None = None) -> PulseSchedule:
     """Solve the invariant constraint for (Omega, Omega_q) on `grid`.
 
-    |Omega_q| is capped at `clamp` (default 100/T); the cap may only be active
-    within the first/last 1% of the duration, otherwise ``ClampViolation`` is
-    raised.  ``SingularTheta`` is raised if theta touches the singular set
-    sin(theta) = cos(theta) on (0, T].
+    |Omega_q| is capped at `clamp` (default ``default_clamp``); the cap may
+    only be active within the first/last 1% of the duration, otherwise
+    ``ClampViolation`` is raised.  ``SingularTheta`` is raised if theta
+    touches the singular set sin(theta) = cos(theta) on (0, T].
     """
     grid = np.asarray(grid, dtype=float)
     if clamp is None:
@@ -481,14 +482,12 @@ def pulses_from_invariant(schedule: InvariantSchedule, grid: np.ndarray,
 
 def schedule_hamiltonian(schedule: InvariantSchedule, handedness: Handedness,
                          clamp: float | None = None) -> Callable:
-    """Vectorized t -> H(t) callable for ``propagate``, with clamped pulses."""
+    """Vectorized H(t) for ``propagate``: (N,) times -> (N,3,3) stack, pulses clamped."""
     sign = handedness.coupling_sign
 
-    def hamiltonian_at(t):
-        times = np.atleast_1d(np.asarray(t, dtype=float))
+    def hamiltonian_at(times):
         pulses = pulses_from_invariant(schedule, times, clamp)
-        out = hamiltonian_stack(pulses.omega, pulses.omega_q, sign)
-        return out if np.ndim(t) else out[0]
+        return hamiltonian_stack(pulses.omega, pulses.omega_q, sign)
 
     return hamiltonian_at
 
@@ -570,11 +569,12 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def validate_schedule(schedule: InvariantSchedule, steps: int = 2000,
+def validate_schedule(schedule: InvariantSchedule,
                       clamp: float | None = None) -> ValidationReport:
     """Run boundary, singularity, derivative, and invariant-consistency checks.
 
-    Failures are reported, not raised; each check carries its worst residual.
+    Each check samples VALIDATION_SAMPLES times.  Failures are reported, not
+    raised; each check carries its worst residual.
     """
     T = schedule.duration
     if clamp is None:
@@ -590,14 +590,14 @@ def validate_schedule(schedule: InvariantSchedule, steps: int = 2000,
                               "phi(0)=0, phi(T)=pi/2, theta(T)=pi/2"))
 
     # theta singularity avoidance on (0, T]
-    t_interior = np.linspace(0.0, T, steps + 1)[1:]
+    t_interior = np.linspace(0.0, T, VALIDATION_SAMPLES + 1)[1:]
     theta = schedule.theta_of(t_interior)
     gap = float(np.min(np.abs(np.sin(theta) - np.cos(theta))))
     checks.append(CheckResult("theta singularity gap", gap >= SINGULAR_TOL, gap,
                               SINGULAR_TOL, "min |sin(theta)-cos(theta)| on (0,T]"))
 
     # analytic derivatives vs central finite differences (relative)
-    t_mid = np.linspace(0.05 * T, 0.95 * T, steps)
+    t_mid = np.linspace(0.05 * T, 0.95 * T, VALIDATION_SAMPLES)
     h = 1e-6 * T
     worst_rel = 0.0
     for f, fdot in ((schedule.phi_of, schedule.phi_dot_of),
@@ -611,7 +611,7 @@ def validate_schedule(schedule: InvariantSchedule, steps: int = 2000,
 
     # dynamical-invariant condition on the unclamped interior, both handednesses
     window = CLAMP_WINDOW_FRACTION * T
-    t_in = np.linspace(window, T - window, steps)
+    t_in = np.linspace(window, T - window, VALIDATION_SAMPLES)
     omega, omega_q = _raw_pulses(schedule, t_in)
     finite = (np.isfinite(omega) & np.isfinite(omega_q)
               & (np.abs(omega_q) <= clamp))

@@ -1,4 +1,4 @@
-"""Error models, perturbative fidelities, sensitivities, and the 1-D optimum search.
+"""Error models, second-order and exact fidelities, sensitivities, and the optimum over n.
 
 Two experimental imperfections are modelled on top of a designed schedule:
 
@@ -28,15 +28,21 @@ the integrals stop at u = 40 (the dropped tail is O(e^-40) ~ 4e-18):
     q_alpha(sps) = | int_0^inf sech(u) e^{iu} du |^2              ~= 1.11726
     q_delta(sps) = (16 T^2/pi^2) | int_0^inf sech(u)^2 tanh(u) e^{iu} du |^2
                                                                   ~= 0.28371 T^2
+
+``second_order_fidelity`` evaluates the closed forms from a given q, so a
+sweep computes q once per scheme; ``exact_fidelity`` propagates the perturbed
+Hamiltonian instead, and ``optimize_n`` minimizes q over the ansatz weight n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (
+    DEFAULT_STEPS,
     Handedness,
     hamiltonian_stack,
     make_grid,
@@ -53,6 +59,7 @@ from .invariants import (
 from .quadrature import complex_quad
 
 GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
+COARSE_POINTS = 201     # n grid that brackets the minimum for golden-section search
 
 
 @dataclass(frozen=True)
@@ -74,20 +81,6 @@ class ErrorModel:
     def detuning(cls, delta: float) -> "ErrorModel":
         return cls(delta=delta)
 
-    @property
-    def kind(self) -> str:
-        if self.alpha != 0.0 and self.delta != 0.0:
-            return "combined"
-        if self.delta != 0.0:
-            return "detuning"
-        if self.alpha != 0.0:
-            return "systematic"
-        return "none"
-
-
-def detuning_operator() -> np.ndarray:
-    """|3><3| - |1><1| as a matrix (hbar = 1)."""
-    return np.diag([-1.0, 0.0, 1.0]).astype(complex)
 
 
 def _sensitivity_amplitude(schedule: InvariantSchedule, which: str) -> complex:
@@ -135,38 +128,6 @@ def sensitivity_kind(kind: str):
     raise ValueError(f"unknown sensitivity kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class SensitivityResult:
-    n: float
-    q_alpha: float
-    q_delta: float
-
-    def __post_init__(self):
-        if self.q_alpha < 0 or self.q_delta < 0:
-            raise ValueError("sensitivities are squared moduli and cannot be negative")
-
-
-def sensitivity_pair(n: float, duration: float = 1.0) -> SensitivityResult:
-    schedule = ansatz_schedule(n, duration)
-    return SensitivityResult(n=n, q_alpha=q_alpha(schedule), q_delta=q_delta(schedule))
-
-
-def perturbative_fidelity(schedule: InvariantSchedule, error: ErrorModel) -> float:
-    """Closed-form second-order fidelity; the same value holds for both handednesses.
-
-    Only pure error kinds have a closed form (combined errors carry a cross
-    term); use ``exact_fidelity`` for those.
-    """
-    kind = error.kind
-    if kind == "none":
-        return 1.0
-    if kind == "systematic":
-        return second_order_fidelity(kind, error.alpha, q_alpha(schedule))
-    if kind == "detuning":
-        return second_order_fidelity(kind, error.delta, q_delta(schedule))
-    raise ValueError("perturbative fidelity is defined for pure error kinds only")
-
-
 def second_order_fidelity(kind: str, amplitude: float, q: float) -> float:
     """1 - alpha^2 * q ("systematic") or 1 - (delta^2 / 4) * q ("detuning")."""
     scale = amplitude ** 2 if kind == "systematic" else 0.25 * amplitude ** 2
@@ -174,13 +135,13 @@ def second_order_fidelity(kind: str, amplitude: float, q: float) -> float:
 
 
 def exact_fidelity(schedule: InvariantSchedule, error: ErrorModel,
-                   handedness: Handedness, steps: int = 4000,
+                   handedness: Handedness, steps: int = DEFAULT_STEPS,
                    clamp: float | None = None) -> float:
     """Propagate |2> under the perturbed Hamiltonian; overlap with the unperturbed target.
 
     The target stays |3> (left) or |1> (right): the error perturbs the
-    dynamics, not the goal.  Pulses are sampled, clamped (default 100/T), at
-    the midpoints of the uniform `steps`-interval grid.
+    dynamics, not the goal.  Pulses are sampled, clamped (default
+    ``default_clamp``), at the midpoints of the uniform `steps`-interval grid.
     """
     grid = make_grid(schedule.duration, steps)
     pulses = pulses_from_invariant(schedule, 0.5 * (grid[:-1] + grid[1:]), clamp)
@@ -196,11 +157,18 @@ def fidelity_from_pulses(pulses: PulseSchedule, dts: np.ndarray, error: ErrorMod
     from |2> is needed, so the closed-form step propagators are multiplied
     into one matrix and its |2> column read off.  Each point is computed on its
     own, so its value does not depend on which sweep asked for it.
+
+    Raises ``ValueError`` if the value is not finite: finite Hamiltonian
+    entries can still overflow r^2 = sum |H_ij|^2 / 2 in the step propagators.
     """
     stack = hamiltonian_stack(pulses.omega, pulses.omega_q, handedness.coupling_sign,
                               error.alpha, error.delta)
     total = ordered_product(step_propagators(stack, dts))
-    return float(np.abs(total[handedness.target_level - 1, 1]) ** 2)
+    value = float(np.abs(total[handedness.target_level - 1, 1]) ** 2)
+    if not math.isfinite(value):
+        raise ValueError(f"exact fidelity is {value}: the step propagators overflowed "
+                         "(Hamiltonian entries too large to exponentiate)")
+    return value
 
 
 @dataclass(frozen=True)
@@ -231,13 +199,13 @@ def golden_section(f, a: float, b: float, tol: float) -> float:
 
 
 def optimize_n(kind: str, n_range: tuple[float, float] = (0.5, 1.5),
-               tolerance: float = 1e-3, duration: float = 1.0,
-               coarse_points: int = 201) -> OptimumResult:
+               tolerance: float = 1e-3, duration: float = 1.0) -> OptimumResult:
     """Minimize q_alpha(n) or q_delta(n) over the phase-ansatz family.
 
-    A coarse grid scan (>= 200 points) brackets the minimum; golden-section
-    search refines it to |delta n| < tolerance.  ``NoInteriorMinimum`` is
-    raised when the coarse minimum sits on the range boundary.
+    A COARSE_POINTS grid scan brackets the minimum; golden-section search
+    refines it to |delta n| < tolerance.  ``ValueError`` is raised when a
+    coarse q is not finite, and ``NoInteriorMinimum`` when the coarse minimum
+    sits on the range boundary.
     """
     key, measure = sensitivity_kind(kind)
     lo, hi = float(n_range[0]), float(n_range[1])
@@ -245,13 +213,16 @@ def optimize_n(kind: str, n_range: tuple[float, float] = (0.5, 1.5),
         raise ValueError(f"invalid n range {n_range}")
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    coarse_points = max(int(coarse_points), 200)
 
     def objective(n: float) -> float:
         return measure(ansatz_schedule(n, duration))
 
-    grid = np.linspace(lo, hi, coarse_points)
+    grid = np.linspace(lo, hi, COARSE_POINTS)
     values = np.array([objective(n) for n in grid])
+    if not np.all(np.isfinite(values)):
+        k = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ValueError(f"q_{key} is {values[k]} at n = {grid[k]:g}; "
+                         "the sensitivity overflows at this duration")
     imin = int(np.argmin(values))
     if imin in (0, len(grid) - 1):
         raise NoInteriorMinimum(

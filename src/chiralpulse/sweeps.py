@@ -1,8 +1,9 @@
 """Parameter sweeps writing reproducible CSV data files.
 
-Four sweep families cover the standard outputs of the design workflow:
-population traces over time, fidelity against a single error axis, the 2-D
-(alpha, delta) fidelity map, and sensitivity against the ansatz weight n.
+Three sweep families cover the standard outputs of the design workflow:
+population traces over time, fidelity against a single error axis, and the
+2-D (alpha, delta) fidelity map.  The sensitivity against the ansatz weight n
+is scanned by ``robustness.optimize_n``, which needs only its minimum.
 
 Every output is deterministic: no timestamps, fixed float formatting (15
 significant digits), and every error point is computed on its own, in order,
@@ -18,10 +19,10 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .dynamics import Handedness, basis_state, make_grid, propagate
+from .dynamics import DEFAULT_STEPS, Handedness, basis_state, make_grid, propagate
 from .invariants import (
+    DEFAULT_CLAMP,
     InvariantSchedule,
-    ansatz_schedule,
     default_clamp,
     pulses_from_invariant,
     schedule_hamiltonian,
@@ -33,10 +34,12 @@ from .robustness import (
     q_alpha,
     q_delta,
     second_order_fidelity,
-    sensitivity_kind,
 )
 
 FLOAT_FORMAT = "%.15g"
+TRACE_POINTS = 201          # rows per population trace at most, endpoints included
+HIGH_FIDELITY_LEVEL = 0.99  # the heatmap's F >= level region
+DEFAULT_CLAMP_META = f"default({DEFAULT_CLAMP:g}/T)"
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class SweepSpec:
     axis2: Optional[ErrorAxis] = None
     mode: str = "exact"     # exact | perturbative | both
     handedness: str = "both"  # left | right | both
-    steps: int = 4000
+    steps: int = DEFAULT_STEPS
     clamp: Optional[float] = None
 
     def __post_init__(self):
@@ -137,18 +140,16 @@ def _scheme_meta(label: str, schedule: InvariantSchedule) -> str:
 # ---------------------------------------------------------------------------
 
 def population_trace(schedule: InvariantSchedule, handedness: Handedness,
-                     steps: int = 4000, clamp: float | None = None,
-                     points: int = 201) -> SweepResult:
-    """Level populations against t/T from the initial state |2>."""
-    if points < 2:
-        raise ValueError("points must be >= 2")
+                     steps: int = DEFAULT_STEPS,
+                     clamp: float | None = None) -> SweepResult:
+    """Level populations against t/T from the initial state |2>, at TRACE_POINTS times."""
     T = schedule.duration
     if clamp is None:
         clamp = default_clamp(T)
     grid = make_grid(T, steps)
     pops = propagate(schedule_hamiltonian(schedule, handedness, clamp),
                      basis_state(2), grid).populations
-    keep = np.unique(np.round(np.linspace(0, steps, points)).astype(int))
+    keep = np.unique(np.round(np.linspace(0, steps, TRACE_POINTS)).astype(int))
     data = np.column_stack([grid[keep] / T, pops[keep, 0], pops[keep, 1], pops[keep, 2]])
     meta = _base_metadata({
         "sweep": "population_trace",
@@ -205,7 +206,7 @@ def fidelity_curve(spec: SweepSpec) -> SweepResult:
         "mode": spec.mode,
         "handedness": spec.handedness,
         "steps": spec.steps,
-        "clamp": spec.clamp if spec.clamp is not None else "default(100/T)",
+        "clamp": spec.clamp if spec.clamp is not None else DEFAULT_CLAMP_META,
         "quad_abs_tol": ABS_TOL,
         "schemes": ";".join(meta_schemes),
     })
@@ -247,8 +248,8 @@ def fidelity_heatmap(spec: SweepSpec) -> SweepResult:
     """Exact fidelity on an (alpha, delta) grid with the combined error Hamiltonian.
 
     Long-format rows (alpha, delta, one fidelity column per handedness); the
-    metadata reports the fraction of grid cells with F >= 0.99 and whether
-    that region is contiguous around the zero-error point.
+    metadata reports the fraction of grid cells with F >= HIGH_FIDELITY_LEVEL
+    and whether that region is contiguous around the zero-error point.
     """
     if spec.axis2 is None:
         raise ValueError("fidelity_heatmap needs two error axes")
@@ -276,21 +277,22 @@ def fidelity_heatmap(spec: SweepSpec) -> SweepResult:
         "delta_axis": f"[{spec.axis2.minimum:g},{spec.axis2.maximum:g}]x{spec.axis2.points}",
         "handedness": spec.handedness,
         "steps": spec.steps,
-        "clamp": spec.clamp if spec.clamp is not None else "default(100/T)",
+        "clamp": spec.clamp if spec.clamp is not None else DEFAULT_CLAMP_META,
     })
+    region = f"region_F>={HIGH_FIDELITY_LEVEL:g}"
     for hand in spec.handedness_list:
         fgrid = data[:, columns.index(f"F_exact_{hand.value}")].reshape(
             len(alphas), len(deltas))
         fraction, contiguous = high_fidelity_region(fgrid, alphas, deltas)
-        meta[f"region_F>=0.99_fraction_{hand.value}"] = f"{fraction:.6g}"
-        meta[f"region_F>=0.99_contiguous_{hand.value}"] = contiguous
+        meta[f"{region}_fraction_{hand.value}"] = f"{fraction:.6g}"
+        meta[f"{region}_contiguous_{hand.value}"] = contiguous
     return SweepResult(columns=tuple(columns), data=data, metadata=meta)
 
 
 def high_fidelity_region(fidelities: np.ndarray, alphas: np.ndarray,
-                         deltas: np.ndarray, level: float = 0.99) -> tuple[float, bool]:
-    """(area fraction, contiguous-around-origin) of the F >= level region."""
-    mask = fidelities >= level
+                         deltas: np.ndarray) -> tuple[float, bool]:
+    """(area fraction, contiguous-around-origin) of the F >= HIGH_FIDELITY_LEVEL region."""
+    mask = fidelities >= HIGH_FIDELITY_LEVEL
     fraction = float(np.mean(mask))
     if not np.any(mask):
         return 0.0, False
@@ -312,28 +314,8 @@ def high_fidelity_region(fidelities: np.ndarray, alphas: np.ndarray,
     return fraction, bool(np.array_equal(seen, mask))
 
 
-def sensitivity_curve(kind: str, n_range: tuple[float, float], points: int,
-                      duration: float = 1.0) -> SweepResult:
-    """Tabulate q_alpha(n) or q_delta(n) over the ansatz family."""
-    key, measure = sensitivity_kind(kind)
-    name = "q_alpha" if key == "systematic" else "q_delta"
-    if points < 2:
-        raise ValueError("points must be >= 2")
-    ns = np.linspace(float(n_range[0]), float(n_range[1]), points)
-    qs = np.array([measure(ansatz_schedule(n, duration)) for n in ns])
-    meta = _base_metadata({
-        "sweep": "sensitivity_curve",
-        "kind": name,
-        "n_range": f"[{n_range[0]:g},{n_range[1]:g}]x{points}",
-        "T": duration,
-        "quad_abs_tol": ABS_TOL,
-    })
-    return SweepResult(columns=("n", name), data=np.column_stack([ns, qs]),
-                       metadata=meta)
-
-
 __all__ = [
     "ErrorAxis", "SweepSpec", "SweepResult",
     "population_trace", "fidelity_curve", "fidelity_heatmap",
-    "sensitivity_curve", "high_fidelity_region",
+    "high_fidelity_region",
 ]

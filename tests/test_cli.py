@@ -159,6 +159,7 @@ def test_optimize_tolerance_below_float_spacing_terminates(capsys):
     ["simulate", "--T", "1e-300"],
     ["scan", "--error", "detuning", "--schemes", "sps", "--mode", "perturbative",
      "--T", "1e300", "--points", "3"],
+    ["optimize", "--T", "1e-300"],
 ])
 def test_non_finite_sweep_data_rejected(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path)]) == 2
@@ -169,9 +170,11 @@ def test_non_finite_sweep_data_rejected(tmp_path, capsys, args):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_optimize_with_overflowing_sensitivities_exits_2(capsys):
-    # q_delta grows like T^2 and overflows at T = 1e300
+    # q_delta grows like T^2 and overflows at T = 1e300; the error names the
+    # first overflowing q, not the n-range boundary its argmin would give
     assert run_cli(["optimize", "--kind", "detuning", "--T", "1e300"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: q_detuning is inf at n = 0.5;")
 
 
 def test_config_file_and_precedence(tmp_path, capsys):

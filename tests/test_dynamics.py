@@ -8,13 +8,10 @@ from scipy.linalg import expm
 
 from chiralpulse import invariants
 from chiralpulse import (
-    GridTooCoarse,
     Handedness,
     NonFiniteHamiltonian,
     QuantumState,
     basis_state,
-    detuning_operator,
-    fidelity,
     hamiltonian_stack,
     make_grid,
     propagate,
@@ -36,7 +33,7 @@ def test_build_hamiltonian_left_example():
     np.testing.assert_array_equal(
         hamiltonian_stack(om, oq, L.coupling_sign, alpha, delta),
         (1 + alpha) * hamiltonian_stack(om, oq, L.coupling_sign)
-        + delta * detuning_operator())
+        + delta * np.diag([-1.0, 0.0, 1.0]))
 
 
 def test_build_hamiltonian_right_sign_flip():
@@ -73,10 +70,9 @@ def test_quantum_state_normalization_guard():
 
 
 def test_zero_hamiltonian_is_identity_evolution():
-    traj = propagate(lambda t: np.zeros((3, 3), complex),
+    traj = propagate(lambda t: np.zeros((len(t), 3, 3), complex),
                      QuantumState.basis(2), make_grid(1.0, 100))
-    np.testing.assert_allclose(traj.final_state.amplitudes,
-                               basis_state(2), atol=1e-14)
+    np.testing.assert_allclose(traj.states[-1], basis_state(2), atol=1e-14)
 
 
 def test_sps_discrimination_left_and_right():
@@ -85,7 +81,7 @@ def test_sps_discrimination_left_and_right():
     for hand, level in ((L, 3), (R, 1)):
         traj = propagate(schedule_hamiltonian(schedule, hand),
                          QuantumState.basis(2), grid)
-        pops = traj.final_populations
+        pops = traj.populations[-1]
         assert pops[level - 1] > 1.0 - 1e-4
         assert traj.norm_deviation() < 1e-10
 
@@ -104,22 +100,17 @@ def test_populations_match_amplitudes():
     np.testing.assert_allclose(traj.populations, np.abs(traj.states) ** 2)
 
 
-def test_scalar_and_vectorized_callables_agree():
-    schedule = sps_schedule(1.0)
-    vec = schedule_hamiltonian(schedule, L)
-
-    def scalar(t):
-        return vec(float(t))
-
-    grid = make_grid(1.0, 300)
-    a = propagate(vec, QuantumState.basis(2), grid)
-    b = propagate(scalar, QuantumState.basis(2), grid)
-    np.testing.assert_allclose(a.states, b.states, atol=1e-14)
+def test_scalar_only_callable_raises():
+    # propagate calls the callable once on the midpoint array; a callable that
+    # returns one 3x3 matrix is rejected by shape, not looped over the times
+    h = schedule_hamiltonian(sps_schedule(1.0), L)(np.array([0.5]))[0]
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) for 300 times"):
+        propagate(lambda t: h, QuantumState.basis(2), make_grid(1.0, 300))
 
 
 def test_library_error_is_not_resampled(monkeypatch):
-    # a ChiralPulseError from a vectorized callable propagates at once; only
-    # TypeError/ValueError (a scalar-only callable given an array) loop
+    # propagate samples the callable once: a ChiralPulseError it raises
+    # propagates without a second call
     calls = []
     original = invariants.pulses_from_invariant
 
@@ -178,11 +169,11 @@ def test_second_order_convergence_on_smooth_schedule():
     from chiralpulse import ansatz_schedule
     schedule = ansatz_schedule(0.9, 1.0)
     ham = schedule_hamiltonian(schedule, L)
-    ref = propagate(ham, QuantumState.basis(2), make_grid(1.0, 32000)).final_state
+    ref = propagate(ham, QuantumState.basis(2), make_grid(1.0, 32000)).states[-1]
     errs = []
     for steps in (500, 1000):
-        fin = propagate(ham, QuantumState.basis(2), make_grid(1.0, steps)).final_state
-        errs.append(np.linalg.norm(fin.amplitudes - ref.amplitudes))
+        fin = propagate(ham, QuantumState.basis(2), make_grid(1.0, steps)).states[-1]
+        errs.append(np.linalg.norm(fin - ref))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 6.0, f"halving the step gave error ratio {ratio}"
 
@@ -195,39 +186,18 @@ def test_second_order_convergence_on_smooth_schedule():
 def test_propagate_rejects_non_cyclic_hamiltonian(matrix):
     # the closed-form step is exact only for Hermitian, traceless, singular H
     with pytest.raises(ValueError, match="t=0.005"):
-        propagate(lambda t: matrix, QuantumState.basis(2), make_grid(1.0, 100))
+        propagate(lambda t: np.broadcast_to(matrix, (len(t), 3, 3)),
+                  QuantumState.basis(2), make_grid(1.0, 100))
 
 
 def test_non_finite_hamiltonian_raises():
     def bad(t):
-        h = np.zeros((3, 3), complex)
-        h[0, 1] = h[1, 0] = np.inf if t > 0.5 else 1.0
+        h = np.zeros((len(t), 3, 3), complex)
+        h[:, 0, 1] = h[:, 1, 0] = np.where(t > 0.5, np.inf, 1.0)
         return h
 
     with pytest.raises(NonFiniteHamiltonian):
         propagate(bad, QuantumState.basis(2), make_grid(1.0, 50))
-
-
-def test_grid_too_coarse_raises_on_crude_grid():
-    schedule = sps_schedule(1.0)
-    with pytest.raises(GridTooCoarse):
-        propagate(schedule_hamiltonian(schedule, L), QuantumState.basis(2),
-                  make_grid(1.0, 40), check=True)
-
-
-def test_default_grid_passes_convergence_check():
-    schedule = sps_schedule(1.0)
-    traj = propagate(schedule_hamiltonian(schedule, L), QuantumState.basis(2),
-                     make_grid(1.0, 4000), check=True)
-    assert traj.final_populations[2] > 0.999
-
-
-def test_fidelity_examples():
-    v = np.array([0.6, 0.8j, 0.0])
-    assert fidelity(v, v) == pytest.approx(1.0)
-    assert fidelity(basis_state(1), basis_state(3)) == 0.0
-    half = (basis_state(2) + basis_state(3)) / np.sqrt(2)
-    assert fidelity(basis_state(2), half) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_make_grid_validation():

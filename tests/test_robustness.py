@@ -8,35 +8,30 @@ from chiralpulse import (
     NoInteriorMinimum,
     ansatz_schedule,
     basis_state,
-    detuning_operator,
     exact_fidelity,
     make_grid,
     optimize_n,
-    perturbative_fidelity,
     pulses_from_invariant,
     q_alpha,
     q_delta,
     schedule_hamiltonian,
-    sensitivity_pair,
     sps_schedule,
 )
-from chiralpulse.robustness import fidelity_from_pulses, golden_section
+from chiralpulse.robustness import (
+    fidelity_from_pulses,
+    golden_section,
+    second_order_fidelity,
+)
 
 L, R = Handedness.LEFT, Handedness.RIGHT
+DETUNING = np.diag([-1.0, 0.0, 1.0])   # |3><3| - |1><1|
 
 
 def test_error_model_kinds():
-    assert ErrorModel.systematic(0.1).kind == "systematic"
-    assert ErrorModel.detuning(0.5).kind == "detuning"
-    assert ErrorModel(alpha=0.1, delta=0.2).kind == "combined"
-    assert ErrorModel().kind == "none"
+    assert ErrorModel.systematic(0.1) == ErrorModel(alpha=0.1, delta=0.0)
+    assert ErrorModel.detuning(0.5) == ErrorModel(alpha=0.0, delta=0.5)
     with pytest.raises(ValueError):
         ErrorModel(alpha=np.nan)
-
-
-def test_detuning_operator_matrix():
-    np.testing.assert_array_equal(detuning_operator(),
-                                  np.diag([-1.0, 0.0, 1.0]).astype(complex))
 
 
 def test_q_alpha_known_values():
@@ -71,19 +66,15 @@ def test_perturbative_fidelity_identities():
     qa = q_alpha(schedule)
     qd = q_delta(schedule)
     for amp in (0.01, 0.1, 0.3):
-        assert 1.0 - perturbative_fidelity(schedule, ErrorModel.systematic(amp)) == \
+        assert 1.0 - second_order_fidelity("systematic", amp, qa) == \
             pytest.approx(amp ** 2 * qa, rel=1e-12)
-        assert 1.0 - perturbative_fidelity(schedule, ErrorModel.detuning(amp)) == \
+        assert 1.0 - second_order_fidelity("detuning", amp, qd) == \
             pytest.approx(amp ** 2 / 4 * qd, rel=1e-12)
 
 
 def test_perturbative_fidelity_zero_error():
-    assert perturbative_fidelity(sps_schedule(1.0), ErrorModel()) == 1.0
-
-
-def test_perturbative_fidelity_rejects_combined():
-    with pytest.raises(ValueError):
-        perturbative_fidelity(sps_schedule(1.0), ErrorModel(alpha=0.1, delta=0.1))
+    for kind, measure in (("systematic", q_alpha), ("detuning", q_delta)):
+        assert second_order_fidelity(kind, 0.0, measure(sps_schedule(1.0))) == 1.0
 
 
 def test_exact_fidelity_no_error_full_transfer():
@@ -100,7 +91,7 @@ def test_exact_fidelity_matches_stepwise_propagation():
         for hand in (L, R):
             ham = schedule_hamiltonian(schedule, hand)
             for error in (ErrorModel(), ErrorModel(alpha=0.05, delta=0.3)):
-                stack = (1.0 + error.alpha) * ham(mids) + error.delta * detuning_operator()
+                stack = (1.0 + error.alpha) * ham(mids) + error.delta * DETUNING
                 w, v = np.linalg.eigh(stack)
                 psi = basis_state(2)
                 for k in range(len(stack)):
@@ -125,7 +116,7 @@ def test_fidelity_from_pulses_matches_expm_sequential_product(steps):
                 h[:, 0, 1] = h[:, 1, 0] = h[:, 1, 2] = h[:, 2, 1] = pulses.omega
                 h[:, 0, 2] = hand.coupling_sign * 1j * pulses.omega_q
                 h[:, 2, 0] = -hand.coupling_sign * 1j * pulses.omega_q
-                h = (1.0 + error.alpha) * h + error.delta * np.diag([-1.0, 0.0, 1.0])
+                h = (1.0 + error.alpha) * h + error.delta * DETUNING
                 total = np.eye(3, dtype=complex)
                 for u in expm(-1j * h * dts[:, None, None]):
                     total = u @ total
@@ -212,8 +203,3 @@ def test_optimize_n_rejects_bad_arguments():
     with pytest.raises(ValueError):
         optimize_n("systematic", tolerance=-1.0)
 
-
-def test_sensitivity_pair_nonnegative():
-    pair = sensitivity_pair(1.0)
-    assert pair.q_alpha >= 0 and pair.q_delta >= 0
-    assert pair.n == 1.0

@@ -10,7 +10,8 @@ from chiralpulse import (
     fidelity_heatmap,
     high_fidelity_region,
     population_trace,
-    sensitivity_curve,
+    q_alpha,
+    q_delta,
     sps_schedule,
 )
 
@@ -152,24 +153,26 @@ def test_high_fidelity_region_helper():
     assert not contiguous
 
 
+def _sensitivity_curve(measure, lo, hi, points):
+    """q(n) of the ansatz family on `points` equally spaced n in [lo, hi]."""
+    ns = np.linspace(lo, hi, points)
+    return ns, np.array([measure(ansatz_schedule(n, 1.0)) for n in ns])
+
+
 def test_sensitivity_curve_minimum_locations():
-    result = sensitivity_curve("systematic", (0.5, 1.5), 201)
-    ns, qs = result.column("n"), result.column("q_alpha")
-    assert np.all(np.diff(ns) > 0)
+    ns, qs = _sensitivity_curve(q_alpha, 0.5, 1.5, 201)
     k = int(np.argmin(qs))
     assert ns[k] == pytest.approx(1.07, abs=0.02)
     assert qs[k] == pytest.approx(0.52, abs=0.02)
 
-    result = sensitivity_curve("detuning", (0.9, 1.4), 101)
-    ns, qs = result.column("n"), result.column("q_delta")
+    ns, qs = _sensitivity_curve(q_delta, 0.9, 1.4, 101)
     k = int(np.argmin(qs))
     assert ns[k] == pytest.approx(1.12, abs=0.02)
 
 
 def test_sensitivity_curves_smooth_with_single_interior_minimum():
-    for kind, column in (("systematic", "q_alpha"), ("detuning", "q_delta")):
-        result = sensitivity_curve(kind, (0.5, 1.5), 101)
-        qs = result.column(column)
+    for measure in (q_alpha, q_delta):
+        _, qs = _sensitivity_curve(measure, 0.5, 1.5, 101)
         jumps = np.abs(np.diff(qs))
         assert np.max(jumps) < 10 * np.median(jumps)
         interior_minima = [k for k in range(1, len(qs) - 1)
