@@ -48,7 +48,9 @@ COMMON_DEFAULTS = {
 }
 
 COMMAND_DEFAULTS = {
-    "design": {},
+    # design exports pulse samples and propagates nothing: its grid stays at
+    # 4000 intervals, so pulses.csv keeps its 4001 rows
+    "design": {"steps": 4000},
     "simulate": {},
     "scan": {"error": "systematic", "schemes": "sps,oss", "mode": "both",
              "points": 101, "min": None, "max": None},
@@ -68,7 +70,9 @@ def _common_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, dest="T",
                    help="pulse duration T (time unit; frequencies are in 1/T)")
     p.add_argument("--steps", type=int,
-                   help=f"propagation steps on [0,T] (default {DEFAULT_STEPS})")
+                   help=f"fourth-order (CF4) propagation steps on [0,T] (default "
+                        f"{DEFAULT_STEPS}); for design, the pulses.csv grid "
+                        f"intervals (default {COMMAND_DEFAULTS['design']['steps']})")
     p.add_argument("--clamp", type=float,
                    help=f"cap on |Omega_q| in units of 1/T (default {DEFAULT_CLAMP:g})")
     p.add_argument("--workers", type=int,

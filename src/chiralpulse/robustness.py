@@ -44,10 +44,11 @@ import numpy as np
 from .dynamics import (
     DEFAULT_STEPS,
     Handedness,
+    cf4_propagators,
+    gauss_nodes,
     hamiltonian_stack,
     make_grid,
     ordered_product,
-    step_propagators,
 )
 from .errors import NoInteriorMinimum
 from .invariants import (
@@ -118,16 +119,6 @@ def q_delta(schedule: InvariantSchedule) -> float:
     return float(np.abs(_sensitivity_amplitude(schedule, "delta")) ** 2)
 
 
-def sensitivity_kind(kind: str):
-    """("systematic", q_alpha) or ("detuning", q_delta) for a kind name or alias."""
-    key = kind.strip().lower()
-    if key in ("systematic", "alpha", "systematicsensitivity"):
-        return "systematic", q_alpha
-    if key in ("detuning", "delta", "detuningsensitivity"):
-        return "detuning", q_delta
-    raise ValueError(f"unknown sensitivity kind {kind!r}")
-
-
 def second_order_fidelity(kind: str, amplitude: float, q: float) -> float:
     """1 - alpha^2 * q ("systematic") or 1 - (delta^2 / 4) * q ("detuning")."""
     scale = amplitude ** 2 if kind == "systematic" else 0.25 * amplitude ** 2
@@ -141,30 +132,36 @@ def exact_fidelity(schedule: InvariantSchedule, error: ErrorModel,
 
     The target stays |3> (left) or |1> (right): the error perturbs the
     dynamics, not the goal.  Pulses are sampled, clamped (default
-    ``default_clamp``), at the midpoints of the uniform `steps`-interval grid.
+    ``default_clamp``), at the ``gauss_nodes`` of the uniform `steps`-interval grid.
     """
     grid = make_grid(schedule.duration, steps)
-    pulses = pulses_from_invariant(schedule, 0.5 * (grid[:-1] + grid[1:]), clamp)
+    pulses = pulses_from_invariant(schedule, gauss_nodes(grid), clamp)
     return fidelity_from_pulses(pulses, np.diff(grid), error, handedness)
 
 
 def fidelity_from_pulses(pulses: PulseSchedule, dts: np.ndarray, error: ErrorModel,
                          handedness: Handedness) -> float:
-    """Target-level population after the steps `dts`, pulses sampled at their midpoints.
+    """Target-level population after the CF4 steps `dts`, pulses sampled at their Gauss nodes.
 
     The propagation behind ``exact_fidelity``; sweeps sample each scheme's
-    pulses once and call this for every error point.  Only the final state
-    from |2> is needed, so the closed-form step propagators are multiplied
-    into one matrix and its |2> column read off.  Each point is computed on its
-    own, so its value does not depend on which sweep asked for it.
+    pulses once, at ``dynamics.gauss_nodes``, and call this for every error
+    point.  Only the final state from |2> is needed, so the closed-form
+    exponentials of the 2N combined CF4 exponents are multiplied into one
+    matrix and its |2> column read off.  Each point is computed on its own,
+    so its value does not depend on which sweep asked for it.
 
-    Raises ``ValueError`` if the value is not finite: finite Hamiltonian
-    entries can still overflow r^2 = sum |H_ij|^2 / 2 in the step propagators.
+    Raises ``ValueError`` unless there are 2 * len(dts) pulse samples, and if
+    the value is not finite: finite Hamiltonian entries can still overflow
+    r^2 = sum |H_ij|^2 / 2 in the step propagators.
     """
+    if len(pulses.omega) != 2 * len(dts):
+        raise ValueError(f"{len(pulses.omega)} pulse samples for {len(dts)} steps; "
+                         "CF4 needs two per step, at dynamics.gauss_nodes")
     stack = hamiltonian_stack(pulses.omega, pulses.omega_q, handedness.coupling_sign,
                               error.alpha, error.delta)
-    total = ordered_product(step_propagators(stack, dts))
-    value = float(np.abs(total[handedness.target_level - 1, 1]) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value is rejected next
+        total = ordered_product(cf4_propagators(stack, dts))
+        value = float(np.abs(total[handedness.target_level - 1, 1]) ** 2)
     if not math.isfinite(value):
         raise ValueError(f"exact fidelity is {value}: the step propagators overflowed "
                          "(Hamiltonian entries too large to exponentiate)")
@@ -207,7 +204,9 @@ def optimize_n(kind: str, n_range: tuple[float, float] = (0.5, 1.5),
     coarse q is not finite, and ``NoInteriorMinimum`` when the coarse minimum
     sits on the range boundary.
     """
-    key, measure = sensitivity_kind(kind)
+    measure = {"systematic": q_alpha, "detuning": q_delta}.get(kind)
+    if measure is None:
+        raise ValueError(f"unknown sensitivity kind {kind!r}")
     lo, hi = float(n_range[0]), float(n_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid n range {n_range}")
@@ -218,16 +217,17 @@ def optimize_n(kind: str, n_range: tuple[float, float] = (0.5, 1.5),
         return measure(ansatz_schedule(n, duration))
 
     grid = np.linspace(lo, hi, COARSE_POINTS)
-    values = np.array([objective(n) for n in grid])
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite q is rejected next
+        values = np.array([objective(n) for n in grid])
     if not np.all(np.isfinite(values)):
         k = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise ValueError(f"q_{key} is {values[k]} at n = {grid[k]:g}; "
+        raise ValueError(f"q_{kind} is {values[k]} at n = {grid[k]:g}; "
                          "the sensitivity overflows at this duration")
     imin = int(np.argmin(values))
     if imin in (0, len(grid) - 1):
         raise NoInteriorMinimum(
-            f"q_{key} attains its minimum at the n-range boundary {grid[imin]:g}; "
+            f"q_{kind} attains its minimum at the n-range boundary {grid[imin]:g}; "
             "widen the range"
         )
     n_star = golden_section(objective, grid[imin - 1], grid[imin + 1], tolerance)
-    return OptimumResult(kind=key, n_star=float(n_star), q_min=float(objective(n_star)))
+    return OptimumResult(kind=kind, n_star=float(n_star), q_min=float(objective(n_star)))

@@ -19,7 +19,14 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .dynamics import DEFAULT_STEPS, Handedness, basis_state, make_grid, propagate
+from .dynamics import (
+    DEFAULT_STEPS,
+    Handedness,
+    basis_state,
+    gauss_nodes,
+    make_grid,
+    propagate,
+)
 from .invariants import (
     DEFAULT_CLAMP,
     InvariantSchedule,
@@ -176,8 +183,7 @@ def fidelity_curve(spec: SweepSpec) -> SweepResult:
         grid = make_grid(schedule.duration, spec.steps)
         pulses = None
         if spec.mode in ("exact", "both"):
-            pulses = pulses_from_invariant(schedule, 0.5 * (grid[:-1] + grid[1:]),
-                                           spec.clamp)
+            pulses = pulses_from_invariant(schedule, gauss_nodes(grid), spec.clamp)
             columns += [f"F_{label}_exact_{hand.value}" for hand in spec.handedness_list]
         sens = None
         if spec.mode in ("perturbative", "both"):
@@ -259,7 +265,7 @@ def fidelity_heatmap(spec: SweepSpec) -> SweepResult:
         raise ValueError("fidelity_heatmap sweeps one scheme at a time")
     label, schedule = spec.schemes[0]
     grid = make_grid(schedule.duration, spec.steps)
-    pulses = pulses_from_invariant(schedule, 0.5 * (grid[:-1] + grid[1:]), spec.clamp)
+    pulses = pulses_from_invariant(schedule, gauss_nodes(grid), spec.clamp)
     dts = np.diff(grid)
     alphas, deltas = spec.axis1.values, spec.axis2.values
 

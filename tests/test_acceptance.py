@@ -33,6 +33,7 @@ from chiralpulse import (
     schedule_hamiltonian,
     sps_schedule,
 )
+from chiralpulse.dynamics import DEFAULT_STEPS
 from chiralpulse.invariants import _raw_pulses, invariant_matrix_dot
 from chiralpulse.robustness import second_order_fidelity
 
@@ -54,7 +55,7 @@ def report(tag: str, passed: bool, detail: str = "") -> None:
 
 def test_criterion_1_discrimination():
     schedule = sps_schedule(1.0)
-    grid = make_grid(1.0, 4000)
+    grid = make_grid(1.0, DEFAULT_STEPS)
     finals, runtimes = {}, {}
     for hand in (L, R):
         start = time.perf_counter()
@@ -119,7 +120,7 @@ def test_criterion_3_detuning_minimum_verified_by_exact_propagation():
     result = optimize_n("detuning", (0.5, 1.5), tolerance=1e-3)
     schedule = ansatz_schedule(result.n_star, 1.0)
     eps = 0.004
-    loss = 1.0 - exact_fidelity(schedule, ErrorModel.detuning(eps), L, steps=8000)
+    loss = 1.0 - exact_fidelity(schedule, ErrorModel.detuning(eps), L)
     q_exact = 4.0 * loss / eps ** 2
     report("3 detuning minimum cross-check", abs(q_exact - result.q_min) < 5e-4,
            f"perturbative={result.q_min:.6f} exact={q_exact:.6f}")
@@ -134,8 +135,7 @@ def _ordering_margin(kind, lo, hi, better_label, better_schedule):
     spec = SweepSpec(
         schemes=(("sps", sps_schedule(1.0)), (better_label, better_schedule)),
         axis1=ErrorAxis(kind, lo, hi, 51),
-        mode="exact", handedness="left", steps=4000,
-        clamp=COMPARISON_CLAMP,
+        mode="exact", handedness="left", clamp=COMPARISON_CLAMP,
     )
     result = fidelity_curve(spec)
     margin = (result.column(f"F_{better_label}_exact_left")
@@ -165,7 +165,7 @@ def _consistency_gaps(schedule, kind):
     for eps in (0.01, 0.02, 0.04):
         error = (ErrorModel.systematic(eps) if kind == "systematic"
                  else ErrorModel.detuning(eps))
-        exact = exact_fidelity(schedule, error, L, steps=8000)
+        exact = exact_fidelity(schedule, error, L)
         gaps.append(abs(exact - second_order_fidelity(kind, eps, q)))
     return gaps
 
@@ -219,7 +219,7 @@ def test_criterion_6_heatmap():
         schemes=(("ansatz1.1", ansatz_schedule(1.10, 1.0)),),
         axis1=ErrorAxis("systematic", -0.1, 0.1, 41),
         axis2=ErrorAxis("detuning", -0.5, 0.5, 41),
-        mode="exact", handedness="left", steps=4000,
+        mode="exact", handedness="left",
     )
     result = fidelity_heatmap(spec)
     rows = result.data
@@ -305,8 +305,8 @@ def test_criterion_8_handedness_symmetry():
         else:
             error = ErrorModel(alpha=float(rng.uniform(-0.1, 0.1)),
                                delta=float(rng.uniform(-0.5, 0.5)))
-        fl = exact_fidelity(schedule, error, L, steps=2000)
-        fr = exact_fidelity(schedule, error, R, steps=2000)
+        fl = exact_fidelity(schedule, error, L)
+        fr = exact_fidelity(schedule, error, R)
         worst = max(worst, abs(fl - fr))
     report("8 handedness symmetry", worst <= 1e-6, f"max |F_L - F_R|={worst:.2e}")
     assert worst <= 1e-6

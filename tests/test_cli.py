@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chiralpulse
 from chiralpulse.cli import build_parser, main, read_config_file
 
 
@@ -34,6 +39,15 @@ def test_design_ansatz_validates(tmp_path, capsys):
                     "--T", "1", "--steps", "500", "--out", str(tmp_path)])
     assert code == 0
     assert "validation=pass" in capsys.readouterr().out
+
+
+def test_design_grid_default_is_4000_intervals(tmp_path, capsys):
+    # design exports pulse samples and propagates nothing, so its grid keeps
+    # 4000 intervals while propagating commands default to DEFAULT_STEPS
+    assert run_cli(["design", "--out", str(tmp_path)]) == 0
+    assert "steps=4000" in capsys.readouterr().out
+    assert len(read_data_rows(tmp_path / "pulses.csv")) == 4001
+    assert "# config.steps = 4000" in (tmp_path / "pulses.csv").read_text()
 
 
 def test_design_rejects_malformed_n(tmp_path):
@@ -154,6 +168,8 @@ def test_optimize_tolerance_below_float_spacing_terminates(capsys):
     assert "n_star=1.13" in capsys.readouterr().out
 
 
+# the perturbative scan's q_delta overflows with a RuntimeWarning; the sweep
+# rejects the non-finite column only when the whole result is built
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("args", [
     ["simulate", "--T", "1e-300"],
@@ -168,13 +184,29 @@ def test_non_finite_sweep_data_rejected(tmp_path, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_optimize_with_overflowing_sensitivities_exits_2(capsys):
     # q_delta grows like T^2 and overflows at T = 1e300; the error names the
     # first overflowing q, not the n-range boundary its argmin would give
     assert run_cli(["optimize", "--kind", "detuning", "--T", "1e300"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: q_detuning is inf at n = 0.5;")
+
+
+@pytest.mark.parametrize("args", [
+    ["optimize", "--T", "1e-300"],                       # step propagators overflow
+    ["optimize", "--kind", "detuning", "--T", "1e300"],  # q_delta overflows
+])
+def test_overflow_errors_print_only_the_error_line(tmp_path, args):
+    # numpy's overflow warnings at the spots whose non-finite result is
+    # rejected are silenced: stderr holds the error line and nothing else
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from chiralpulse.cli import main; "
+            "sys.exit(main(sys.argv[2:]))")
+    package_root = str(Path(chiralpulse.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, package_root, *args],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 def test_config_file_and_precedence(tmp_path, capsys):

@@ -18,7 +18,7 @@ from chiralpulse import (
     schedule_hamiltonian,
     sps_schedule,
 )
-from chiralpulse.dynamics import ordered_product, step_propagators
+from chiralpulse.dynamics import DEFAULT_STEPS, ordered_product, step_propagators
 from chiralpulse.errors import ClampViolation
 
 L, R = Handedness.LEFT, Handedness.RIGHT
@@ -76,7 +76,7 @@ def test_zero_hamiltonian_is_identity_evolution():
 
 
 def test_sps_discrimination_left_and_right():
-    grid = make_grid(1.0, 4000)
+    grid = make_grid(1.0, DEFAULT_STEPS)
     schedule = sps_schedule(1.0)
     for hand, level in ((L, 3), (R, 1)):
         traj = propagate(schedule_hamiltonian(schedule, hand),
@@ -101,10 +101,11 @@ def test_populations_match_amplitudes():
 
 
 def test_scalar_only_callable_raises():
-    # propagate calls the callable once on the midpoint array; a callable that
-    # returns one 3x3 matrix is rejected by shape, not looped over the times
+    # propagate calls the callable once on the array of 2N Gauss nodes; a
+    # callable that returns one 3x3 matrix is rejected by shape, not looped
+    # over the times
     h = schedule_hamiltonian(sps_schedule(1.0), L)(np.array([0.5]))[0]
-    with pytest.raises(ValueError, match=r"shape \(3, 3\) for 300 times"):
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) for 600 times"):
         propagate(lambda t: h, QuantumState.basis(2), make_grid(1.0, 300))
 
 
@@ -121,7 +122,7 @@ def test_library_error_is_not_resampled(monkeypatch):
     monkeypatch.setattr(invariants, "pulses_from_invariant", counting)
     ham = schedule_hamiltonian(sps_schedule(1.0), L, clamp=1.0)
     with pytest.raises(ClampViolation):
-        propagate(ham, QuantumState.basis(2), make_grid(1.0, 4000))
+        propagate(ham, QuantumState.basis(2), make_grid(1.0, DEFAULT_STEPS))
     assert len(calls) == 1
 
 
@@ -165,17 +166,18 @@ def test_ordered_product_matches_sequential_product(length):
         np.testing.assert_allclose(ordered_product(stack), sequential, rtol=0, atol=1e-13)
 
 
-def test_second_order_convergence_on_smooth_schedule():
+def test_fourth_order_convergence_on_smooth_schedule():
+    # CF4 is fourth order: halving the step divides the final-state error by 16
     from chiralpulse import ansatz_schedule
     schedule = ansatz_schedule(0.9, 1.0)
     ham = schedule_hamiltonian(schedule, L)
-    ref = propagate(ham, QuantumState.basis(2), make_grid(1.0, 32000)).states[-1]
+    ref = propagate(ham, QuantumState.basis(2), make_grid(1.0, 3200)).states[-1]
     errs = []
-    for steps in (500, 1000):
+    for steps in (100, 200):
         fin = propagate(ham, QuantumState.basis(2), make_grid(1.0, steps)).states[-1]
         errs.append(np.linalg.norm(fin - ref))
     ratio = errs[0] / errs[1]
-    assert 3.0 < ratio < 6.0, f"halving the step gave error ratio {ratio}"
+    assert 14.0 < ratio < 18.0, f"halving the step gave error ratio {ratio}"
 
 
 @pytest.mark.parametrize("matrix", [
@@ -188,6 +190,33 @@ def test_propagate_rejects_non_cyclic_hamiltonian(matrix):
     with pytest.raises(ValueError, match="t=0.005"):
         propagate(lambda t: np.broadcast_to(matrix, (len(t), 3, 3)),
                   QuantumState.basis(2), make_grid(1.0, 100))
+
+
+def test_propagate_checks_the_combined_cf4_exponents():
+    # each node sample is Hermitian, traceless and singular, but the CF4
+    # exponent 2(a1 H1 + a2 H2) = diag(2a1, 2a2 - 2a1, -2a2) has det != 0;
+    # a check on the raw samples would let it through
+    first, second = np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0])
+
+    def alternating(t):
+        at_first_node = (t * 100.0) % 1.0 < 0.5
+        return np.where(at_first_node[:, None, None], first, second).astype(complex)
+
+    grid = make_grid(1.0, 100)
+    for matrix in (first, second):
+        propagate(lambda t: np.broadcast_to(matrix, (len(t), 3, 3)),
+                  QuantumState.basis(2), grid)
+    with pytest.raises(ValueError, match="t=0.005 is not singular"):
+        propagate(alternating, QuantumState.basis(2), grid)
+
+
+def test_overflowing_exponent_raises():
+    # finite entries whose r^2 = sum |H_ij|^2 / 2 overflows: the closed form
+    # would give NaN propagators, which no precondition comparison catches
+    with pytest.raises(NonFiniteHamiltonian, match="too large to exponentiate"):
+        propagate(lambda t: hamiltonian_stack(np.full(len(t), 1e200),
+                                              np.zeros(len(t)), L.coupling_sign),
+                  QuantumState.basis(2), make_grid(1.0, 10))
 
 
 def test_non_finite_hamiltonian_raises():

@@ -22,6 +22,7 @@ from chiralpulse import (
     sps_schedule,
     validate_schedule,
 )
+from chiralpulse.dynamics import DEFAULT_STEPS
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 
@@ -290,7 +291,7 @@ def test_transport_of_zero_channel():
     # the zero-eigenvalue eigenvector is carried exactly (up to global phase);
     # the pulse cap is raised so the truncation bias of the constant-theta
     # schedule (2.9e-5 in overlap at the default cap) stays below the tolerance
-    grid = make_grid(1.0, 4000)
+    grid = make_grid(1.0, DEFAULT_STEPS)
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.12, 1.0)):
         for hand in (L, R):
             traj = propagate(schedule_hamiltonian(schedule, hand, clamp=5000.0),
@@ -306,10 +307,10 @@ def test_plus_channel_phase_matches_closed_form():
     # this pins the inner sign of the ansatz phase from the dynamics alone
     n = 1.07
     schedule = ansatz_schedule(n, 1.0)
-    grid = make_grid(1.0, 8000)
+    grid = make_grid(1.0, DEFAULT_STEPS)
     _, vplus0 = invariant_eigensystem(L, 0.0, schedule.theta_of(0.0))[1]
     traj = propagate(schedule_hamiltonian(schedule, L), QuantumState(vplus0), grid)
-    for k in (2000, 4000, 6000):
+    for k in (DEFAULT_STEPS // 4, DEFAULT_STEPS // 2, 3 * DEFAULT_STEPS // 4):
         t = grid[k]
         _, vplus = invariant_eigensystem(L, schedule.phi_of(t), schedule.theta_of(t))[1]
         overlap = np.vdot(vplus, traj.states[k])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from chiralpulse import (
@@ -8,6 +9,7 @@ from chiralpulse import (
     NoInteriorMinimum,
     ansatz_schedule,
     basis_state,
+    default_clamp,
     exact_fidelity,
     make_grid,
     optimize_n,
@@ -17,6 +19,7 @@ from chiralpulse import (
     schedule_hamiltonian,
     sps_schedule,
 )
+from chiralpulse.dynamics import DEFAULT_STEPS
 from chiralpulse.robustness import (
     fidelity_from_pulses,
     golden_section,
@@ -83,20 +86,43 @@ def test_exact_fidelity_no_error_full_transfer():
             assert exact_fidelity(schedule, ErrorModel(), hand) > 1.0 - 1e-4
 
 
+SQRT3 = np.sqrt(3.0)
+
+
+def _cf4_reference(h1, h2, dts):
+    """U of the CF4 steps by scipy's expm, from (N,3,3) samples at the two Gauss nodes.
+
+    Each step applies exp(-i (h/2) 2(a1 H1 + a2 H2)) and then
+    exp(-i (h/2) 2(a2 H1 + a1 H2)), a1 = 1/4 + sqrt(3)/6, a2 = 1/4 - sqrt(3)/6.
+    """
+    a1, a2 = 0.25 + SQRT3 / 6.0, 0.25 - SQRT3 / 6.0
+    half = 0.5 * dts[:, None, None]
+    first = expm(-1j * half * 2.0 * (a1 * h1 + a2 * h2))
+    second = expm(-1j * half * 2.0 * (a2 * h1 + a1 * h2))
+    total = np.eye(3, dtype=complex)
+    for u1, u2 in zip(first, second):
+        total = u2 @ (u1 @ total)
+    return total
+
+
+def _node_times(steps):
+    grid = make_grid(1.0, steps)
+    h = np.diff(grid)
+    return grid[:-1] + (0.5 - SQRT3 / 6.0) * h, grid[:-1] + (0.5 + SQRT3 / 6.0) * h, h
+
+
 def test_exact_fidelity_matches_stepwise_propagation():
-    # closed-form step propagators + tree product against an eigh step loop
-    grid = make_grid(1.0, 4000)
-    mids, dts = 0.5 * (grid[:-1] + grid[1:]), np.diff(grid)
+    # closed-form exponentials + tree product against an expm step loop over
+    # the Hamiltonian callable sampled at the Gauss nodes
+    t1, t2, dts = _node_times(DEFAULT_STEPS)
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0)):
         for hand in (L, R):
             ham = schedule_hamiltonian(schedule, hand)
             for error in (ErrorModel(), ErrorModel(alpha=0.05, delta=0.3)):
-                stack = (1.0 + error.alpha) * ham(mids) + error.delta * DETUNING
-                w, v = np.linalg.eigh(stack)
-                psi = basis_state(2)
-                for k in range(len(stack)):
-                    psi = v[k] @ (np.exp(-1j * w[k] * dts[k]) * (v[k].conj().T @ psi))
-                expected = abs(psi[hand.target_level - 1]) ** 2
+                h1, h2 = ((1.0 + error.alpha) * ham(t) + error.delta * DETUNING
+                          for t in (t1, t2))
+                total = _cf4_reference(h1, h2, dts)
+                expected = abs(total[hand.target_level - 1, 1]) ** 2
                 assert exact_fidelity(schedule, error, hand) == pytest.approx(
                     expected, rel=0, abs=1e-12)
 
@@ -105,32 +131,70 @@ def test_exact_fidelity_matches_stepwise_propagation():
 def test_fidelity_from_pulses_matches_expm_sequential_product(steps):
     # odd step counts leave a trailing factor at every other tree level; the
     # sps pulses are clamped, with a kink, inside the first and last 1%
-    grid = make_grid(1.0, steps)
-    mids, dts = 0.5 * (grid[:-1] + grid[1:]), np.diff(grid)
+    t1, t2, dts = _node_times(steps)
+    nodes = np.column_stack([t1, t2]).ravel()
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0)):
-        pulses = pulses_from_invariant(schedule, mids)
+        pulses = pulses_from_invariant(schedule, nodes)
         for hand in (L, R):
             for error in (ErrorModel(), ErrorModel(alpha=0.05, delta=0.3)):
                 # H of the dynamics module docstring, written out here
-                h = np.zeros((steps, 3, 3), dtype=complex)
+                h = np.zeros((2 * steps, 3, 3), dtype=complex)
                 h[:, 0, 1] = h[:, 1, 0] = h[:, 1, 2] = h[:, 2, 1] = pulses.omega
                 h[:, 0, 2] = hand.coupling_sign * 1j * pulses.omega_q
                 h[:, 2, 0] = -hand.coupling_sign * 1j * pulses.omega_q
                 h = (1.0 + error.alpha) * h + error.delta * DETUNING
-                total = np.eye(3, dtype=complex)
-                for u in expm(-1j * h * dts[:, None, None]):
-                    total = u @ total
+                total = _cf4_reference(h[0::2], h[1::2], dts)
                 expected = abs(total[hand.target_level - 1, 1]) ** 2
                 assert fidelity_from_pulses(pulses, dts, error, hand) == pytest.approx(
                     expected, rel=0, abs=1e-12)
+
+
+def test_fidelity_from_pulses_needs_two_samples_per_step():
+    grid = make_grid(1.0, 100)
+    dts = np.diff(grid)
+    midpoints = pulses_from_invariant(sps_schedule(1.0), grid[:-1] + 0.5 * dts)
+    with pytest.raises(ValueError, match="100 pulse samples for 100 steps"):
+        fidelity_from_pulses(midpoints, dts, ErrorModel(), L)
+
+
+def _dop853_fidelity(schedule, error, hand):
+    """Adaptive 8th-order Runge-Kutta (rtol = atol = 1e-12) on the perturbed H."""
+    clamp = default_clamp(schedule.duration)
+    s = hand.coupling_sign
+    detuning = error.delta * DETUNING
+
+    def rhs(t, psi):
+        p = pulses_from_invariant(schedule, np.array([t]), clamp)
+        om, oq = p.omega[0], p.omega_q[0]
+        h0 = np.array([[0.0, om, s * 1j * oq], [om, 0.0, om], [-s * 1j * oq, om, 0.0]])
+        return -1j * (((1.0 + error.alpha) * h0 + detuning) @ psi)
+
+    sol = solve_ivp(rhs, (0.0, schedule.duration), basis_state(2), method="DOP853",
+                    rtol=1e-12, atol=1e-12)
+    assert sol.status == 0
+    return abs(sol.y[hand.target_level - 1, -1]) ** 2
+
+
+@pytest.mark.parametrize("scheme, alpha, delta, bound", [
+    ("sps", 0.3, 1.0, 5e-8),            # the clamp kink; 2.3e-8 measured
+    ("ansatz", -0.3, -1.0 / 3.0, 5e-11),  # 2.3e-11
+    ("ansatz", 0.3, 1.0 / 3.0, 5e-10),    # 2.4e-10
+], ids=["sps_corner", "ansatz_alpha_min", "ansatz_alpha_max"])
+def test_default_steps_accuracy_against_dop853(scheme, alpha, delta, bound):
+    # the default 400 CF4 steps are 10-40x more accurate than the 4000-step
+    # midpoint rule they replace (3.3e-7, 9.6e-8 and 8.4e-8 on these cases)
+    schedule = sps_schedule(1.0) if scheme == "sps" else ansatz_schedule(1.10, 1.0)
+    error = ErrorModel(alpha=alpha, delta=delta)
+    assert abs(exact_fidelity(schedule, error, L)
+               - _dop853_fidelity(schedule, error, L)) < bound
 
 
 def test_exact_fidelity_handedness_symmetry():
     schedule = ansatz_schedule(1.07, 1.0)
     for error in (ErrorModel.systematic(0.05), ErrorModel.detuning(0.4),
                   ErrorModel(alpha=0.08, delta=-0.3)):
-        fl = exact_fidelity(schedule, error, L, steps=2000)
-        fr = exact_fidelity(schedule, error, R, steps=2000)
+        fl = exact_fidelity(schedule, error, L)
+        fr = exact_fidelity(schedule, error, R)
         assert abs(fl - fr) < 1e-6
 
 
@@ -151,7 +215,7 @@ def test_perturbative_remainder_is_third_order_bounded():
     qa = q_alpha(schedule)
     constants = []
     for eps in (0.01, 0.02, 0.04):
-        diff = abs(exact_fidelity(schedule, ErrorModel.systematic(eps), L, steps=8000)
+        diff = abs(exact_fidelity(schedule, ErrorModel.systematic(eps), L)
                    - (1.0 - eps ** 2 * qa))
         constants.append(diff / eps ** 3)
     assert max(constants) < 0.2, f"remainder constants {constants}"
@@ -196,8 +260,9 @@ def test_optimize_n_boundary_minimum_raises():
 
 
 def test_optimize_n_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        optimize_n("nonsense")
+    for kind in ("nonsense", "alpha"):     # exactly systematic or detuning
+        with pytest.raises(ValueError, match="unknown sensitivity kind"):
+            optimize_n(kind)
     with pytest.raises(ValueError):
         optimize_n("systematic", (1.5, 0.5))
     with pytest.raises(ValueError):

@@ -57,7 +57,7 @@ def test_fidelity_curve_zero_error_is_unity():
     spec = SweepSpec(
         schemes=(("sps", sps_schedule(1.0)), ("oss", ansatz_schedule(1.07, 1.0))),
         axis1=ErrorAxis("systematic", -0.1, 0.1, 5),
-        mode="exact", handedness="left", steps=2000,
+        mode="exact", handedness="left",
     )
     result = fidelity_curve(spec)
     at_zero = result.data[2]
@@ -71,7 +71,7 @@ def test_fidelity_curve_scheme_ordering_systematic():
     spec = SweepSpec(
         schemes=(("sps", sps_schedule(1.0)), ("oss", ansatz_schedule(1.07, 1.0))),
         axis1=ErrorAxis("systematic", -0.2, 0.2, 21),
-        mode="exact", handedness="left", steps=2000, clamp=5000.0,
+        mode="exact", handedness="left", clamp=5000.0,
     )
     result = fidelity_curve(spec)
     margin = result.column("F_oss_exact_left") - result.column("F_sps_exact_left")
@@ -82,7 +82,7 @@ def test_fidelity_curve_scheme_ordering_detuning():
     spec = SweepSpec(
         schemes=(("sps", sps_schedule(1.0)), ("osd", ansatz_schedule(1.12, 1.0))),
         axis1=ErrorAxis("detuning", -1.0, 1.0, 21),
-        mode="exact", handedness="left", steps=2000, clamp=5000.0,
+        mode="exact", handedness="left", clamp=5000.0,
     )
     result = fidelity_curve(spec)
     margin = result.column("F_osd_exact_left") - result.column("F_sps_exact_left")
@@ -93,7 +93,7 @@ def test_fidelity_curve_both_mode_agreement():
     spec = SweepSpec(
         schemes=(("oss", ansatz_schedule(1.07, 1.0)),),
         axis1=ErrorAxis("systematic", -0.3, 0.3, 13),
-        mode="both", handedness="left", steps=2000,
+        mode="both", handedness="left",
     )
     result = fidelity_curve(spec)
     exact = result.column("F_oss_exact_left")
@@ -119,7 +119,7 @@ def test_heatmap_small_grid():
         schemes=(("ansatz1.1", ansatz_schedule(1.10, 1.0)),),
         axis1=ErrorAxis("systematic", -0.1, 0.1, 7),
         axis2=ErrorAxis("detuning", -0.5, 0.5, 7),
-        mode="exact", handedness="both", steps=2000,
+        mode="exact", handedness="both",
     )
     result = fidelity_heatmap(spec)
     rows = result.data
