@@ -6,6 +6,10 @@ default.  The effective configuration is echoed into every output file's
 metadata block, and each run ends with a single machine-parsable
 `key=value` summary line on stdout.  `--workers` is accepted (>= 1) and
 ignored: sweeps run in one thread, and it is not echoed.
+
+`scan` and `heatmap` fill their right-handed columns from the left-handed
+propagation (the two systems are mirrors, see ``sweeps``); `simulate`
+propagates each handedness.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ COMMAND_DEFAULTS = {
     "simulate": {},
     "scan": {"error": "systematic", "schemes": "sps,oss", "mode": "both",
              "points": 101, "min": None, "max": None},
-    "heatmap": {"scheme": "ansatz", "n": 1.10, "handedness": "both",
+    "heatmap": {"scheme": "ansatz", "n": 1.10,
                 "alpha_min": -0.3, "alpha_max": 0.3, "alpha_points": 101,
                 "delta_min": -1.0, "delta_max": 1.0, "delta_points": 101},
     "optimize": {"kind": "systematic", "n_min": 0.5, "n_max": 1.5, "tol": 1e-3},
@@ -113,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     heat = sub.add_parser("heatmap", parents=[common],
                           help="exact fidelity on an (alpha, delta) grid")
-    heat.add_argument("--handedness", choices=("left", "right", "both"),
-                      help="which systems to propagate (default both)")
     heat.add_argument("--alpha-min", type=float, dest="alpha_min",
                       help="systematic amplitude minimum (dimensionless, default -0.3)")
     heat.add_argument("--alpha-max", type=float, dest="alpha_max",
@@ -328,9 +330,10 @@ def cmd_heatmap(cfg: dict) -> int:
     spec = SweepSpec(
         schemes=((label, schedule),),
         axis1=ErrorAxis("systematic", cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_points"]),
-        axis2=ErrorAxis("detuning", cfg["delta_min"], cfg["delta_max"], cfg["delta_points"]),
-        mode="exact", handedness=cfg["handedness"], steps=cfg["steps"],
-        clamp=_absolute_clamp(cfg),
+        # the detuning flags are quoted in units of 1/T, like --clamp
+        axis2=ErrorAxis("detuning", cfg["delta_min"] / cfg["T"], cfg["delta_max"] / cfg["T"],
+                        cfg["delta_points"]),
+        mode="exact", steps=cfg["steps"], clamp=_absolute_clamp(cfg),
     )
     result = fidelity_heatmap(spec)
     result.metadata.update(_effective_metadata(cfg))

@@ -320,7 +320,8 @@ def propagate(
         exactly Hermitian, or has |tr H| > 1e-12 r or |det H| > 1e-12 r^3; the
         closed form is exact only when all three hold.  Two valid samples
         can combine into an exponent that is not singular, so the check runs
-        on the exponents.
+        on the exponents.  Also naming the first step whose exponential
+        overflows (a step so long that h^2 is not finite).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
@@ -367,7 +368,13 @@ def propagate(
             f"{missing}; the closed-form step needs a Hermitian, traceless H "
             "with det H = 0"
         )
-    halves = _exp_steps(h, r, _half_steps(dts))
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite step is rejected next
+        halves = _exp_steps(h, r, _half_steps(dts))
+    finite = np.isfinite(halves).all(axis=(0, 1))
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[0]) // 2
+        raise ValueError(f"the propagator of the step at t={mids[k]:.6g} is not finite: "
+                         "the closed-form exponential overflowed (step too long)")
     props = np.moveaxis(_mul3(halves[..., 1::2], halves[..., 0::2]), -1, 0)
     states = np.empty((len(grid), 3), dtype=complex)
     states[0] = np.asarray(initial, dtype=complex)

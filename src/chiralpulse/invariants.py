@@ -7,9 +7,10 @@ and solving for the dynamics, pick a Hermitian invariant
                      [sin(phi)sin(theta), 0,            sin(phi)cos(theta)],
                      [ i cos(phi),  sin(phi)cos(theta), 0               ]]
 
-for the left-handed system (the right-handed invariant swaps sin(theta) with
-cos(theta) and conjugates the imaginary entries), prescribe the trajectories
-phi(t), theta(t), and solve dI/dt + (1/i)[I, H] = 0 for the pulses:
+for the left-handed system (the right-handed invariant is its mirror: levels
+1 and 3 swapped, which swaps sin(theta) with cos(theta) and conjugates the
+imaginary entries), prescribe the trajectories phi(t), theta(t), and solve
+dI/dt + (1/i)[I, H] = 0 for the pulses:
 
     Omega   = phi_dot / (sin(theta) - cos(theta))
     Omega_q = phi_dot * cot(phi) * (sin(theta) + cos(theta))
@@ -90,24 +91,22 @@ def default_clamp(duration: float) -> float:
 # ---------------------------------------------------------------------------
 
 def invariant_matrix(handedness: Handedness, phi, theta) -> np.ndarray:
-    """Invariant I(phi, theta); broadcasts over array-valued angles."""
+    """Invariant I(phi, theta); broadcasts over array-valued angles.
+
+    The right-handed invariant is the left one with levels 1 and 3 swapped,
+    P I P: the same values, permuted.
+    """
     phi = np.asarray(phi, dtype=float)
     theta = np.asarray(theta, dtype=float)
     shape = np.broadcast_shapes(phi.shape, theta.shape)
     sp, cp = np.sin(phi), np.cos(phi)
     st, ct = np.sin(theta), np.cos(theta)
     out = np.zeros(shape + (3, 3), dtype=complex)
-    if handedness is Handedness.LEFT:
-        out[..., 0, 1] = out[..., 1, 0] = sp * st
-        out[..., 1, 2] = out[..., 2, 1] = sp * ct
-        out[..., 0, 2] = -1j * cp
-        out[..., 2, 0] = 1j * cp
-    else:
-        out[..., 0, 1] = out[..., 1, 0] = sp * ct
-        out[..., 1, 2] = out[..., 2, 1] = sp * st
-        out[..., 0, 2] = 1j * cp
-        out[..., 2, 0] = -1j * cp
-    return out
+    out[..., 0, 1] = out[..., 1, 0] = sp * st
+    out[..., 1, 2] = out[..., 2, 1] = sp * ct
+    out[..., 0, 2] = -1j * cp
+    out[..., 2, 0] = 1j * cp
+    return out if handedness is Handedness.LEFT else out[..., ::-1, ::-1]
 
 
 def invariant_matrix_dot(handedness: Handedness, phi, theta, phi_dot, theta_dot) -> np.ndarray:
@@ -121,17 +120,11 @@ def invariant_matrix_dot(handedness: Handedness, phi, theta, phi_dot, theta_dot)
     d_sc = pd * cp * ct - td * sp * st     # d/dt sin(phi) cos(theta)
     d_c = -pd * sp                         # d/dt cos(phi)
     out = np.zeros(shape + (3, 3), dtype=complex)
-    if handedness is Handedness.LEFT:
-        out[..., 0, 1] = out[..., 1, 0] = d_ss
-        out[..., 1, 2] = out[..., 2, 1] = d_sc
-        out[..., 0, 2] = -1j * d_c
-        out[..., 2, 0] = 1j * d_c
-    else:
-        out[..., 0, 1] = out[..., 1, 0] = d_sc
-        out[..., 1, 2] = out[..., 2, 1] = d_ss
-        out[..., 0, 2] = 1j * d_c
-        out[..., 2, 0] = -1j * d_c
-    return out
+    out[..., 0, 1] = out[..., 1, 0] = d_ss
+    out[..., 1, 2] = out[..., 2, 1] = d_sc
+    out[..., 0, 2] = -1j * d_c
+    out[..., 2, 0] = 1j * d_c
+    return out if handedness is Handedness.LEFT else out[..., ::-1, ::-1]
 
 
 def invariant_eigensystem(handedness: Handedness, phi, theta):
@@ -139,7 +132,8 @@ def invariant_eigensystem(handedness: Handedness, phi, theta):
 
     Returns a tuple of (eigenvalue, eigenvector) pairs; eigenvectors broadcast
     over array-valued angles with the component axis last, are normalized, and
-    are mutually orthogonal.
+    are mutually orthogonal.  The right-handed eigenvectors are the left ones
+    with components 1 and 3 swapped, P v.
     """
     phi = np.asarray(phi, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -147,14 +141,11 @@ def invariant_eigensystem(handedness: Handedness, phi, theta):
     sp, cp = np.broadcast_to(np.sin(phi), shape), np.broadcast_to(np.cos(phi), shape)
     st, ct = np.broadcast_to(np.sin(theta), shape), np.broadcast_to(np.cos(theta), shape)
     r = 1.0 / np.sqrt(2.0)
-    if handedness is Handedness.LEFT:
-        v0 = np.stack([-sp * ct, 1j * cp, sp * st], axis=-1)
-        vp = r * np.stack([cp * ct + 1j * st, 1j * sp, -cp * st + 1j * ct], axis=-1)
-        vm = r * np.stack([cp * ct - 1j * st, 1j * sp, -cp * st - 1j * ct], axis=-1)
-    else:
-        v0 = np.stack([sp * st, 1j * cp, -sp * ct], axis=-1)
-        vp = r * np.stack([-cp * st + 1j * ct, 1j * sp, cp * ct + 1j * st], axis=-1)
-        vm = r * np.stack([-cp * st - 1j * ct, 1j * sp, cp * ct - 1j * st], axis=-1)
+    v0 = np.stack([-sp * ct, 1j * cp, sp * st], axis=-1)
+    vp = r * np.stack([cp * ct + 1j * st, 1j * sp, -cp * st + 1j * ct], axis=-1)
+    vm = r * np.stack([cp * ct - 1j * st, 1j * sp, -cp * st - 1j * ct], axis=-1)
+    if handedness is Handedness.RIGHT:
+        v0, vp, vm = v0[..., ::-1], vp[..., ::-1], vm[..., ::-1]
     return ((0.0, v0), (1.0, vp), (-1.0, vm))
 
 

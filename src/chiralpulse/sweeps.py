@@ -9,10 +9,18 @@ Every output is deterministic: no timestamps, fixed float formatting (15
 significant digits), and every error point is computed on its own, in order,
 in the calling thread.  CSV files start with a commented metadata block
 (`# key = value`) sufficient to reproduce the run.
+
+Exact fidelities are propagated for the left-handed system only; the same
+value fills the right-handed column.  With P the swap of levels 1 and 3 and
+S = diag(1, -1, 1), P H_L(alpha, delta) P = H_R(alpha, -delta) and
+H_L(alpha, -delta) = -S conj(H_L(alpha, delta)) S, so F_R(alpha, delta) =
+F_L(alpha, -delta) = F_L(alpha, delta).  The second relation holds exactly in
+floating point; a right-handed propagation agrees to about 1e-14.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -63,6 +71,8 @@ class ErrorAxis:
             raise ValueError(f"axis kind must be systematic or detuning, got {self.kind!r}")
         if self.points < 2:
             raise ValueError(f"axis needs at least 2 points, got {self.points}")
+        if not (math.isfinite(self.minimum) and math.isfinite(self.maximum)):
+            raise ValueError(f"axis bounds must be finite, got [{self.minimum}, {self.maximum}]")
         if not self.minimum < self.maximum:
             raise ValueError("axis minimum must be below maximum")
 
@@ -83,7 +93,6 @@ class SweepSpec:
     axis1: ErrorAxis
     axis2: Optional[ErrorAxis] = None
     mode: str = "exact"     # exact | perturbative | both
-    handedness: str = "both"  # left | right | both
     steps: int = DEFAULT_STEPS
     clamp: Optional[float] = None
 
@@ -92,18 +101,8 @@ class SweepSpec:
             raise ValueError("at least one scheme is required")
         if self.mode not in ("exact", "perturbative", "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.handedness not in ("left", "right", "both"):
-            raise ValueError(f"unknown handedness {self.handedness!r}")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
-
-    @property
-    def handedness_list(self) -> tuple[Handedness, ...]:
-        if self.handedness == "left":
-            return (Handedness.LEFT,)
-        if self.handedness == "right":
-            return (Handedness.RIGHT,)
-        return (Handedness.LEFT, Handedness.RIGHT)
 
 
 @dataclass(frozen=True)
@@ -184,11 +183,15 @@ def fidelity_curve(spec: SweepSpec) -> SweepResult:
         pulses = None
         if spec.mode in ("exact", "both"):
             pulses = pulses_from_invariant(schedule, gauss_nodes(grid), spec.clamp)
-            columns += [f"F_{label}_exact_{hand.value}" for hand in spec.handedness_list]
+            columns += [f"F_{label}_exact_{hand.value}" for hand in Handedness]
         sens = None
         if spec.mode in ("perturbative", "both"):
             measure = q_alpha if axis.kind == "systematic" else q_delta
-            sens = measure(schedule)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite q is rejected next
+                sens = measure(schedule)
+            if not math.isfinite(sens):
+                raise ValueError(f"fidelity_curve: q_{axis.kind} of {label} is {sens}; "
+                                 "the sensitivity overflows at this duration")
             columns.append(f"F_{label}_pert")
         tasks.append((pulses, np.diff(grid), sens))
         meta_schemes.append(_scheme_meta(label, schedule))
@@ -199,8 +202,7 @@ def fidelity_curve(spec: SweepSpec) -> SweepResult:
         out = [amp]
         for pulses, dts, sens in tasks:
             if pulses is not None:
-                out += [fidelity_from_pulses(pulses, dts, error, hand)
-                        for hand in spec.handedness_list]
+                out += [fidelity_from_pulses(pulses, dts, error, Handedness.LEFT)] * 2
             if sens is not None:
                 out.append(second_order_fidelity(axis.kind, amp, sens))
         return out
@@ -210,7 +212,7 @@ def fidelity_curve(spec: SweepSpec) -> SweepResult:
         "sweep": "fidelity_curve",
         "error_axis": f"{axis.kind}[{axis.minimum:g},{axis.maximum:g}]x{axis.points}",
         "mode": spec.mode,
-        "handedness": spec.handedness,
+        "handedness": "both",
         "steps": spec.steps,
         "clamp": spec.clamp if spec.clamp is not None else DEFAULT_CLAMP_META,
         "quad_abs_tol": ABS_TOL,
@@ -232,15 +234,9 @@ def _agreement_stats(spec: SweepSpec, axis: ErrorAxis, columns: list[str],
     worst_inside = 0.0
     flagged = 0
     for label, _ in spec.schemes:
-        pert_col = f"F_{label}_pert"
-        if pert_col not in columns:
-            continue
-        pert = data[:, columns.index(pert_col)]
-        for hand in spec.handedness_list:
-            exact_col = f"F_{label}_exact_{hand.value}"
-            if exact_col not in columns:
-                continue
-            gap = np.abs(data[:, columns.index(exact_col)] - pert)
+        pert = data[:, columns.index(f"F_{label}_pert")]
+        for hand in Handedness:     # a flagged point counts once per exact column
+            gap = np.abs(data[:, columns.index(f"F_{label}_exact_{hand.value}")] - pert)
             if np.any(inside):
                 worst_inside = max(worst_inside, float(np.max(gap[inside])))
             flagged += int(np.sum((gap > 0.01) & ~inside))
@@ -253,9 +249,10 @@ def _agreement_stats(spec: SweepSpec, axis: ErrorAxis, columns: list[str],
 def fidelity_heatmap(spec: SweepSpec) -> SweepResult:
     """Exact fidelity on an (alpha, delta) grid with the combined error Hamiltonian.
 
-    Long-format rows (alpha, delta, one fidelity column per handedness); the
-    metadata reports the fraction of grid cells with F >= HIGH_FIDELITY_LEVEL
-    and whether that region is contiguous around the zero-error point.
+    Long-format rows (alpha, delta, F_exact_left, F_exact_right; the two are
+    equal, see the module docstring); the metadata reports the fraction of grid
+    cells with F >= HIGH_FIDELITY_LEVEL and whether that region is contiguous
+    around the zero-error point.
     """
     if spec.axis2 is None:
         raise ValueError("fidelity_heatmap needs two error axes")
@@ -271,25 +268,23 @@ def fidelity_heatmap(spec: SweepSpec) -> SweepResult:
 
     def row(a: float, d: float) -> list[float]:
         error = ErrorModel(alpha=a, delta=d)
-        return [a, d] + [fidelity_from_pulses(pulses, dts, error, hand)
-                         for hand in spec.handedness_list]
+        return [a, d] + [fidelity_from_pulses(pulses, dts, error, Handedness.LEFT)] * 2
 
     data = np.asarray([row(a, d) for a in alphas for d in deltas], dtype=float)
-    columns = ["alpha", "delta"] + [f"F_exact_{h.value}" for h in spec.handedness_list]
+    columns = ["alpha", "delta"] + [f"F_exact_{h.value}" for h in Handedness]
     meta = _base_metadata({
         "sweep": "fidelity_heatmap",
         "scheme": _scheme_meta(label, schedule),
         "alpha_axis": f"[{spec.axis1.minimum:g},{spec.axis1.maximum:g}]x{spec.axis1.points}",
         "delta_axis": f"[{spec.axis2.minimum:g},{spec.axis2.maximum:g}]x{spec.axis2.points}",
-        "handedness": spec.handedness,
+        "handedness": "both",
         "steps": spec.steps,
         "clamp": spec.clamp if spec.clamp is not None else DEFAULT_CLAMP_META,
     })
     region = f"region_F>={HIGH_FIDELITY_LEVEL:g}"
-    for hand in spec.handedness_list:
-        fgrid = data[:, columns.index(f"F_exact_{hand.value}")].reshape(
-            len(alphas), len(deltas))
-        fraction, contiguous = high_fidelity_region(fgrid, alphas, deltas)
+    fraction, contiguous = high_fidelity_region(
+        data[:, 2].reshape(len(alphas), len(deltas)), alphas, deltas)
+    for hand in Handedness:
         meta[f"{region}_fraction_{hand.value}"] = f"{fraction:.6g}"
         meta[f"{region}_contiguous_{hand.value}"] = contiguous
     return SweepResult(columns=tuple(columns), data=data, metadata=meta)

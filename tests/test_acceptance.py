@@ -135,7 +135,7 @@ def _ordering_margin(kind, lo, hi, better_label, better_schedule):
     spec = SweepSpec(
         schemes=(("sps", sps_schedule(1.0)), (better_label, better_schedule)),
         axis1=ErrorAxis(kind, lo, hi, 51),
-        mode="exact", handedness="left", clamp=COMPARISON_CLAMP,
+        mode="exact", clamp=COMPARISON_CLAMP,
     )
     result = fidelity_curve(spec)
     margin = (result.column(f"F_{better_label}_exact_left")
@@ -219,7 +219,7 @@ def test_criterion_6_heatmap():
         schemes=(("ansatz1.1", ansatz_schedule(1.10, 1.0)),),
         axis1=ErrorAxis("systematic", -0.1, 0.1, 41),
         axis2=ErrorAxis("detuning", -0.5, 0.5, 41),
-        mode="exact", handedness="left",
+        mode="exact",
     )
     result = fidelity_heatmap(spec)
     rows = result.data

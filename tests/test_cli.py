@@ -143,11 +143,24 @@ def test_heatmap_small(tmp_path, capsys):
     code = run_cli(["heatmap", "--scheme", "ansatz", "--n", "1.10",
                     "--alpha-min", "-0.05", "--alpha-max", "0.05", "--alpha-points", "3",
                     "--delta-min", "-0.2", "--delta-max", "0.2", "--delta-points", "3",
-                    "--steps", "500", "--handedness", "left", "--out", str(tmp_path)])
+                    "--steps", "500", "--out", str(tmp_path)])
     assert code == 0
     rows = read_data_rows(tmp_path / "heatmap_ansatz1.1_exact.csv")
-    assert rows.shape == (9, 3)
+    assert rows.shape == (9, 4)
+    np.testing.assert_array_equal(rows[:, 3], rows[:, 2])
     assert "region_fraction" in capsys.readouterr().out
+
+
+def test_heatmap_detuning_flags_are_in_units_of_one_over_T(tmp_path):
+    # F depends only on alpha and delta*T, so a T = 2 heatmap on the same
+    # flags covers delta = [-0.5, 0, 0.5] with the T = 1 fidelities
+    args = ["heatmap", "--alpha-points", "2", "--delta-points", "3"]
+    assert run_cli(args + ["--out", str(tmp_path / "t1")]) == 0
+    assert run_cli(args + ["--T", "2", "--out", str(tmp_path / "t2")]) == 0
+    t1 = read_data_rows(tmp_path / "t1" / "heatmap_ansatz1.1_exact.csv")
+    t2 = read_data_rows(tmp_path / "t2" / "heatmap_ansatz1.1_exact.csv")
+    np.testing.assert_array_equal(t2[:3, 1], [-0.5, 0.0, 0.5])
+    np.testing.assert_allclose(t2[:, 2:], t1[:, 2:], rtol=0, atol=1e-12)
 
 
 def test_optimize_systematic_prints_optimum(capsys):
@@ -168,14 +181,13 @@ def test_optimize_tolerance_below_float_spacing_terminates(capsys):
     assert "n_star=1.13" in capsys.readouterr().out
 
 
-# the perturbative scan's q_delta overflows with a RuntimeWarning; the sweep
-# rejects the non-finite column only when the whole result is built
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("args", [
     ["simulate", "--T", "1e-300"],
     ["scan", "--error", "detuning", "--schemes", "sps", "--mode", "perturbative",
-     "--T", "1e300", "--points", "3"],
+     "--T", "1e300", "--points", "3"],                   # q_delta overflows
     ["optimize", "--T", "1e-300"],
+    ["scan", "--mode", "exact", "--max", "inf"],
+    ["simulate", "--T", "1e300"],                        # step propagators overflow
 ])
 def test_non_finite_sweep_data_rejected(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path)]) == 2
@@ -230,6 +242,10 @@ def test_config_file_unknown_key(tmp_path, capsys):
     config.write_text("flux_capacitor = 1\n")
     assert run_cli(["design", "--config", str(config)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+    # sweeps have no handedness option: both columns come from one propagation
+    config.write_text("handedness = left\n")
+    assert run_cli(["heatmap", "--config", str(config)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_read_config_file_parsing(tmp_path):
@@ -265,7 +281,7 @@ def test_help_lists_every_flag():
         "design": ["--scheme", "--n", "--T", "--steps", "--clamp", "--workers",
                    "--out", "--config"],
         "scan": ["--error", "--schemes", "--mode", "--points", "--min", "--max"],
-        "heatmap": ["--alpha-min", "--delta-points", "--handedness"],
+        "heatmap": ["--alpha-min", "--delta-points"],
         "optimize": ["--kind", "--n-min", "--n-max", "--tol"],
     }.items():
         sub = [a for a in parser._subparsers._group_actions[0].choices.items()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -7,6 +9,7 @@ from chiralpulse import (
     ErrorModel,
     Handedness,
     NoInteriorMinimum,
+    PulseSchedule,
     ansatz_schedule,
     basis_state,
     default_clamp,
@@ -196,6 +199,31 @@ def test_exact_fidelity_handedness_symmetry():
         fl = exact_fidelity(schedule, error, L)
         fr = exact_fidelity(schedule, error, R)
         assert abs(fl - fr) < 1e-6
+
+
+@st.composite
+def _random_pulses(draw):
+    """Real (Omega, Omega_q) samples at the Gauss nodes of a random uniform grid."""
+    steps = draw(st.integers(1, 60))
+    samples = arrays(float, 2 * steps, elements=st.floats(-20.0, 20.0))
+    omega, omega_q = draw(samples), draw(samples)
+    nodes = np.linspace(0.0, 1.0, 2 * steps)    # unused by the propagation
+    return PulseSchedule(times=nodes, omega=omega, omega_q=omega_q, duration=1.0,
+                         clamp_value=20.0), np.full(steps, 1.0 / steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pulses=_random_pulses(), alpha=st.floats(-0.5, 0.5), delta=st.floats(-5.0, 5.0))
+def test_mirror_symmetries_of_random_pulses(pulses, alpha, delta):
+    # H_L(alpha, -delta) = -S conj(H_L(alpha, delta)) S, S = diag(1, -1, 1), holds
+    # step by step in floating point, so F_L is exactly even in delta; and
+    # P H_L(alpha, delta) P = H_R(alpha, -delta) (P swaps levels 1 and 3), so the
+    # sweeps' right-handed columns, F_L, agree with a right-handed propagation
+    pulses, dts = pulses
+    f_left = fidelity_from_pulses(pulses, dts, ErrorModel(alpha, delta), L)
+    assert fidelity_from_pulses(pulses, dts, ErrorModel(alpha, -delta), L) == f_left
+    f_right = fidelity_from_pulses(pulses, dts, ErrorModel(alpha, delta), R)
+    assert abs(f_left - f_right) <= 1e-13
 
 
 def test_quadratic_leading_order_recovers_q_alpha():

@@ -3,9 +3,11 @@ import pytest
 
 from chiralpulse import (
     ErrorAxis,
+    ErrorModel,
     Handedness,
     SweepSpec,
     ansatz_schedule,
+    exact_fidelity,
     fidelity_curve,
     fidelity_heatmap,
     high_fidelity_region,
@@ -25,6 +27,8 @@ def test_error_axis_validation():
         ErrorAxis("systematic", 1.0, 0.0, 11)
     with pytest.raises(ValueError):
         ErrorAxis("resonance", 0.0, 1.0, 11)
+    with pytest.raises(ValueError):
+        ErrorAxis("detuning", -np.inf, 1.0, 11)
     axis = ErrorAxis("detuning", -1.0, 1.0, 5)
     assert axis.column == "delta"
     np.testing.assert_allclose(axis.values, [-1, -0.5, 0, 0.5, 1])
@@ -57,7 +61,7 @@ def test_fidelity_curve_zero_error_is_unity():
     spec = SweepSpec(
         schemes=(("sps", sps_schedule(1.0)), ("oss", ansatz_schedule(1.07, 1.0))),
         axis1=ErrorAxis("systematic", -0.1, 0.1, 5),
-        mode="exact", handedness="left",
+        mode="exact",
     )
     result = fidelity_curve(spec)
     at_zero = result.data[2]
@@ -71,7 +75,7 @@ def test_fidelity_curve_scheme_ordering_systematic():
     spec = SweepSpec(
         schemes=(("sps", sps_schedule(1.0)), ("oss", ansatz_schedule(1.07, 1.0))),
         axis1=ErrorAxis("systematic", -0.2, 0.2, 21),
-        mode="exact", handedness="left", clamp=5000.0,
+        mode="exact", clamp=5000.0,
     )
     result = fidelity_curve(spec)
     margin = result.column("F_oss_exact_left") - result.column("F_sps_exact_left")
@@ -82,7 +86,7 @@ def test_fidelity_curve_scheme_ordering_detuning():
     spec = SweepSpec(
         schemes=(("sps", sps_schedule(1.0)), ("osd", ansatz_schedule(1.12, 1.0))),
         axis1=ErrorAxis("detuning", -1.0, 1.0, 21),
-        mode="exact", handedness="left", clamp=5000.0,
+        mode="exact", clamp=5000.0,
     )
     result = fidelity_curve(spec)
     margin = result.column("F_osd_exact_left") - result.column("F_sps_exact_left")
@@ -93,7 +97,7 @@ def test_fidelity_curve_both_mode_agreement():
     spec = SweepSpec(
         schemes=(("oss", ansatz_schedule(1.07, 1.0)),),
         axis1=ErrorAxis("systematic", -0.3, 0.3, 13),
-        mode="both", handedness="left",
+        mode="both",
     )
     result = fidelity_curve(spec)
     exact = result.column("F_oss_exact_left")
@@ -107,7 +111,7 @@ def test_fidelity_curve_perturbative_handedness_free():
     spec = SweepSpec(
         schemes=(("osd", ansatz_schedule(1.12, 1.0)),),
         axis1=ErrorAxis("detuning", -0.5, 0.5, 5),
-        mode="perturbative", handedness="both",
+        mode="perturbative",
     )
     result = fidelity_curve(spec)
     assert result.columns == ("delta", "F_osd_pert")
@@ -119,15 +123,18 @@ def test_heatmap_small_grid():
         schemes=(("ansatz1.1", ansatz_schedule(1.10, 1.0)),),
         axis1=ErrorAxis("systematic", -0.1, 0.1, 7),
         axis2=ErrorAxis("detuning", -0.5, 0.5, 7),
-        mode="exact", handedness="both",
+        mode="exact",
     )
     result = fidelity_heatmap(spec)
     rows = result.data
     center = rows[(rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)]
     assert center[0, 2] > 1.0 - 1e-4
-    # handedness symmetry pointwise
-    assert np.max(np.abs(result.column("F_exact_left")
-                         - result.column("F_exact_right"))) < 1e-6
+    # the right-handed column is the mirror of the left-handed propagation;
+    # an independent right-handed propagation agrees to rounding
+    right = result.column("F_exact_right")
+    for k in (0, 10, 24, 40, 48):
+        error = ErrorModel(alpha=rows[k, 0], delta=rows[k, 1])
+        assert abs(right[k] - exact_fidelity(spec.schemes[0][1], error, R)) < 1e-13
     assert float(result.metadata["region_F>=0.99_fraction_left"]) > 0.0
     assert result.metadata["region_F>=0.99_contiguous_left"]
 
@@ -185,7 +192,7 @@ def test_sweep_csv_determinism(tmp_path):
     spec = SweepSpec(
         schemes=(("sps", sps_schedule(1.0)),),
         axis1=ErrorAxis("systematic", -0.1, 0.1, 5),
-        mode="exact", handedness="left", steps=500,
+        mode="exact", steps=500,
     )
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     fidelity_curve(spec).to_csv(p1)
