@@ -15,6 +15,7 @@ propagates each handedness.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -87,7 +88,14 @@ def _common_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `chiralpulse` argument parser, built once per process.
+
+    Every call returns the same parser.  Parsing leaves it unchanged (each
+    ``parse_args`` fills a fresh namespace), so ``main`` and ``_flag_types``
+    share it; a caller must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="chiralpulse",
         description="Invariant-based pulse design and chiral-discrimination simulation",

@@ -51,7 +51,10 @@ component-major, on (3,3,N) arrays whose trailing axis runs over the steps: one 
 27 elementwise products of length-N vectors.  ``np.matmul`` on an (N,3,3)
 stack instead makes one small-matrix call per step, about 300 ns each, which
 was two thirds of the cost of an exact fidelity.  The public shapes stay
-(N,3,3); ``step_propagators`` returns a transposed view of its (3,3,N) result.
+(N,3,3): ``hamiltonian_stack`` and ``step_propagators`` return transposed
+views of (3,3,N) arrays.  ``propagate`` advances its state through the step
+propagators with Python complex arithmetic, which is cheaper than one numpy
+call per 3x3 mat-vec step.
 """
 
 from __future__ import annotations
@@ -124,18 +127,20 @@ def hamiltonian_stack(omega, omega_q, sign: int, alpha: float = 0.0,
     and Omega_q = omega_q[k]; `sign` is ``Handedness.coupling_sign`` (-s).
     alpha is the systematic amplitude error and delta the detuning, in the
     units of the pulses.  This is the only place the matrix entries are written.
+    The stack is a transposed view of a component-major (3,3,N) array, which
+    the kernels below take without a copy.
     """
     omega = np.asarray(omega, dtype=float)
     omega_q = np.asarray(omega_q, dtype=float)
-    out = np.zeros((len(omega), 3, 3), dtype=complex)
-    out[:, 0, 1] = out[:, 1, 0] = omega
-    out[:, 1, 2] = out[:, 2, 1] = omega
-    out[:, 0, 2] = sign * 1j * omega_q
-    out[:, 2, 0] = -sign * 1j * omega_q
+    out = np.zeros((3, 3, len(omega)), dtype=complex)
+    out[0, 1] = out[1, 0] = omega
+    out[1, 2] = out[2, 1] = omega
+    out[0, 2] = sign * 1j * omega_q
+    out[2, 0] = -sign * 1j * omega_q
     out *= 1.0 + alpha
-    out[:, 0, 0] -= delta
-    out[:, 2, 2] += delta
-    return out
+    out[0, 0] -= delta
+    out[2, 2] += delta
+    return np.moveaxis(out, -1, 0)
 
 
 DEFAULT_STEPS = 400
@@ -170,7 +175,7 @@ def _combine(stack: np.ndarray) -> np.ndarray:
     2(a2 H1 + a1 H2); each is exponentiated over h_k / 2.  With W = 2 a1 and
     2 a2 = 1 - W these are H2 + W (H1 - H2) and H1 - W (H1 - H2).
     """
-    h = np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+    h = _component_major(stack)
     h1, h2 = h[..., 0::2], h[..., 1::2]
     shift = h1 - h2
     shift *= _W1
@@ -199,6 +204,11 @@ class Trajectory:
     def norm_deviation(self) -> float:
         """Worst deviation of the state norm from 1 along the trajectory."""
         return float(np.max(np.abs(np.sum(self.populations, axis=1) - 1.0)))
+
+
+def _component_major(stack: np.ndarray) -> np.ndarray:
+    """Contiguous (3,3,N) copy of an (N,3,3) stack; no copy if it is already a view of one."""
+    return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
 
 
 def _mul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,7 +256,7 @@ def step_propagators(stack: np.ndarray, dts: np.ndarray) -> np.ndarray:
     while each entry of H^2 is three products of length-N vectors.  The
     result is a transposed view of that (3,3,N) array.
     """
-    h = np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+    h = _component_major(stack)
     return np.moveaxis(_exp_steps(h, _radius(h), dts), -1, 0)
 
 
@@ -272,7 +282,7 @@ def ordered_product(props: np.ndarray) -> np.ndarray:
     copy for ``step_propagators`` output), so a level is 27 vector products
     rather than one small-matrix call per pair.
     """
-    p = np.ascontiguousarray(np.moveaxis(props, 0, -1))
+    p = _component_major(props)
     while p.shape[-1] > 1:
         n = p.shape[-1]
         paired = _mul3(p[..., 1::2], p[..., :n - 1:2])
@@ -375,9 +385,12 @@ def propagate(
         k = int(np.flatnonzero(~finite)[0]) // 2
         raise ValueError(f"the propagator of the step at t={mids[k]:.6g} is not finite: "
                          "the closed-form exponential overflowed (step too long)")
-    props = np.moveaxis(_mul3(halves[..., 1::2], halves[..., 0::2]), -1, 0)
-    states = np.empty((len(grid), 3), dtype=complex)
-    states[0] = np.asarray(initial, dtype=complex)
-    for k, step in enumerate(props):
-        states[k + 1] = step @ states[k]
-    return Trajectory(times=grid, states=states)
+    props = _mul3(halves[..., 1::2], halves[..., 0::2]).reshape(9, -1).T.tolist()
+    a, b, c = np.asarray(initial, dtype=complex).tolist()
+    states = [(a, b, c)]
+    for m00, m01, m02, m10, m11, m12, m20, m21, m22 in props:
+        a, b, c = (m00 * a + m01 * b + m02 * c,
+                   m10 * a + m11 * b + m12 * c,
+                   m20 * a + m21 * b + m22 * c)
+        states.append((a, b, c))
+    return Trajectory(times=grid, states=np.array(states, dtype=complex))

@@ -64,13 +64,12 @@ Two schedule families are provided:
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import Handedness, hamiltonian_stack
+from .dynamics import Handedness, _component_major, _mul3, hamiltonian_stack
 from .errors import ChiralPulseError, ClampViolation, SingularTheta
 from .quadrature import complex_quad
 
@@ -90,23 +89,34 @@ def default_clamp(duration: float) -> float:
 # invariant matrices and eigenvectors
 # ---------------------------------------------------------------------------
 
+def _matrix_axes_last(out: np.ndarray, handedness: Handedness) -> np.ndarray:
+    """(..., 3, 3) view of a component-major (3, 3, ...) left-handed matrix array.
+
+    For RIGHT the view is mirrored, P M P with P the swap of levels 1 and 3.
+    """
+    if handedness is Handedness.RIGHT:
+        out = out[::-1, ::-1]
+    return np.moveaxis(out, (0, 1), (-2, -1))
+
+
 def invariant_matrix(handedness: Handedness, phi, theta) -> np.ndarray:
     """Invariant I(phi, theta); broadcasts over array-valued angles.
 
     The right-handed invariant is the left one with levels 1 and 3 swapped,
-    P I P: the same values, permuted.
+    P I P: the same values, permuted.  The (..., 3, 3) result is a view of a
+    component-major (3, 3, ...) array, as is ``invariant_matrix_dot``'s.
     """
     phi = np.asarray(phi, dtype=float)
     theta = np.asarray(theta, dtype=float)
     shape = np.broadcast_shapes(phi.shape, theta.shape)
     sp, cp = np.sin(phi), np.cos(phi)
     st, ct = np.sin(theta), np.cos(theta)
-    out = np.zeros(shape + (3, 3), dtype=complex)
-    out[..., 0, 1] = out[..., 1, 0] = sp * st
-    out[..., 1, 2] = out[..., 2, 1] = sp * ct
-    out[..., 0, 2] = -1j * cp
-    out[..., 2, 0] = 1j * cp
-    return out if handedness is Handedness.LEFT else out[..., ::-1, ::-1]
+    out = np.zeros((3, 3) + shape, dtype=complex)
+    out[0, 1] = out[1, 0] = sp * st
+    out[1, 2] = out[2, 1] = sp * ct
+    out[0, 2] = -1j * cp
+    out[2, 0] = 1j * cp
+    return _matrix_axes_last(out, handedness)
 
 
 def invariant_matrix_dot(handedness: Handedness, phi, theta, phi_dot, theta_dot) -> np.ndarray:
@@ -119,12 +129,12 @@ def invariant_matrix_dot(handedness: Handedness, phi, theta, phi_dot, theta_dot)
     d_ss = pd * cp * st + td * sp * ct     # d/dt sin(phi) sin(theta)
     d_sc = pd * cp * ct - td * sp * st     # d/dt sin(phi) cos(theta)
     d_c = -pd * sp                         # d/dt cos(phi)
-    out = np.zeros(shape + (3, 3), dtype=complex)
-    out[..., 0, 1] = out[..., 1, 0] = d_ss
-    out[..., 1, 2] = out[..., 2, 1] = d_sc
-    out[..., 0, 2] = -1j * d_c
-    out[..., 2, 0] = 1j * d_c
-    return out if handedness is Handedness.LEFT else out[..., ::-1, ::-1]
+    out = np.zeros((3, 3) + shape, dtype=complex)
+    out[0, 1] = out[1, 0] = d_ss
+    out[1, 2] = out[2, 1] = d_sc
+    out[0, 2] = -1j * d_c
+    out[2, 0] = 1j * d_c
+    return _matrix_axes_last(out, handedness)
 
 
 def invariant_eigensystem(handedness: Handedness, phi, theta):
@@ -383,19 +393,24 @@ class PulseSchedule:
         return meta
 
     def to_csv(self, path, extra_metadata: dict | None = None) -> None:
-        """Write `t,omega,omega_q,gamma` rows; times in units of T, frequencies in 1/T."""
+        """Write `t,omega,omega_q,gamma` rows; times in units of T, frequencies in 1/T.
+
+        Every value is written with 15 significant digits (``%.15g``).  The
+        columns are scaled as whole arrays, which round exactly as the
+        per-sample scalar operations would, and all rows are formatted by
+        one ``%`` over a row template repeated once per sample.
+        """
         meta = self.metadata()
         if extra_metadata:
             meta.update(extra_metadata)
-        buf = io.StringIO()
-        for key, value in meta.items():
-            buf.write(f"# {key} = {value}\n")
-        buf.write(PULSE_HEADER + "\n")
         T = self.duration
-        for t, om, oq in zip(self.times, self.omega, self.omega_q):
-            buf.write(f"{t / T:.15g},{om * T:.15g},{oq * T:.15g},{self.gamma:.15g}\n")
+        values = np.column_stack([self.times / T, self.omega * T, self.omega_q * T])
+        row = f"%.15g,%.15g,%.15g,{self.gamma:.15g}\n"
+        lines = [f"# {key} = {value}\n" for key, value in meta.items()]
+        lines.append(PULSE_HEADER + "\n")
+        lines.append(row * len(values) % tuple(values.ravel().tolist()))
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+            fh.writelines(lines)
 
     @classmethod
     def from_csv(cls, path) -> "PulseSchedule":
@@ -560,12 +575,29 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
+def _invariant_residual(handedness: Handedness, omega, omega_q, phi, theta,
+                        phi_dot, theta_dot) -> np.ndarray:
+    """(3,3,N) component-major dI/dt + (1/i)[I, H] at N samples of pulses and angles.
+
+    The Hamiltonian, invariant and invariant-derivative stacks are taken as
+    contiguous (3,3,N) arrays and multiplied by ``dynamics._mul3``, 27
+    products of length-N vectors per 3x3 product, where ``@`` on (N,3,3)
+    stacks makes one small-matrix call per sample.
+    """
+    ham = _component_major(hamiltonian_stack(omega, omega_q, handedness.coupling_sign))
+    inv = _component_major(invariant_matrix(handedness, phi, theta))
+    inv_dot = _component_major(invariant_matrix_dot(handedness, phi, theta, phi_dot, theta_dot))
+    return inv_dot - 1j * (_mul3(inv, ham) - _mul3(ham, inv))
+
+
 def validate_schedule(schedule: InvariantSchedule,
                       clamp: float | None = None) -> ValidationReport:
     """Run boundary, singularity, derivative, and invariant-consistency checks.
 
     Each check samples VALIDATION_SAMPLES times.  Failures are reported, not
-    raised; each check carries its worst residual.
+    raised; each check carries its worst residual.  The invariant condition
+    is checked for each handedness on its own, in component-major (3,3,N)
+    arithmetic (``_invariant_residual``).
     """
     T = schedule.duration
     if clamp is None:
@@ -615,10 +647,7 @@ def validate_schedule(schedule: InvariantSchedule,
     pd, td = schedule.phi_dot_of(t_in), schedule.theta_dot_of(t_in)
     worst_res = 0.0
     for handedness in Handedness:
-        ham = hamiltonian_stack(omega, omega_q, handedness.coupling_sign)
-        inv = invariant_matrix(handedness, phi, theta)
-        inv_dot = invariant_matrix_dot(handedness, phi, theta, pd, td)
-        residual = inv_dot - 1j * (inv @ ham - ham @ inv)
+        residual = _invariant_residual(handedness, omega, omega_q, phi, theta, pd, td)
         worst_res = max(worst_res, float(np.max(np.abs(residual))))
     checks.append(CheckResult("dynamical invariant", worst_res <= 1e-8, worst_res,
                               1e-8, "dI/dt + (1/i)[I,H] on unclamped interior"))

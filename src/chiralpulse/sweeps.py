@@ -122,12 +122,18 @@ class SweepResult:
         return self.data[:, self.columns.index(name)]
 
     def to_csv(self, path) -> None:
-        lines = [f"# {key} = {value}" for key, value in self.metadata.items()]
-        lines.append(",".join(self.columns))
-        for row in self.data:
-            lines.append(",".join(FLOAT_FORMAT % v for v in row))
+        """Write the metadata block, the column header and one ``FLOAT_FORMAT`` row per data row.
+
+        All rows are formatted by one ``%`` over a row template repeated once
+        per data row.
+        """
+        lines = [f"# {key} = {value}\n" for key, value in self.metadata.items()]
+        lines.append(",".join(self.columns) + "\n")
+        rows, width = self.data.shape
+        row = ",".join([FLOAT_FORMAT] * width) + "\n"
+        lines.append(row * rows % tuple(self.data.ravel().tolist()))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.writelines(lines)
 
 
 def _base_metadata(spec_like: dict) -> dict:
@@ -204,7 +210,10 @@ def fidelity_curve(spec: SweepSpec) -> SweepResult:
             if pulses is not None:
                 out += [fidelity_from_pulses(pulses, dts, error, Handedness.LEFT)] * 2
             if sens is not None:
-                out.append(second_order_fidelity(axis.kind, amp, sens))
+                # squared as a numpy float: an overflow gives inf, which
+                # SweepResult rejects, not Python's OverflowError
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out.append(second_order_fidelity(axis.kind, np.float64(amp), sens))
         return out
 
     data = np.asarray([row(float(amp)) for amp in amplitudes], dtype=float)

@@ -188,6 +188,8 @@ def test_optimize_tolerance_below_float_spacing_terminates(capsys):
     ["optimize", "--T", "1e-300"],
     ["scan", "--mode", "exact", "--max", "inf"],
     ["simulate", "--T", "1e300"],                        # step propagators overflow
+    ["scan", "--mode", "perturbative", "--min", "0", "--max", "1e200",
+     "--points", "3"],                                   # alpha^2 overflows
 ])
 def test_non_finite_sweep_data_rejected(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path)]) == 2
@@ -273,6 +275,21 @@ def test_rerun_is_byte_identical(tmp_path):
     a = (out1 / "systematic_sps_exact.csv").read_text().replace(str(out1), "OUT")
     b = (out2 / "systematic_sps_exact.csv").read_text().replace(str(out2), "OUT")
     assert a == b
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    assert build_parser() is build_parser()
+    scan = ["scan", "--mode", "perturbative", "--schemes", "sps"]
+    assert run_cli(scan + ["--points", "5", "--out", str(tmp_path / "a")]) == 0
+    assert run_cli(scan + ["--out", str(tmp_path / "b")]) == 0
+    assert len(read_data_rows(tmp_path / "a" / "systematic_sps_perturbative.csv")) == 5
+    assert len(read_data_rows(tmp_path / "b" / "systematic_sps_perturbative.csv")) == 101
+    # a rejected argv leaves the parser as it was
+    with pytest.raises(SystemExit):
+        run_cli(scan + ["--points", "abc", "--out", str(tmp_path / "c")])
+    assert run_cli(scan + ["--out", str(tmp_path / "d")]) == 0
+    assert len(read_data_rows(tmp_path / "d" / "systematic_sps_perturbative.csv")) == 101
+    assert not (tmp_path / "c").exists()
 
 
 def test_help_lists_every_flag():

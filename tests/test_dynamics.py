@@ -18,7 +18,13 @@ from chiralpulse import (
     schedule_hamiltonian,
     sps_schedule,
 )
-from chiralpulse.dynamics import DEFAULT_STEPS, ordered_product, step_propagators
+from chiralpulse.dynamics import (
+    DEFAULT_STEPS,
+    cf4_propagators,
+    gauss_nodes,
+    ordered_product,
+    step_propagators,
+)
 from chiralpulse.errors import ClampViolation
 
 L, R = Handedness.LEFT, Handedness.RIGHT
@@ -164,6 +170,22 @@ def test_ordered_product_matches_sequential_product(length):
     swapped = np.ascontiguousarray(props.transpose(0, 2, 1)).transpose(0, 2, 1)
     for stack in (props, np.ascontiguousarray(props), swapped):
         np.testing.assert_allclose(ordered_product(stack), sequential, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_propagate_states_match_stepwise_matvec(level):
+    # the state recurrence against one numpy mat-vec per CF4 step
+    schedule = invariants.ansatz_schedule(1.1, 1.5)
+    grid = make_grid(1.5, 137)
+    ham = schedule_hamiltonian(schedule, R)
+    halves = cf4_propagators(ham(gauss_nodes(grid)), np.diff(grid))
+    state = basis_state(level)
+    expected = [state]
+    for first, second in zip(halves[0::2], halves[1::2]):
+        state = second @ (first @ state)
+        expected.append(state)
+    traj = propagate(ham, QuantumState.basis(level), grid)
+    np.testing.assert_allclose(traj.states, expected, rtol=0, atol=1e-14)
 
 
 def test_fourth_order_convergence_on_smooth_schedule():

@@ -22,7 +22,17 @@ from chiralpulse import (
     sps_schedule,
     validate_schedule,
 )
-from chiralpulse.dynamics import DEFAULT_STEPS
+from chiralpulse.dynamics import DEFAULT_STEPS, hamiltonian_stack
+from chiralpulse.invariants import (
+    CLAMP_WINDOW_FRACTION,
+    PULSE_HEADER,
+    VALIDATION_SAMPLES,
+    CheckResult,
+    ValidationReport,
+    _invariant_residual,
+    _raw_pulses,
+    default_clamp,
+)
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 
@@ -241,6 +251,45 @@ def test_pulse_csv_roundtrip(tmp_path):
     assert loaded.kind == "ansatz" and loaded.n == pytest.approx(1.07)
 
 
+def _per_row_pulse_csv(pulses, extra_metadata):
+    """Reference writer: one f-string per sample, on numpy scalars."""
+    meta = pulses.metadata()
+    meta.update(extra_metadata)
+    text = "".join(f"# {key} = {value}\n" for key, value in meta.items())
+    text += PULSE_HEADER + "\n"
+    T = pulses.duration
+    for t, om, oq in zip(pulses.times, pulses.omega, pulses.omega_q):
+        text += f"{t / T:.15g},{om * T:.15g},{oq * T:.15g},{pulses.gamma:.15g}\n"
+    return text.encode()
+
+
+@pytest.mark.parametrize("schedule", [sps_schedule(1.3), ansatz_schedule(1.1, 0.7)],
+                         ids=["sps", "ansatz"])
+def test_pulse_csv_matches_per_row_formatting(tmp_path, schedule):
+    pulses = pulses_from_invariant(schedule, make_grid(schedule.duration, 4000))
+    path = tmp_path / "pulses.csv"
+    pulses.to_csv(path, extra_metadata={"config.steps": 4000})
+    assert path.read_bytes() == _per_row_pulse_csv(pulses, {"config.steps": 4000})
+
+
+@pytest.mark.parametrize("duration", [1.0, 3.0, 0.1])
+def test_pulse_csv_formats_adversarial_values_like_per_row(tmp_path, duration):
+    # signed zero, the smallest subnormal, tiny and huge magnitudes, integers
+    # and values that need all 15 significant digits
+    values = np.array([-0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, 7.0, 123456789012345.0,
+                       0.1 + 0.2, np.pi, -2.0 / 3.0, 1.0 / 7.0, 9.999999999999999e22])
+    pulses = PulseSchedule(times=values[::-1].copy(), omega=values, omega_q=-values,
+                           duration=duration, clamp_value=1e30, gamma=np.e)
+    path = tmp_path / "pulses.csv"
+    pulses.to_csv(path)
+    assert path.read_bytes() == _per_row_pulse_csv(pulses, {})
+    ints = np.arange(-3, 4)
+    pulses = PulseSchedule(times=ints, omega=ints * 2, omega_q=ints, duration=duration,
+                           clamp_value=10.0)
+    pulses.to_csv(path)
+    assert path.read_bytes() == _per_row_pulse_csv(pulses, {})
+
+
 @pytest.mark.parametrize("drop, replace, message", [
     ("# T = ", None, "missing metadata T"),
     ("# clamp_value = ", None, "missing metadata clamp_value"),
@@ -387,3 +436,42 @@ def test_validate_schedule_flags_singular_theta():
     assert not report.all_passed
     failed = {c.name for c in report.checks if not c.passed}
     assert "theta singularity gap" in failed
+
+
+def _matmul_invariant_check(schedule):
+    """The invariant check on (N,3,3) stacks with ``@``: per-handedness residuals."""
+    T = schedule.duration
+    window = CLAMP_WINDOW_FRACTION * T
+    t_in = np.linspace(window, T - window, VALIDATION_SAMPLES)
+    omega, omega_q = _raw_pulses(schedule, t_in)
+    keep = np.isfinite(omega) & np.isfinite(omega_q) & (np.abs(omega_q) <= default_clamp(T))
+    t_in, omega, omega_q = t_in[keep], omega[keep], omega_q[keep]
+    angles = (schedule.phi_of(t_in), schedule.theta_of(t_in),
+              schedule.phi_dot_of(t_in), schedule.theta_dot_of(t_in))
+    residuals = {}
+    for hand in Handedness:
+        ham = np.ascontiguousarray(hamiltonian_stack(omega, omega_q, hand.coupling_sign))
+        inv = np.ascontiguousarray(invariant_matrix(hand, *angles[:2]))
+        inv_dot = np.ascontiguousarray(invariant_matrix_dot(hand, *angles))
+        residuals[hand] = inv_dot - 1j * (inv @ ham - ham @ inv)
+    return (omega, omega_q) + angles, residuals
+
+
+@pytest.mark.parametrize("schedule", [sps_schedule(1.0)] + [
+    ansatz_schedule(n, 1.0) for n in (0.0, 0.65, 1.1, 2.0)],
+    ids=["sps", "ansatz0", "ansatz0.65", "ansatz1.1", "ansatz2"])
+def test_component_major_invariant_residual_matches_matmul(schedule):
+    samples, reference = _matmul_invariant_check(schedule)
+    worst = 0.0
+    for hand, expected in reference.items():
+        residual = np.moveaxis(_invariant_residual(hand, *samples), -1, 0)
+        assert residual.shape == expected.shape
+        np.testing.assert_allclose(residual, expected, rtol=0, atol=1e-15)
+        worst = max(worst, float(np.max(np.abs(expected))))
+    # validation.txt is the same, byte for byte, as with the @ residual
+    report = validate_schedule(schedule)
+    last = report.checks[-1]
+    assert last.name == "dynamical invariant"
+    expected_check = CheckResult(last.name, worst <= 1e-8, worst, 1e-8, last.note)
+    expected_report = ValidationReport(report.schedule, report.checks[:-1] + (expected_check,))
+    assert report.to_text() == expected_report.to_text()

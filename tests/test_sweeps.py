@@ -16,6 +16,7 @@ from chiralpulse import (
     q_delta,
     sps_schedule,
 )
+from chiralpulse.sweeps import SweepResult
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 
@@ -200,6 +201,30 @@ def test_sweep_csv_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()
     assert header[0].startswith("# code_version = ")
+
+
+def _per_row_sweep_csv(result):
+    """Reference writer: one "%.15g" per value, joined row by row."""
+    lines = [f"# {key} = {value}" for key, value in result.metadata.items()]
+    lines.append(",".join(result.columns))
+    lines += [",".join("%.15g" % v for v in row) for row in result.data]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_sweep_csv_matches_per_row_formatting(tmp_path):
+    spec = SweepSpec(schemes=(("sps", sps_schedule(1.0)), ("oss", ansatz_schedule(1.07, 1.0))),
+                     axis1=ErrorAxis("detuning", -1.0, 1.0, 7), mode="both")
+    adversarial = np.array([[-0.0, 5e-324, 1e-300, 1e16],
+                            [3.0, -7.0, 123456789012345.0, 0.1 + 0.2],
+                            [np.pi, -2.0 / 3.0, 1.0 / 7.0, 9.999999999999999e22]])
+    for k, result in enumerate([
+            population_trace(sps_schedule(1.0), L),
+            fidelity_curve(spec),
+            SweepResult(columns=("a", "b", "c", "d"), data=adversarial, metadata={"x": 1}),
+            SweepResult(columns=("a", "b"), data=adversarial.T[:, :2])]):  # not C-contiguous
+        path = tmp_path / f"{k}.csv"
+        result.to_csv(path)
+        assert path.read_bytes() == _per_row_sweep_csv(result)
 
 
 def test_sweep_spec_validation():
