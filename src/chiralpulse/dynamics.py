@@ -18,8 +18,11 @@ Conventions (hbar = 1 throughout):
   the two enantiomers see the same pulses but an opposite-sign loop phase.
 
 ``hamiltonian_stack`` is the one assembly of this matrix, error terms
-included: every Hamiltonian the package propagates or checks is built there
-from sampled (Omega, Omega_q).
+included: every Hamiltonian matrix the package propagates or checks is built
+there from sampled (Omega, Omega_q).  The exact-fidelity kernel forms no
+matrix: it writes the entries of each exponential from the same samples
+(``_half_step_exponentials``), and the tests check those against the matrix
+exponential of ``hamiltonian_stack``.
 
 Propagation uses the fourth-order commutator-free Magnus step CF4 (Blanes &
 Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput.
@@ -32,29 +35,35 @@ a2 = 1/4 - sqrt(3)/6.  The local error is O(h^5), so the global error falls
 every step is unitary and the state norm is preserved structurally, not by
 tolerance.  ``hamiltonian_stack`` is affine in (Omega, Omega_q) and the two
 weights 2 a1 and 2 a2 sum to 1, so each combined exponent is again a
-``hamiltonian_stack`` matrix with the same alpha and delta.  One routine,
-``step_propagators``, computes the exponentials, in closed form.  It is exact
-for a Hermitian, traceless H with det H = 0 (spectrum exactly {-r, 0, r}),
-which every ``hamiltonian_stack`` output is:
+``hamiltonian_stack`` matrix with the same alpha and delta.  Such a matrix
+is Hermitian and traceless with det H = 0, so its spectrum is exactly
+{-r, 0, r} and each exponential has a closed form.  ``gauss_nodes`` gives
+the 2N interleaved node times of an N-step grid.  Two routines write that
+closed form:
 
-* ``gauss_nodes`` gives the 2N interleaved node times of an N-step grid, and
-  ``cf4_propagators`` turns the 2N node samples into the 2N exponentials;
 * ``propagate`` calls a vectorized Hamiltonian callable once, on the nodes,
   rejects a result that is not a (2N,3,3) stack or whose combined exponents
-  break that precondition, and advances the state through the steps,
-  returning every intermediate state;
-* exact fidelities need only the final state, so ``ordered_product``
-  multiplies the 2N half-step exponentials by pairwise reduction.
+  break the precondition, and advances the state through the steps,
+  returning every intermediate state.  The callable may return any
+  Hermitian, traceless, singular stack, not only ``hamiltonian_stack``
+  output, so ``propagate`` keeps the general form (``_exp_steps``): it
+  combines the complex stack, takes r from its entries and forms H^2;
+* exact fidelities need only the final state, for many error points
+  (alpha, delta) of ``hamiltonian_stack`` Hamiltonians over one pulse
+  sampling.  ``_cf4_products`` combines the real pulse samples once, writes
+  the nine entries of every half-step exponential of every point from real
+  arrays (``_half_step_exponentials``), and multiplies each point's 2N
+  factors by pairwise reduction (``_tree_product``), a chunk of points at a
+  time, into preallocated buffers.
 
-These routines and the CF4 combination do their 3x3 arithmetic
-component-major, on (3,3,N) arrays whose trailing axis runs over the steps: one 3x3 product of N pairs is then
-27 elementwise products of length-N vectors.  ``np.matmul`` on an (N,3,3)
-stack instead makes one small-matrix call per step, about 300 ns each, which
-was two thirds of the cost of an exact fidelity.  The public shapes stay
-(N,3,3): ``hamiltonian_stack`` and ``step_propagators`` return transposed
-views of (3,3,N) arrays.  ``propagate`` advances its state through the step
-propagators with Python complex arithmetic, which is cheaper than one numpy
-call per 3x3 mat-vec step.
+The 3x3 arithmetic runs component-major, on (3,3,N) arrays whose trailing
+axis runs over the steps (and (3,3,M,2N) arrays, M error points, in the
+batched path): one 3x3 product of N pairs is then 27 elementwise products
+of length-N vectors.  ``np.matmul`` on an (N,3,3) stack instead makes one
+small-matrix call per step, about 300 ns each.  ``hamiltonian_stack``
+returns a transposed view of a (3,3,N) array.  ``propagate`` advances its
+state through the step propagators with Python complex arithmetic, which is
+cheaper than one numpy call per 3x3 mat-vec step.
 """
 
 from __future__ import annotations
@@ -128,7 +137,7 @@ def hamiltonian_stack(omega, omega_q, sign: int, alpha: float = 0.0,
     alpha is the systematic amplitude error and delta the detuning, in the
     units of the pulses.  This is the only place the matrix entries are written.
     The stack is a transposed view of a component-major (3,3,N) array, which
-    the kernels below take without a copy.
+    ``propagate`` takes without a copy.
     """
     omega = np.asarray(omega, dtype=float)
     omega_q = np.asarray(omega_q, dtype=float)
@@ -168,18 +177,19 @@ def gauss_nodes(grid: np.ndarray) -> np.ndarray:
     return nodes
 
 
-def _combine(stack: np.ndarray) -> np.ndarray:
-    """(3,3,2N) component-major CF4 exponents from (2N,3,3) samples at ``gauss_nodes``.
+def _combine(samples: np.ndarray) -> np.ndarray:
+    """The 2N CF4 exponents from 2N samples at ``gauss_nodes``, along the last axis.
 
     Step k's pair (H1, H2) becomes 2(a1 H1 + a2 H2), applied first, and
     2(a2 H1 + a1 H2); each is exponentiated over h_k / 2.  With W = 2 a1 and
-    2 a2 = 1 - W these are H2 + W (H1 - H2) and H1 - W (H1 - H2).
+    2 a2 = 1 - W these are H2 + W (H1 - H2) and H1 - W (H1 - H2).  The rule is
+    affine, so it combines a (3,3,2N) Hamiltonian stack or a (2N,) array of
+    real pulse samples alike.
     """
-    h = _component_major(stack)
-    h1, h2 = h[..., 0::2], h[..., 1::2]
+    h1, h2 = samples[..., 0::2], samples[..., 1::2]
     shift = h1 - h2
     shift *= _W1
-    out = np.empty(h.shape, dtype=complex)
+    out = np.empty(samples.shape, dtype=shift.dtype)
     np.add(h2, shift, out=out[..., 0::2])
     np.subtract(h1, shift, out=out[..., 1::2])
     return out
@@ -213,7 +223,18 @@ def _component_major(stack: np.ndarray) -> np.ndarray:
 
 def _mul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-step products a_k b_k of two (3,3,N) component-major stacks."""
-    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1] + a[:, 2, None] * b[None, 2]
+    out = np.empty(a.shape, dtype=complex)
+    _mul3_into(a, b, out, np.empty_like(out))
+    return out
+
+
+def _mul3_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
+    """``_mul3`` of two (3,3,...) stacks written into `out`, each later term built in `term`."""
+    np.multiply(a[:, 0, None], b[None, 0], out=out)
+    np.multiply(a[:, 1, None], b[None, 1], out=term)
+    out += term
+    np.multiply(a[:, 2, None], b[None, 2], out=term)
+    out += term
 
 
 def _radius(h: np.ndarray) -> np.ndarray:
@@ -222,7 +243,18 @@ def _radius(h: np.ndarray) -> np.ndarray:
 
 
 def _exp_steps(h: np.ndarray, r: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """(3,3,N) exp(-i*H_k*dt_k) from a (3,3,N) stack and its radii; see ``step_propagators``."""
+    """(3,3,N) exp(-i*H_k*dt_k) from a (3,3,N) stack and its radii r_k = sqrt(tr(H_k^2)/2).
+
+    Exact for a Hermitian, traceless H with det H = 0: its characteristic
+    polynomial is lambda^3 - r^2 lambda, the spectrum is {-r, 0, r}, and
+    H^3 = r^2 H gives
+
+        exp(-i*H*dt) = I - i*sin(r*dt)/r * H + (cos(r*dt) - 1)/r^2 * H^2.
+
+    Both coefficients are written with sinc, dt*sinc(r*dt/pi) = sin(r*dt)/r
+    and (dt*sinc(r*dt/2pi))^2 / 2 = (1 - cos(r*dt))/r^2, so r = 0 gives the
+    identity with no branch.  ``propagate`` checks the precondition first.
+    """
     sin_r = dts * np.sinc(r * dts / np.pi)
     one_minus_cos_r2 = 0.5 * (dts * np.sinc(r * dts / (2.0 * np.pi))) ** 2
     props = _mul3(h, h)  # built in place: fewer (3,3,N) temporaries to allocate
@@ -233,63 +265,128 @@ def _exp_steps(h: np.ndarray, r: np.ndarray, dts: np.ndarray) -> np.ndarray:
     return props
 
 
-def step_propagators(stack: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """(N,3,3) stack of exp(-i*H_k*dt_k) in closed form, for ``hamiltonian_stack`` output.
+_CHUNK_BYTES = 1 << 19      # (3,3,M,2N) half-step exponentials per chunk of error points
 
-    Such an H = (1 + alpha) H0 + delta * diag(-1, 0, 1) has equal real 1-2
-    and 2-3 couplings w and an imaginary 1-3 coupling +-i*q.  It is traceless,
-    and det H = 2 Re(H12 H23 H31) + delta * w^2 - delta * w^2 = 0 because
-    H12 H23 H31 = w^2 * (+-i*q) is imaginary.  Its characteristic polynomial is
-    therefore lambda^3 - r^2 lambda with r^2 = tr(H^2)/2 = 2 w^2 + q^2 + delta^2,
-    the spectrum is exactly {-r, 0, r}, and H^3 = r^2 H gives
 
-        exp(-i*H*dt) = I - i*sin(r*dt)/r * H + (cos(r*dt) - 1)/r^2 * H^2.
+def _half_step_exponentials(w: np.ndarray, q: np.ndarray, taus: np.ndarray,
+                            alphas: np.ndarray, deltas: np.ndarray,
+                            out: np.ndarray) -> np.ndarray:
+    """Write exp(-i*H*tau) of every (error point, half step) pair into a (3,3,M,2N) array.
 
-    Both coefficients are written with sinc, dt*sinc(r*dt/pi) = sin(r*dt)/r
-    and (dt*sinc(r*dt/2pi))^2 / 2 = (1 - cos(r*dt))/r^2, so r = 0 gives the
-    identity with no branch.  The identity holds for every Hamiltonian
-    ``hamiltonian_stack`` builds, which is every Hamiltonian the package
-    builds; ``propagate`` checks it for callables from outside.
+    (w, q) are the real couplings of the 2N combined CF4 exponents, with the
+    handedness sign in q, and `taus` their widths; error point m has
+    amplitude error alphas[m] and detuning deltas[m].  With W = (1 + alpha) w,
+    Q = (1 + alpha) q and d = delta the exponent is
 
-    The arithmetic runs component-major, on one (3,3,N) copy of the stack:
-    ``np.matmul`` on an (N,3,3) stack makes one small-matrix call per step,
-    while each entry of H^2 is three products of length-N vectors.  The
-    result is a transposed view of that (3,3,N) array.
+        H = [[-d, W, iQ], [W, 0, W], [-iQ, W, d]],
+
+    traceless, and det H = 2 Re(H12 H23 H31) + d W^2 - d W^2 = 0 because
+    H12 H23 H31 = -i Q W^2 is imaginary.  So r^2 = tr(H^2)/2 = 2 W^2 + Q^2 + d^2
+    and the closed form of ``_exp_steps``, I - i s H - c H^2 with
+    s = sin(r tau)/r and c = (1 - cos(r tau))/r^2, holds.  Its nine entries
+    are written from real (M,2N) arrays: no complex stack, no r from the
+    entries and no H^2 product.
     """
-    h = _component_major(stack)
-    return np.moveaxis(_exp_steps(h, _radius(h), dts), -1, 0)
+    scale = 1.0 + alphas[:, None]
+    ww = scale * w
+    qq = scale * q
+    d = deltas[:, None]
+    w2 = ww * ww
+    corner = d * d + w2 + qq * qq       # (H^2)_11 = (H^2)_33 = r^2 - W^2
+    r = np.sqrt(corner + w2)
+    s = taus * np.sinc(r * taus / np.pi)
+    c = taus * np.sinc(r * taus / (2.0 * np.pi))
+    c *= c
+    c *= 0.5
+    re, im = out.real, out.imag
+    np.multiply(c, corner, out=re[0, 0])
+    np.subtract(1.0, re[0, 0], out=re[0, 0])
+    re[2, 2] = re[0, 0]
+    np.multiply(s, d, out=im[0, 0])
+    np.negative(im[0, 0], out=im[2, 2])
+    cw2 = c * w2
+    np.multiply(2.0, cw2, out=re[1, 1])
+    np.subtract(1.0, re[1, 1], out=re[1, 1])
+    sq = s * qq
+    np.subtract(sq, cw2, out=re[0, 2])
+    np.negative(sq, out=re[2, 0])
+    re[2, 0] -= cw2
+    for i, j in ((1, 1), (0, 2), (2, 0)):
+        im[i, j] = 0.0
+    np.multiply(c * ww, d, out=re[0, 1])
+    re[1, 0] = re[0, 1]
+    np.negative(re[0, 1], out=re[1, 2])
+    re[2, 1] = re[1, 2]
+    cq = c * qq
+    s_plus = np.add(s, cq, out=sq)          # s + cQ, in the spent buffer of sQ
+    np.multiply(ww, s_plus, out=im[0, 1])
+    np.negative(im[0, 1], out=im[0, 1])
+    im[1, 2] = im[0, 1]
+    s_minus = np.subtract(cq, s, out=cq)    # cQ - s
+    np.multiply(ww, s_minus, out=im[1, 0])
+    im[2, 1] = im[1, 0]
+    return out
 
 
-def cf4_propagators(stack: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """(2N,3,3) CF4 exponentials, in the order they act, of the steps `dts`.
+def _tree_workspace(points: int, length: int) -> tuple:
+    """Ping, pong and term buffers for ``_tree_product`` of (3,3,points,length) factors."""
+    half = max(length // 2, 1)
+    return (np.empty((3, 3, points, half), dtype=complex),
+            np.empty((3, 3, points, max(length // 4, 1)), dtype=complex),
+            np.empty((3, 3, points, max(half, 2)), dtype=complex))
 
-    `stack` holds the (2N,3,3) Hamiltonians at ``gauss_nodes``, two per step.
-    The combined exponents of a ``hamiltonian_stack`` are ``hamiltonian_stack``
-    matrices (the weights 2 a1 and 2 a2 sum to 1), so ``step_propagators``
-    exponentiates them, over h_k / 2 each.  Like its output, the result is a
-    transposed view of a (3,3,2N) array, which ``ordered_product`` takes
-    without a copy.
+
+def _tree_product(u: np.ndarray, work: tuple) -> np.ndarray:
+    """U_{n-1} ... U_1 U_0 of every point of a (3,3,M,n) stack, by pairwise reduction.
+
+    Each level multiplies neighbours (U_{2j+1} U_{2j}) of all points at once;
+    an odd trailing factor is folded in on the left of the last pair.  The
+    levels write alternately into the ping and pong buffers of `work` (from
+    ``_tree_workspace``), so no level allocates.  Returns a (3,3,M) view into
+    `work` (into `u` if n = 1), valid until the buffers are reused.
     """
-    return step_propagators(np.moveaxis(_combine(stack), -1, 0), _half_steps(dts))
-
-
-def ordered_product(props: np.ndarray) -> np.ndarray:
-    """U_{N-1} ... U_1 U_0 of an (N,3,3) stack, by pairwise (tree) reduction.
-
-    Each level multiplies neighbours (U_{2j+1} U_{2j}) for all pairs at once;
-    an odd trailing factor is folded in on the left of the last pair.  Like
-    ``step_propagators`` it works component-major, on a (3,3,N) array (no
-    copy for ``step_propagators`` output), so a level is 27 vector products
-    rather than one small-matrix call per pair.
-    """
-    p = _component_major(props)
+    ping, pong, term = work
+    p, out_buf = u, ping
     while p.shape[-1] > 1:
         n = p.shape[-1]
-        paired = _mul3(p[..., 1::2], p[..., :n - 1:2])
+        half = n // 2
+        out = out_buf[..., :half]
+        _mul3_into(p[..., 1::2], p[..., :n - 1:2], out, term[..., :half])
         if n % 2:
-            paired[..., -1:] = _mul3(p[..., -1:], paired[..., -1:])
-        p = paired
+            _mul3_into(p[..., -1:], out[..., -1:], term[..., :1], term[..., 1:2])
+            out[..., -1:] = term[..., :1]
+        p, out_buf = out, (pong if out_buf is ping else ping)
     return p[..., 0]
+
+
+def _cf4_products(omega: np.ndarray, omega_q: np.ndarray, sign: int, dts: np.ndarray,
+                  alphas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """(3,3,M) CF4 propagators of the steps `dts` at M error points, one pulse sampling.
+
+    `omega` and `omega_q` are the 2N pulse samples at ``gauss_nodes`` and
+    `sign` is ``Handedness.coupling_sign``; error point m is the Hamiltonian
+    ``hamiltonian_stack(omega, omega_q, sign, alphas[m], deltas[m])``.  That is
+    affine in the samples and the CF4 weights sum to 1, so the samples are
+    combined once, as real arrays, for all points.  Points run in chunks of
+    about ``_CHUNK_BYTES`` of exponentials, each through
+    ``_half_step_exponentials`` and one ``_tree_product``.  Every operation is
+    elementwise over the points, so a point's propagator does not depend on
+    the other points or on the chunking.
+    """
+    w = _combine(np.asarray(omega, dtype=float))
+    q = _combine(sign * np.asarray(omega_q, dtype=float))
+    taus = _half_steps(dts)
+    points, length = len(alphas), len(taus)
+    chunk = max(1, min(points, _CHUNK_BYTES // (9 * 16 * length)))
+    u = np.empty((3, 3, chunk, length), dtype=complex)
+    work = _tree_workspace(chunk, length)
+    total = np.empty((3, 3, points), dtype=complex)
+    for start in range(0, points, chunk):
+        block = slice(start, min(start + chunk, points))
+        m = block.stop - start
+        _half_step_exponentials(w, q, taus, alphas[block], deltas[block], u[:, :, :m])
+        total[:, :, block] = _tree_product(u[:, :, :m], tuple(b[:, :, :m] for b in work))
+    return total
 
 
 def propagate(
@@ -300,7 +397,7 @@ def propagate(
     """Solve i d|psi>/dt = H(t)|psi> on `grid` by the CF4 step of the module docstring.
 
     Each step applies the two exact 3x3 exponentials of its combined CF4
-    exponents, computed by the closed form of ``step_propagators`` and
+    exponents, computed by the closed form of ``_exp_steps`` and
     multiplied into one step propagator, so every step is unitary.
 
     Parameters
@@ -352,7 +449,7 @@ def propagate(
         )
     dts = np.diff(grid)
     mids = grid[:-1] + 0.5 * dts
-    h = _combine(stack)
+    h = _combine(_component_major(stack))
     with np.errstate(over="ignore"):     # an overflowed r is rejected next
         r = _radius(h)
     if not np.all(np.isfinite(r)):

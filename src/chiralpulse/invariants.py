@@ -590,14 +590,22 @@ def _invariant_residual(handedness: Handedness, omega, omega_q, phi, theta,
     return inv_dot - 1j * (_mul3(inv, ham) - _mul3(ham, inv))
 
 
+def _worst(values) -> float:
+    """Largest of `values`, NaN if any is NaN, so that a NaN residual fails its check.
+
+    Python's ``max`` keeps its running value when the next one is NaN.
+    """
+    return float(np.max(values))
+
+
 def validate_schedule(schedule: InvariantSchedule,
                       clamp: float | None = None) -> ValidationReport:
     """Run boundary, singularity, derivative, and invariant-consistency checks.
 
     Each check samples VALIDATION_SAMPLES times.  Failures are reported, not
-    raised; each check carries its worst residual.  The invariant condition
-    is checked for each handedness on its own, in component-major (3,3,N)
-    arithmetic (``_invariant_residual``).
+    raised; each check carries its worst residual, and a NaN residual fails
+    its check.  The invariant condition is checked for each handedness on its
+    own, in component-major (3,3,N) arithmetic (``_invariant_residual``).
     """
     T = schedule.duration
     if clamp is None:
@@ -608,7 +616,7 @@ def validate_schedule(schedule: InvariantSchedule,
     phi0 = float(np.abs(schedule.phi_of(0.0)))
     phiT = float(np.abs(schedule.phi_of(T) - np.pi / 2))
     thetaT = float(np.abs(schedule.theta_of(T) - np.pi / 2))
-    worst = max(phi0, phiT, thetaT)
+    worst = _worst([phi0, phiT, thetaT])
     checks.append(CheckResult("boundary conditions", worst <= 1e-12, worst, 1e-12,
                               "phi(0)=0, phi(T)=pi/2, theta(T)=pi/2"))
 
@@ -622,13 +630,14 @@ def validate_schedule(schedule: InvariantSchedule,
     # analytic derivatives vs central finite differences (relative)
     t_mid = np.linspace(0.05 * T, 0.95 * T, VALIDATION_SAMPLES)
     h = 1e-6 * T
-    worst_rel = 0.0
+    relative = []
     for f, fdot in ((schedule.phi_of, schedule.phi_dot_of),
                     (schedule.theta_of, schedule.theta_dot_of)):
         fd = (np.asarray(f(t_mid + h)) - np.asarray(f(t_mid - h))) / (2 * h)
         an = np.asarray(fdot(t_mid))
         scale = max(float(np.max(np.abs(an))), 1.0 / T)
-        worst_rel = max(worst_rel, float(np.max(np.abs(fd - an))) / scale)
+        relative.append(float(np.max(np.abs(fd - an))) / scale)
+    worst_rel = _worst(relative)
     checks.append(CheckResult("derivative consistency", worst_rel <= 1e-6, worst_rel,
                               1e-6, "finite difference vs analytic, relative"))
 
@@ -645,10 +654,11 @@ def validate_schedule(schedule: InvariantSchedule,
         return ValidationReport(schedule=schedule.describe(), checks=tuple(checks))
     phi, theta = schedule.phi_of(t_in), schedule.theta_of(t_in)
     pd, td = schedule.phi_dot_of(t_in), schedule.theta_dot_of(t_in)
-    worst_res = 0.0
+    residuals = []
     for handedness in Handedness:
         residual = _invariant_residual(handedness, omega, omega_q, phi, theta, pd, td)
-        worst_res = max(worst_res, float(np.max(np.abs(residual))))
+        residuals.append(float(np.max(np.abs(residual))))
+    worst_res = _worst(residuals)
     checks.append(CheckResult("dynamical invariant", worst_res <= 1e-8, worst_res,
                               1e-8, "dI/dt + (1/i)[I,H] on unclamped interior"))
 

@@ -36,20 +36,11 @@ Hamiltonian instead, and ``optimize_n`` minimizes q over the ansatz weight n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    DEFAULT_STEPS,
-    Handedness,
-    cf4_propagators,
-    gauss_nodes,
-    hamiltonian_stack,
-    make_grid,
-    ordered_product,
-)
+from .dynamics import DEFAULT_STEPS, Handedness, _cf4_products, gauss_nodes, make_grid
 from .errors import NoInteriorMinimum
 from .invariants import (
     InvariantSchedule,
@@ -141,31 +132,51 @@ def exact_fidelity(schedule: InvariantSchedule, error: ErrorModel,
 
 def fidelity_from_pulses(pulses: PulseSchedule, dts: np.ndarray, error: ErrorModel,
                          handedness: Handedness) -> float:
-    """Target-level population after the CF4 steps `dts`, pulses sampled at their Gauss nodes.
+    """Target-level population after the CF4 steps `dts` under one error model.
 
-    The propagation behind ``exact_fidelity``; sweeps sample each scheme's
-    pulses once, at ``dynamics.gauss_nodes``, and call this for every error
-    point.  Only the final state from |2> is needed, so the closed-form
-    exponentials of the 2N combined CF4 exponents are multiplied into one
-    matrix and its |2> column read off.  Each point is computed on its own,
-    so its value does not depend on which sweep asked for it.
+    The one-point case of ``fidelities_from_pulses``, which ``exact_fidelity``
+    calls: its value is the same, bit for bit, as that point's value in any
+    batch.
+    """
+    return float(fidelities_from_pulses(pulses, dts, [error.alpha], [error.delta],
+                                        handedness)[0])
 
-    Raises ``ValueError`` unless there are 2 * len(dts) pulse samples, and if
-    the value is not finite: finite Hamiltonian entries can still overflow
-    r^2 = sum |H_ij|^2 / 2 in the step propagators.
+
+def fidelities_from_pulses(pulses: PulseSchedule, dts: np.ndarray, alphas, deltas,
+                           handedness: Handedness) -> np.ndarray:
+    """Target-level populations after the CF4 steps `dts`, one per error point (alpha, delta).
+
+    The pulses are sampled once, at ``dynamics.gauss_nodes``; `alphas` and
+    `deltas` are broadcast against each other into the error points.  Only
+    the final state from |2> is needed, so each point's 2N half-step
+    exponentials are multiplied into one matrix (``dynamics._cf4_products``)
+    and its |2> column read off.  The points are batched, but every operation
+    is elementwise over them, so a point's value does not depend on which
+    batch, or which sweep, it was computed in.
+
+    Raises ``ValueError`` unless there are 2 * len(dts) pulse samples, if an
+    error amplitude is not finite, and if a value is not finite: finite
+    Hamiltonian entries can still overflow r^2 = 2 W^2 + Q^2 + delta^2 in the
+    step propagators.
     """
     if len(pulses.omega) != 2 * len(dts):
         raise ValueError(f"{len(pulses.omega)} pulse samples for {len(dts)} steps; "
                          "CF4 needs two per step, at dynamics.gauss_nodes")
-    stack = hamiltonian_stack(pulses.omega, pulses.omega_q, handedness.coupling_sign,
-                              error.alpha, error.delta)
+    alphas, deltas = (np.ravel(x) for x in np.broadcast_arrays(
+        np.asarray(alphas, dtype=float), np.asarray(deltas, dtype=float)))
+    if not (np.isfinite(alphas).all() and np.isfinite(deltas).all()):
+        raise ValueError("error amplitudes must be finite")
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value is rejected next
-        total = ordered_product(cf4_propagators(stack, dts))
-        value = float(np.abs(total[handedness.target_level - 1, 1]) ** 2)
-    if not math.isfinite(value):
-        raise ValueError(f"exact fidelity is {value}: the step propagators overflowed "
+        total = _cf4_products(pulses.omega, pulses.omega_q, handedness.coupling_sign,
+                              np.asarray(dts, dtype=float), alphas, deltas)
+        values = np.abs(total[handedness.target_level - 1, 1]) ** 2
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"exact fidelity is {values[k]} at alpha = {alphas[k]:g}, "
+                         f"delta = {deltas[k]:g}: the step propagators overflowed "
                          "(Hamiltonian entries too large to exponentiate)")
-    return value
+    return values
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,12 @@ population traces over time, fidelity against a single error axis, and the
 is scanned by ``robustness.optimize_n``, which needs only its minimum.
 
 Every output is deterministic: no timestamps, fixed float formatting (15
-significant digits), and every error point is computed on its own, in order,
-in the calling thread.  CSV files start with a commented metadata block
-(`# key = value`) sufficient to reproduce the run.
+significant digits), and one calling thread.  The exact fidelities of a
+scheme's error points are computed in one batched call
+(``robustness.fidelities_from_pulses``); its arithmetic is elementwise over
+the points, so each value is the same, bit for bit, as that point computed
+alone by ``exact_fidelity``, whatever the batch.  CSV files start with a
+commented metadata block (`# key = value`) sufficient to reproduce the run.
 
 Exact fidelities are propagated for the left-handed system only; the same
 value fills the right-handed column.  With P the swap of levels 1 and 3 and
@@ -44,8 +47,7 @@ from .invariants import (
 )
 from .quadrature import ABS_TOL
 from .robustness import (
-    ErrorModel,
-    fidelity_from_pulses,
+    fidelities_from_pulses,
     q_alpha,
     q_delta,
     second_order_fidelity,
@@ -202,21 +204,17 @@ def fidelity_curve(spec: SweepSpec) -> SweepResult:
         tasks.append((pulses, np.diff(grid), sens))
         meta_schemes.append(_scheme_meta(label, schedule))
 
-    def row(amp: float) -> list[float]:
-        error = (ErrorModel.systematic(amp) if axis.kind == "systematic"
-                 else ErrorModel.detuning(amp))
-        out = [amp]
-        for pulses, dts, sens in tasks:
-            if pulses is not None:
-                out += [fidelity_from_pulses(pulses, dts, error, Handedness.LEFT)] * 2
-            if sens is not None:
-                # squared as a numpy float: an overflow gives inf, which
-                # SweepResult rejects, not Python's OverflowError
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out.append(second_order_fidelity(axis.kind, np.float64(amp), sens))
-        return out
-
-    data = np.asarray([row(float(amp)) for amp in amplitudes], dtype=float)
+    alphas, deltas = (amplitudes, 0.0) if axis.kind == "systematic" else (0.0, amplitudes)
+    data = [amplitudes]
+    for pulses, dts, sens in tasks:
+        if pulses is not None:
+            data += [fidelities_from_pulses(pulses, dts, alphas, deltas, Handedness.LEFT)] * 2
+        if sens is not None:
+            # squared as a numpy float: an overflow gives inf, which
+            # SweepResult rejects, not Python's OverflowError
+            with np.errstate(over="ignore", invalid="ignore"):
+                data.append([second_order_fidelity(axis.kind, amp, sens) for amp in amplitudes])
+    data = np.column_stack(data)
     meta = _base_metadata({
         "sweep": "fidelity_curve",
         "error_axis": f"{axis.kind}[{axis.minimum:g},{axis.maximum:g}]x{axis.points}",
@@ -275,11 +273,10 @@ def fidelity_heatmap(spec: SweepSpec) -> SweepResult:
     dts = np.diff(grid)
     alphas, deltas = spec.axis1.values, spec.axis2.values
 
-    def row(a: float, d: float) -> list[float]:
-        error = ErrorModel(alpha=a, delta=d)
-        return [a, d] + [fidelity_from_pulses(pulses, dts, error, Handedness.LEFT)] * 2
-
-    data = np.asarray([row(a, d) for a in alphas for d in deltas], dtype=float)
+    cell_alphas = np.repeat(alphas, len(deltas))
+    cell_deltas = np.tile(deltas, len(alphas))
+    fidelities = fidelities_from_pulses(pulses, dts, cell_alphas, cell_deltas, Handedness.LEFT)
+    data = np.column_stack([cell_alphas, cell_deltas, fidelities, fidelities])
     columns = ["alpha", "delta"] + [f"F_exact_{h.value}" for h in Handedness]
     meta = _base_metadata({
         "sweep": "fidelity_heatmap",

@@ -190,6 +190,10 @@ def test_optimize_tolerance_below_float_spacing_terminates(capsys):
     ["simulate", "--T", "1e300"],                        # step propagators overflow
     ["scan", "--mode", "perturbative", "--min", "0", "--max", "1e200",
      "--points", "3"],                                   # alpha^2 overflows
+    ["heatmap", "--T", "1e300", "--alpha-points", "2",
+     "--delta-points", "2"],                             # batched exponentials overflow
+    ["scan", "--mode", "exact", "--error", "detuning", "--schemes", "oss",
+     "--min", "0", "--max", "1e200", "--points", "3"],   # delta^2 overflows
 ])
 def test_non_finite_sweep_data_rejected(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path)]) == 2

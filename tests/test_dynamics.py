@@ -20,10 +20,12 @@ from chiralpulse import (
 )
 from chiralpulse.dynamics import (
     DEFAULT_STEPS,
-    cf4_propagators,
+    _combine,
+    _half_step_exponentials,
+    _half_steps,
+    _tree_product,
+    _tree_workspace,
     gauss_nodes,
-    ordered_product,
-    step_propagators,
 )
 from chiralpulse.errors import ClampViolation
 
@@ -138,6 +140,13 @@ def _amplitudes(bound):
     return st.floats(-bound, bound).filter(lambda x: x == 0.0 or abs(x) > 1e-100)
 
 
+def _exponentials(w, q, taus, alphas, deltas):
+    """(3,3,M,n) half-step exponentials of n (w, q, tau) exponents at M error points."""
+    out = np.empty((3, 3, len(alphas), len(taus)), dtype=complex)
+    return _half_step_exponentials(*(np.asarray(x, dtype=float)
+                                     for x in (w, q, taus, alphas, deltas)), out)
+
+
 @settings(max_examples=300, deadline=None)
 @given(omega=_amplitudes(200.0), omega_q=_amplitudes(200.0), alpha=st.floats(-0.5, 0.5),
        delta=_amplitudes(5.0), sign=st.sampled_from((-1, 1)), dt=st.floats(0.0, 0.5))
@@ -147,44 +156,53 @@ def test_step_propagator_closed_form(omega, omega_q, alpha, delta, sign, dt):
     r = math.hypot(math.sqrt(2.0) * w, q, d)
     np.testing.assert_allclose(np.linalg.eigvalsh(h)[0], [-r, 0.0, r],
                                rtol=0, atol=1e-13 * r)
-    u = step_propagators(h, np.array([dt]))[0]
+    # the kernel takes the handedness sign in q: H_13 = i q
+    u = _exponentials([omega], [sign * omega_q], [dt], [alpha], [delta])[:, :, 0, 0]
     np.testing.assert_allclose(u, expm(-1j * h[0] * dt), rtol=0, atol=1e-13)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(3), rtol=0, atol=1e-14)
 
 
 def test_step_propagator_of_zero_pulses_is_identity():
-    h = hamiltonian_stack(np.zeros(3), np.zeros(3), L.coupling_sign, alpha=0.2)
-    props = step_propagators(h, np.array([0.1, 0.5, 2.0]))
-    np.testing.assert_array_equal(props, np.broadcast_to(np.eye(3), (3, 3, 3)))
+    u = _exponentials(np.zeros(3), np.zeros(3), [0.1, 0.5, 2.0], [0.2], [0.0])
+    np.testing.assert_array_equal(np.moveaxis(u[:, :, 0], -1, 0),
+                                  np.broadcast_to(np.eye(3), (3, 3, 3)))
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 1001])
 def test_ordered_product_matches_sequential_product(length):
     rng = np.random.default_rng(length)
-    h = hamiltonian_stack(rng.uniform(-5, 5, length), rng.uniform(-5, 5, length),
-                          R.coupling_sign, 0.1, rng.uniform(-1, 1))
-    props = step_propagators(h, rng.uniform(0.0, 0.2, length))
-    sequential = reduce(lambda acc, u: u @ acc, props, np.eye(3, dtype=complex))
-    # step_propagators returns a transposed view; a C-contiguous copy and an
-    # (N,3,3) view with swapped strides must give the same product
-    swapped = np.ascontiguousarray(props.transpose(0, 2, 1)).transpose(0, 2, 1)
-    for stack in (props, np.ascontiguousarray(props), swapped):
-        np.testing.assert_allclose(ordered_product(stack), sequential, rtol=0, atol=1e-13)
+    alphas, deltas = [0.1, -0.2, 0.0], rng.uniform(-1, 1, 3)
+    u = _exponentials(rng.uniform(-5, 5, length), rng.uniform(-5, 5, length),
+                      rng.uniform(0.0, 0.2, length), alphas, deltas)
+    # the last chunk of a batch is a prefix of the chunk buffers: a product
+    # over such views must equal the one over whole buffers
+    big = np.empty((3, 3, 5, length), dtype=complex)
+    big[:, :, :3] = u
+    for factors, work in ((u, _tree_workspace(3, length)),
+                          (big[:, :, :3], tuple(b[:, :, :3] for b in _tree_workspace(5, length)))):
+        total = _tree_product(factors, work)
+        for m in range(3):
+            sequential = reduce(lambda acc, k: u[:, :, m, k] @ acc, range(length),
+                                np.eye(3, dtype=complex))
+            np.testing.assert_allclose(total[:, :, m], sequential, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_propagate_states_match_stepwise_matvec(level):
-    # the state recurrence against one numpy mat-vec per CF4 step
+    # the state recurrence against one numpy mat-vec per CF4 step, with the
+    # half-step exponentials of the batched fidelity kernel
     schedule = invariants.ansatz_schedule(1.1, 1.5)
     grid = make_grid(1.5, 137)
-    ham = schedule_hamiltonian(schedule, R)
-    halves = cf4_propagators(ham(gauss_nodes(grid)), np.diff(grid))
+    pulses = invariants.pulses_from_invariant(schedule, gauss_nodes(grid))
+    u = _exponentials(_combine(pulses.omega), _combine(R.coupling_sign * pulses.omega_q),
+                      _half_steps(np.diff(grid)), [0.0], [0.0])
+    halves = np.moveaxis(u[:, :, 0], -1, 0)
     state = basis_state(level)
     expected = [state]
     for first, second in zip(halves[0::2], halves[1::2]):
         state = second @ (first @ state)
         expected.append(state)
-    traj = propagate(ham, QuantumState.basis(level), grid)
+    traj = propagate(schedule_hamiltonian(schedule, R), QuantumState.basis(level), grid)
     np.testing.assert_allclose(traj.states, expected, rtol=0, atol=1e-14)
 
 

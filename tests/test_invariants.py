@@ -438,6 +438,30 @@ def test_validate_schedule_flags_singular_theta():
     assert "theta singularity gap" in failed
 
 
+def test_validate_schedule_fails_a_nan_derivative():
+    # a NaN residual must fail its check, not read as 0: Python's max keeps
+    # its running value when the new one is NaN
+    s = ansatz_schedule(1.1, 1.0)
+
+    def theta_dot_of(t):
+        values = np.array(s.theta_dot_of(t), dtype=float)
+        if values.size >= 1000:
+            values[999] = np.nan    # one sample of each 2000-sample check
+        return values
+
+    bad = InvariantSchedule(
+        kind=s.kind, n=s.n, duration=s.duration, phi_of=s.phi_of, phi_dot_of=s.phi_dot_of,
+        theta_of=s.theta_of, theta_dot_of=theta_dot_of,
+        coupling_factor_of=s.coupling_factor_of, eta_plus_of=s.eta_plus_of,
+        eta_anchor=s.eta_anchor,
+    )
+    report = validate_schedule(bad)
+    failed = {c.name: c.worst for c in report.checks if not c.passed}
+    assert set(failed) == {"derivative consistency", "dynamical invariant"}, report.to_text()
+    assert all(np.isnan(worst) for worst in failed.values())
+    assert not report.all_passed
+
+
 def _matmul_invariant_check(schedule):
     """The invariant check on (N,3,3) stacks with ``@``: per-handedness residuals."""
     T = schedule.duration

@@ -11,11 +11,15 @@ from chiralpulse import (
     fidelity_curve,
     fidelity_heatmap,
     high_fidelity_region,
+    make_grid,
     population_trace,
+    pulses_from_invariant,
     q_alpha,
     q_delta,
     sps_schedule,
 )
+from chiralpulse.dynamics import _CHUNK_BYTES, DEFAULT_STEPS, gauss_nodes
+from chiralpulse.robustness import fidelities_from_pulses
 from chiralpulse.sweeps import SweepResult
 
 L, R = Handedness.LEFT, Handedness.RIGHT
@@ -138,6 +142,46 @@ def test_heatmap_small_grid():
         assert abs(right[k] - exact_fidelity(spec.schemes[0][1], error, R)) < 1e-13
     assert float(result.metadata["region_F>=0.99_fraction_left"]) > 0.0
     assert result.metadata["region_F>=0.99_contiguous_left"]
+
+
+def test_heatmap_cells_equal_single_point_fidelities():
+    # the heatmap batches its cells; each value is the same, bit for bit, as
+    # that cell computed alone
+    schedule = ansatz_schedule(1.10, 1.0)
+    result = fidelity_heatmap(SweepSpec(
+        schemes=(("ansatz1.1", schedule),),
+        axis1=ErrorAxis("systematic", -0.3, 0.3, 5),
+        axis2=ErrorAxis("detuning", -1.0, 1.0, 5),
+    ))
+    alone = [exact_fidelity(schedule, ErrorModel(alpha=a, delta=d), L)
+             for a, d in result.data[:, :2]]
+    assert result.column("F_exact_left").tolist() == alone
+
+
+def test_scan_points_equal_single_point_fidelities():
+    schemes = (("sps", sps_schedule(1.0)), ("ansatz1.1", ansatz_schedule(1.10, 1.0)))
+    for kind, model in (("systematic", ErrorModel.systematic),
+                        ("detuning", ErrorModel.detuning)):
+        result = fidelity_curve(SweepSpec(schemes=schemes, mode="both",
+                                          axis1=ErrorAxis(kind, -0.3, 0.3, 7)))
+        for label, schedule in schemes:
+            alone = [exact_fidelity(schedule, model(amp), L) for amp in result.data[:, 0]]
+            assert result.column(f"F_{label}_exact_left").tolist() == alone
+
+
+def test_fidelities_across_a_chunk_boundary_equal_single_points():
+    # one point more than a chunk: the last point runs alone, in a prefix of
+    # the chunk buffers
+    schedule = ansatz_schedule(1.10, 1.0)
+    grid = make_grid(1.0, DEFAULT_STEPS)
+    pulses = pulses_from_invariant(schedule, gauss_nodes(grid))
+    chunk = _CHUNK_BYTES // (9 * 16 * 2 * DEFAULT_STEPS)
+    alphas = np.linspace(-0.3, 0.3, chunk + 1)
+    deltas = np.linspace(1.0, -1.0, chunk + 1)
+    batch = fidelities_from_pulses(pulses, np.diff(grid), alphas, deltas, L)
+    alone = [exact_fidelity(schedule, ErrorModel(alpha=a, delta=d), L)
+             for a, d in zip(alphas, deltas)]
+    assert batch.tolist() == alone
 
 
 def test_heatmap_requires_two_axes():
