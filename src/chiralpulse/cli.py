@@ -315,12 +315,14 @@ def cmd_scan(cfg: dict) -> int:
     lo = cfg["min"] if cfg["min"] is not None else (-0.3 if kind == "systematic" else -1.0 / cfg["T"])
     hi = cfg["max"] if cfg["max"] is not None else (0.3 if kind == "systematic" else 1.0 / cfg["T"])
     axis = ErrorAxis(kind=kind, minimum=lo, maximum=hi, points=cfg["points"])
-    written = []
+    results = []    # every scheme is built before any file is written
     for token in str(cfg["schemes"]).split(","):
         label, schedule = _parse_scheme_token(token, cfg["T"])
         spec = SweepSpec(schemes=((label, schedule),), axis1=axis, mode=cfg["mode"],
                          steps=cfg["steps"], clamp=_absolute_clamp(cfg))
-        result = fidelity_curve(spec)
+        results.append((label, fidelity_curve(spec)))
+    written = []
+    for label, result in results:
         result.metadata.update(_effective_metadata(cfg))
         path = out / f"{kind}_{label}_{cfg['mode']}.csv"
         result.to_csv(path)

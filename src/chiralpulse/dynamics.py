@@ -18,9 +18,9 @@ Conventions (hbar = 1 throughout):
   the two enantiomers see the same pulses but an opposite-sign loop phase.
 
 ``hamiltonian_stack`` is the one assembly of this matrix, error terms
-included: every Hamiltonian matrix the package propagates or checks is built
-there from sampled (Omega, Omega_q).  The exact-fidelity kernel forms no
-matrix: it writes the entries of each exponential from the same samples
+included: every Hamiltonian matrix the package checks is built there from
+sampled (Omega, Omega_q).  The propagators form no matrix: they write the
+entries of each exponential from the same samples
 (``_half_step_exponentials``), and the tests check those against the matrix
 exponential of ``hamiltonian_stack``.
 
@@ -38,23 +38,21 @@ weights 2 a1 and 2 a2 sum to 1, so each combined exponent is again a
 ``hamiltonian_stack`` matrix with the same alpha and delta.  Such a matrix
 is Hermitian and traceless with det H = 0, so its spectrum is exactly
 {-r, 0, r} and each exponential has a closed form.  ``gauss_nodes`` gives
-the 2N interleaved node times of an N-step grid.  Two routines write that
-closed form:
+the 2N interleaved node times of an N-step grid.  One routine,
+``_half_step_exponentials``, writes that closed form from the real
+couplings of the combined exponents, and both propagation paths use it:
 
-* ``propagate`` calls a vectorized Hamiltonian callable once, on the nodes,
-  rejects a result that is not a (2N,3,3) stack or whose combined exponents
-  break the precondition, and advances the state through the steps,
-  returning every intermediate state.  The callable may return any
-  Hermitian, traceless, singular stack, not only ``hamiltonian_stack``
-  output, so ``propagate`` keeps the general form (``_exp_steps``): it
-  combines the complex stack, takes r from its entries and forms H^2;
+* ``propagate`` calls a vectorized callable once, on the nodes, for the real
+  couplings (Omega, sign * Omega_q) there, combines them, writes the
+  exponentials at alpha = delta = 0, and advances the state through the
+  steps, returning every intermediate state.  A pair of real couplings can
+  only describe a cyclic Hamiltonian, so no precondition needs checking;
 * exact fidelities need only the final state, for many error points
-  (alpha, delta) of ``hamiltonian_stack`` Hamiltonians over one pulse
-  sampling.  ``_cf4_products`` combines the real pulse samples once, writes
-  the nine entries of every half-step exponential of every point from real
-  arrays (``_half_step_exponentials``), and multiplies each point's 2N
-  factors by pairwise reduction (``_tree_product``), a chunk of points at a
-  time, into preallocated buffers.
+  (alpha, delta) over one pulse sampling.  ``_cf4_products`` combines the
+  real pulse samples once, writes the exponentials of every point, and
+  multiplies each point's 2N factors by pairwise reduction
+  (``_tree_product``), a chunk of points at a time, into preallocated
+  buffers.
 
 The 3x3 arithmetic runs component-major, on (3,3,N) arrays whose trailing
 axis runs over the steps (and (3,3,M,2N) arrays, M error points, in the
@@ -135,9 +133,11 @@ def hamiltonian_stack(omega, omega_q, sign: int, alpha: float = 0.0,
     H is the cyclic Hamiltonian of the module docstring with Omega = omega[k]
     and Omega_q = omega_q[k]; `sign` is ``Handedness.coupling_sign`` (-s).
     alpha is the systematic amplitude error and delta the detuning, in the
-    units of the pulses.  This is the only place the matrix entries are written.
-    The stack is a transposed view of a component-major (3,3,N) array, which
-    ``propagate`` takes without a copy.
+    units of the pulses.  This is the only place the matrix entries are written;
+    the propagators never form it (see ``_half_step_exponentials``), but the
+    tests and ``validate_schedule`` check against it.  The stack is a
+    transposed view of a component-major (3,3,N) array, which
+    ``_component_major`` takes without a copy.
     """
     omega = np.asarray(omega, dtype=float)
     omega_q = np.asarray(omega_q, dtype=float)
@@ -182,9 +182,9 @@ def _combine(samples: np.ndarray) -> np.ndarray:
 
     Step k's pair (H1, H2) becomes 2(a1 H1 + a2 H2), applied first, and
     2(a2 H1 + a1 H2); each is exponentiated over h_k / 2.  With W = 2 a1 and
-    2 a2 = 1 - W these are H2 + W (H1 - H2) and H1 - W (H1 - H2).  The rule is
-    affine, so it combines a (3,3,2N) Hamiltonian stack or a (2N,) array of
-    real pulse samples alike.
+    2 a2 = 1 - W these are H2 + W (H1 - H2) and H1 - W (H1 - H2).  The cyclic
+    Hamiltonian is linear in its real couplings, so the rule combines the
+    (2N,) samples of each coupling, or a batch of them.
     """
     h1, h2 = samples[..., 0::2], samples[..., 1::2]
     shift = h1 - h2
@@ -237,34 +237,6 @@ def _mul3_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, term: np.ndarray) 
     out += term
 
 
-def _radius(h: np.ndarray) -> np.ndarray:
-    """r = sqrt(sum |H_ij|^2 / 2) per step of a (3,3,N) component-major stack."""
-    return np.sqrt(0.5 * np.sum(h.real ** 2 + h.imag ** 2, axis=(0, 1)))
-
-
-def _exp_steps(h: np.ndarray, r: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """(3,3,N) exp(-i*H_k*dt_k) from a (3,3,N) stack and its radii r_k = sqrt(tr(H_k^2)/2).
-
-    Exact for a Hermitian, traceless H with det H = 0: its characteristic
-    polynomial is lambda^3 - r^2 lambda, the spectrum is {-r, 0, r}, and
-    H^3 = r^2 H gives
-
-        exp(-i*H*dt) = I - i*sin(r*dt)/r * H + (cos(r*dt) - 1)/r^2 * H^2.
-
-    Both coefficients are written with sinc, dt*sinc(r*dt/pi) = sin(r*dt)/r
-    and (dt*sinc(r*dt/2pi))^2 / 2 = (1 - cos(r*dt))/r^2, so r = 0 gives the
-    identity with no branch.  ``propagate`` checks the precondition first.
-    """
-    sin_r = dts * np.sinc(r * dts / np.pi)
-    one_minus_cos_r2 = 0.5 * (dts * np.sinc(r * dts / (2.0 * np.pi))) ** 2
-    props = _mul3(h, h)  # built in place: fewer (3,3,N) temporaries to allocate
-    props *= -one_minus_cos_r2
-    props -= 1j * sin_r * h
-    for i in range(3):
-        props[i, i] += 1.0
-    return props
-
-
 _CHUNK_BYTES = 1 << 19      # (3,3,M,2N) half-step exponentials per chunk of error points
 
 
@@ -281,11 +253,16 @@ def _half_step_exponentials(w: np.ndarray, q: np.ndarray, taus: np.ndarray,
         H = [[-d, W, iQ], [W, 0, W], [-iQ, W, d]],
 
     traceless, and det H = 2 Re(H12 H23 H31) + d W^2 - d W^2 = 0 because
-    H12 H23 H31 = -i Q W^2 is imaginary.  So r^2 = tr(H^2)/2 = 2 W^2 + Q^2 + d^2
-    and the closed form of ``_exp_steps``, I - i s H - c H^2 with
-    s = sin(r tau)/r and c = (1 - cos(r tau))/r^2, holds.  Its nine entries
-    are written from real (M,2N) arrays: no complex stack, no r from the
-    entries and no H^2 product.
+    H12 H23 H31 = -i Q W^2 is imaginary.  Its characteristic polynomial is
+    then lambda^3 - r^2 lambda with r^2 = tr(H^2)/2 = 2 W^2 + Q^2 + d^2, so
+    H^3 = r^2 H and
+
+        exp(-i*H*tau) = I - i s H - c H^2,  s = sin(r tau)/r,  c = (1 - cos(r tau))/r^2.
+
+    Both coefficients are written with sinc, s = tau sinc(r tau/pi) and
+    c = (tau sinc(r tau/2pi))^2 / 2, so r = 0 gives the identity with no
+    branch.  The nine entries are written from real (M,2N) arrays: no complex
+    stack and no H^2 product.  This is the only code that writes exp(-i*H*tau).
     """
     scale = 1.0 + alphas[:, None]
     ww = scale * w
@@ -390,24 +367,23 @@ def _cf4_products(omega: np.ndarray, omega_q: np.ndarray, sign: int, dts: np.nda
 
 
 def propagate(
-    hamiltonian_at: Callable,
+    couplings_at: Callable,
     initial: QuantumState | np.ndarray,
     grid: np.ndarray,
 ) -> Trajectory:
     """Solve i d|psi>/dt = H(t)|psi> on `grid` by the CF4 step of the module docstring.
 
     Each step applies the two exact 3x3 exponentials of its combined CF4
-    exponents, computed by the closed form of ``_exp_steps`` and
-    multiplied into one step propagator, so every step is unitary.
+    exponents, written by ``_half_step_exponentials`` at alpha = delta = 0
+    and multiplied into one step propagator, so every step is unitary.
 
     Parameters
     ----------
-    hamiltonian_at : callable
+    couplings_at : callable
         Vectorized: called once with the (2N,) array of ``gauss_nodes`` of the
-        N grid steps, it returns the (2N,3,3) stack of Hamiltonians there.
-        Their CF4 combinations must be Hermitian, traceless and singular
-        (det H = 0), as they are for every ``hamiltonian_stack`` output and
-        every ``schedule_hamiltonian`` callable.
+        N grid steps, it returns the real couplings (W, Q) there, two (2N,)
+        arrays: W = Omega and Q = ``coupling_sign`` * Omega_q, as from
+        ``schedule_hamiltonian``.  Every such pair is a cyclic Hamiltonian.
     initial : QuantumState or complex 3-vector
     grid : strictly increasing time samples covering the evolution window
 
@@ -419,69 +395,43 @@ def propagate(
     Raises
     ------
     NonFiniteHamiltonian
-        if any sampled entry is NaN or infinite, or a combined exponent is too
-        large for r^2 = sum |H_ij|^2 / 2 to be finite.
+        naming the time of the first sample that is NaN or infinite, or the
+        midpoint of the first step whose propagator is not finite (couplings
+        or a step too large to exponentiate).
     ValueError
-        naming the shape the callable returned, if it is not (2N,3,3); or
-        naming the midpoint of the first step whose combined exponent is not
-        exactly Hermitian, or has |tr H| > 1e-12 r or |det H| > 1e-12 r^3; the
-        closed form is exact only when all three hold.  Two valid samples
-        can combine into an exponent that is not singular, so the check runs
-        on the exponents.  Also naming the first step whose exponential
-        overflows (a step so long that h^2 is not finite).
+        naming the shapes the callable returned, if they are not (2N,).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be a strictly increasing 1-D array of times")
     nodes = gauss_nodes(grid)
-    stack = np.asarray(hamiltonian_at(nodes), dtype=complex)
-    if stack.shape != (len(nodes), 3, 3):
+    w, q = (np.asarray(x, dtype=float) for x in couplings_at(nodes))
+    if w.shape != nodes.shape or q.shape != nodes.shape:
         raise ValueError(
-            f"Hamiltonian callable returned shape {stack.shape} for {len(nodes)} "
-            f"times; propagate needs a vectorized callable returning ({len(nodes)}, 3, 3)"
+            f"couplings callable returned shapes {w.shape} and {q.shape} for "
+            f"{len(nodes)} times; propagate needs two ({len(nodes)},) arrays"
         )
-    finite = np.isfinite(stack).all(axis=(1, 2))
+    finite = np.isfinite(w) & np.isfinite(q)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise NonFiniteHamiltonian(
-            f"Hamiltonian sample at t={nodes[bad]:.6g} has non-finite entries "
+            f"Hamiltonian sample at t={nodes[bad]:.6g} has non-finite couplings "
             "(unclamped pulse singularity?)"
         )
     dts = np.diff(grid)
-    mids = grid[:-1] + 0.5 * dts
-    h = _combine(_component_major(stack))
-    with np.errstate(over="ignore"):     # an overflowed r is rejected next
-        r = _radius(h)
-    if not np.all(np.isfinite(r)):
-        k = int(np.flatnonzero(~np.isfinite(r))[0]) // 2
-        raise NonFiniteHamiltonian(
-            f"Hamiltonian exponent of the step at t={mids[k]:.6g} is too large "
-            "to exponentiate (r^2 = sum |H_ij|^2 / 2 overflows)"
-        )
-    det = (h[0, 0] * (h[1, 1] * h[2, 2] - h[1, 2] * h[2, 1])
-           - h[0, 1] * (h[1, 0] * h[2, 2] - h[1, 2] * h[2, 0])
-           + h[0, 2] * (h[1, 0] * h[2, 1] - h[1, 1] * h[2, 0]))
-    broken = {
-        "Hermitian": np.any(h != h.conj().transpose(1, 0, 2), axis=(0, 1)),
-        "traceless": np.abs(h[0, 0] + h[1, 1] + h[2, 2]) > 1e-12 * r,
-        "singular": np.abs(det) > 1e-12 * r ** 3,
-    }
-    bad = np.logical_or.reduce(list(broken.values()))
-    if bad.any():
-        j = int(np.flatnonzero(bad)[0])
-        missing = " or ".join(name for name, mask in broken.items() if mask[j])
-        raise ValueError(
-            f"Hamiltonian exponent of the step at t={mids[j // 2]:.6g} is not "
-            f"{missing}; the closed-form step needs a Hermitian, traceless H "
-            "with det H = 0"
-        )
+    halves = np.empty((3, 3, 1, len(nodes)), dtype=complex)
+    no_error = np.zeros(1)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite step is rejected next
-        halves = _exp_steps(h, r, _half_steps(dts))
+        _half_step_exponentials(_combine(w), _combine(q), _half_steps(dts),
+                                no_error, no_error, halves)
+    halves = halves[:, :, 0]
     finite = np.isfinite(halves).all(axis=(0, 1))
     if not finite.all():
         k = int(np.flatnonzero(~finite)[0]) // 2
-        raise ValueError(f"the propagator of the step at t={mids[k]:.6g} is not finite: "
-                         "the closed-form exponential overflowed (step too long)")
+        raise NonFiniteHamiltonian(
+            f"the propagator of the step at t={grid[k] + 0.5 * dts[k]:.6g} is not "
+            "finite: its Hamiltonian is too large to exponentiate over the step"
+        )
     props = _mul3(halves[..., 1::2], halves[..., 0::2]).reshape(9, -1).T.tolist()
     a, b, c = np.asarray(initial, dtype=complex).tolist()
     states = [(a, b, c)]

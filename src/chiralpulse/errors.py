@@ -6,7 +6,7 @@ class ChiralPulseError(Exception):
 
 
 class NonFiniteHamiltonian(ChiralPulseError):
-    """A sampled Hamiltonian entry is NaN or infinite (unclamped pulse singularity)."""
+    """A sampled Hamiltonian is NaN or infinite, or too large to exponentiate over its step."""
 
 
 class SingularTheta(ChiralPulseError):

@@ -488,14 +488,18 @@ def pulses_from_invariant(schedule: InvariantSchedule, grid: np.ndarray,
 
 def schedule_hamiltonian(schedule: InvariantSchedule, handedness: Handedness,
                          clamp: float | None = None) -> Callable:
-    """Vectorized H(t) for ``propagate``: (N,) times -> (N,3,3) stack, pulses clamped."""
+    """Vectorized H(t) for ``propagate``: (N,) times -> its real couplings (W, Q).
+
+    W = Omega and Q = ``coupling_sign`` * Omega_q, two (N,) arrays of the
+    clamped pulses; ``hamiltonian_stack(W, Q, 1)`` is the matrix they stand for.
+    """
     sign = handedness.coupling_sign
 
-    def hamiltonian_at(times):
+    def couplings_at(times):
         pulses = pulses_from_invariant(schedule, times, clamp)
-        return hamiltonian_stack(pulses.omega, pulses.omega_q, sign)
+        return pulses.omega, sign * pulses.omega_q
 
-    return hamiltonian_at
+    return couplings_at
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,7 @@ def test_optimize_tolerance_below_float_spacing_terminates(capsys):
      "--delta-points", "2"],                             # batched exponentials overflow
     ["scan", "--mode", "exact", "--error", "detuning", "--schemes", "oss",
      "--min", "0", "--max", "1e200", "--points", "3"],   # delta^2 overflows
+    ["scan", "--mode", "perturbative", "--schemes", "sps,oss,osd,ansatz"],  # no --n
 ])
 def test_non_finite_sweep_data_rejected(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path)]) == 2

@@ -78,7 +78,7 @@ def test_quantum_state_normalization_guard():
 
 
 def test_zero_hamiltonian_is_identity_evolution():
-    traj = propagate(lambda t: np.zeros((len(t), 3, 3), complex),
+    traj = propagate(lambda t: (np.zeros(len(t)), np.zeros(len(t))),
                      QuantumState.basis(2), make_grid(1.0, 100))
     np.testing.assert_allclose(traj.states[-1], basis_state(2), atol=1e-14)
 
@@ -110,11 +110,11 @@ def test_populations_match_amplitudes():
 
 def test_scalar_only_callable_raises():
     # propagate calls the callable once on the array of 2N Gauss nodes; a
-    # callable that returns one 3x3 matrix is rejected by shape, not looped
-    # over the times
-    h = schedule_hamiltonian(sps_schedule(1.0), L)(np.array([0.5]))[0]
-    with pytest.raises(ValueError, match=r"shape \(3, 3\) for 600 times"):
-        propagate(lambda t: h, QuantumState.basis(2), make_grid(1.0, 300))
+    # callable that returns the couplings at one time is rejected by shape,
+    # not looped over the times
+    w, q = schedule_hamiltonian(sps_schedule(1.0), L)(np.array([0.5]))
+    with pytest.raises(ValueError, match=r"shapes \(\) and \(\) for 600 times"):
+        propagate(lambda t: (w[0], q[0]), QuantumState.basis(2), make_grid(1.0, 300))
 
 
 def test_library_error_is_not_resampled(monkeypatch):
@@ -220,50 +220,17 @@ def test_fourth_order_convergence_on_smooth_schedule():
     assert 14.0 < ratio < 18.0, f"halving the step gave error ratio {ratio}"
 
 
-@pytest.mark.parametrize("matrix", [
-    np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex),  # not Hermitian
-    np.diag([1.0, 2.0, 3.0]).astype(complex),                   # tr H = 6
-    np.diag([1.0, 1.0, -2.0]).astype(complex),                  # traceless, det H = -2
-], ids=["non_hermitian", "nonzero_trace", "nonzero_det"])
-def test_propagate_rejects_non_cyclic_hamiltonian(matrix):
-    # the closed-form step is exact only for Hermitian, traceless, singular H
-    with pytest.raises(ValueError, match="t=0.005"):
-        propagate(lambda t: np.broadcast_to(matrix, (len(t), 3, 3)),
-                  QuantumState.basis(2), make_grid(1.0, 100))
-
-
-def test_propagate_checks_the_combined_cf4_exponents():
-    # each node sample is Hermitian, traceless and singular, but the CF4
-    # exponent 2(a1 H1 + a2 H2) = diag(2a1, 2a2 - 2a1, -2a2) has det != 0;
-    # a check on the raw samples would let it through
-    first, second = np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0])
-
-    def alternating(t):
-        at_first_node = (t * 100.0) % 1.0 < 0.5
-        return np.where(at_first_node[:, None, None], first, second).astype(complex)
-
-    grid = make_grid(1.0, 100)
-    for matrix in (first, second):
-        propagate(lambda t: np.broadcast_to(matrix, (len(t), 3, 3)),
-                  QuantumState.basis(2), grid)
-    with pytest.raises(ValueError, match="t=0.005 is not singular"):
-        propagate(alternating, QuantumState.basis(2), grid)
-
-
 def test_overflowing_exponent_raises():
-    # finite entries whose r^2 = sum |H_ij|^2 / 2 overflows: the closed form
-    # would give NaN propagators, which no precondition comparison catches
-    with pytest.raises(NonFiniteHamiltonian, match="too large to exponentiate"):
-        propagate(lambda t: hamiltonian_stack(np.full(len(t), 1e200),
-                                              np.zeros(len(t)), L.coupling_sign),
+    # finite couplings whose r^2 = 2 W^2 + Q^2 overflows: the closed form
+    # gives NaN propagators, which the post-check names
+    with pytest.raises(NonFiniteHamiltonian, match="t=0.05 .*too large to exponentiate"):
+        propagate(lambda t: (np.full(len(t), 1e200), np.zeros(len(t))),
                   QuantumState.basis(2), make_grid(1.0, 10))
 
 
 def test_non_finite_hamiltonian_raises():
     def bad(t):
-        h = np.zeros((len(t), 3, 3), complex)
-        h[:, 0, 1] = h[:, 1, 0] = np.where(t > 0.5, np.inf, 1.0)
-        return h
+        return np.where(t > 0.5, np.inf, 1.0), np.zeros(len(t))
 
     with pytest.raises(NonFiniteHamiltonian):
         propagate(bad, QuantumState.basis(2), make_grid(1.0, 50))

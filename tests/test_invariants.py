@@ -228,12 +228,12 @@ def test_pulses_are_handedness_independent():
     s = ansatz_schedule(1.1, 1.0)
     grid = make_grid(1.0, 500)
     pulses = pulses_from_invariant(s, grid)
-    hl = schedule_hamiltonian(s, L)(grid)
-    hr = schedule_hamiltonian(s, R)(grid)
-    np.testing.assert_array_equal(hl[:, 0, 1], hr[:, 0, 1])
-    np.testing.assert_array_equal(hl[:, 0, 2], -hr[:, 0, 2])
-    np.testing.assert_array_equal(hl[:, 0, 1], pulses.omega)
-    np.testing.assert_array_equal(hl[:, 0, 2], -1j * pulses.omega_q)
+    wl, ql = schedule_hamiltonian(s, L)(grid)
+    wr, qr = schedule_hamiltonian(s, R)(grid)
+    np.testing.assert_array_equal(wl, wr)
+    np.testing.assert_array_equal(ql, -qr)
+    np.testing.assert_array_equal(wl, pulses.omega)
+    np.testing.assert_array_equal(ql, L.coupling_sign * pulses.omega_q)
 
 
 def test_pulse_csv_roundtrip(tmp_path):

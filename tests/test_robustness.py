@@ -14,12 +14,13 @@ from chiralpulse import (
     basis_state,
     default_clamp,
     exact_fidelity,
+    hamiltonian_stack,
     make_grid,
     optimize_n,
+    population_trace,
     pulses_from_invariant,
     q_alpha,
     q_delta,
-    schedule_hamiltonian,
     sps_schedule,
 )
 from chiralpulse.dynamics import DEFAULT_STEPS
@@ -84,9 +85,14 @@ def test_perturbative_fidelity_zero_error():
 
 
 def test_exact_fidelity_no_error_full_transfer():
-    for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0)):
+    # the trace's final population comes from the same half-step exponentials,
+    # multiplied in another order
+    for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0), ansatz_schedule(2.0, 0.3)):
         for hand in (L, R):
-            assert exact_fidelity(schedule, ErrorModel(), hand) > 1.0 - 1e-4
+            fidelity = exact_fidelity(schedule, ErrorModel(), hand)
+            assert fidelity > 1.0 - 1e-4
+            final = population_trace(schedule, hand).data[-1, hand.target_level]
+            assert final == pytest.approx(fidelity, rel=0, abs=1e-14)
 
 
 SQRT3 = np.sqrt(3.0)
@@ -116,14 +122,14 @@ def _node_times(steps):
 
 def test_exact_fidelity_matches_stepwise_propagation():
     # closed-form exponentials + tree product against an expm step loop over
-    # the Hamiltonian callable sampled at the Gauss nodes
+    # the Hamiltonian matrices at the Gauss nodes
     t1, t2, dts = _node_times(DEFAULT_STEPS)
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0)):
+        samples = [pulses_from_invariant(schedule, t) for t in (t1, t2)]
         for hand in (L, R):
-            ham = schedule_hamiltonian(schedule, hand)
             for error in (ErrorModel(), ErrorModel(alpha=0.05, delta=0.3)):
-                h1, h2 = ((1.0 + error.alpha) * ham(t) + error.delta * DETUNING
-                          for t in (t1, t2))
+                h1, h2 = (hamiltonian_stack(p.omega, p.omega_q, hand.coupling_sign,
+                                            error.alpha, error.delta) for p in samples)
                 total = _cf4_reference(h1, h2, dts)
                 expected = abs(total[hand.target_level - 1, 1]) ** 2
                 assert exact_fidelity(schedule, error, hand) == pytest.approx(
