@@ -154,6 +154,12 @@ def fidelities_from_pulses(pulses: PulseSchedule, dts: np.ndarray, alphas, delta
     is elementwise over them, so a point's value does not depend on which
     batch, or which sweep, it was computed in.
 
+    F is exactly even in delta (see the ``sweeps`` module docstring), and
+    |delta| is exactly delta or -delta, so only the distinct pairs
+    (alpha, |delta|) are propagated and their values copied back to the
+    points; pairs that are not exact negatives are propagated twice.  Zeros of
+    either sign give the same value, so they count as one.
+
     Raises ``ValueError`` unless there are 2 * len(dts) pulse samples, if an
     error amplitude is not finite, and if a value is not finite: finite
     Hamiltonian entries can still overflow r^2 = 2 W^2 + Q^2 + delta^2 in the
@@ -166,10 +172,13 @@ def fidelities_from_pulses(pulses: PulseSchedule, dts: np.ndarray, alphas, delta
         np.asarray(alphas, dtype=float), np.asarray(deltas, dtype=float)))
     if not (np.isfinite(alphas).all() and np.isfinite(deltas).all()):
         raise ValueError("error amplitudes must be finite")
+    pairs = np.empty(len(alphas), dtype=complex)
+    pairs.real, pairs.imag = alphas, np.abs(deltas)
+    pairs, inverse = np.unique(pairs, return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value is rejected next
         total = _cf4_products(pulses.omega, pulses.omega_q, handedness.coupling_sign,
-                              np.asarray(dts, dtype=float), alphas, deltas)
-        values = np.abs(total[handedness.target_level - 1, 1]) ** 2
+                              np.asarray(dts, dtype=float), pairs.real, pairs.imag)
+        values = (np.abs(total[handedness.target_level - 1, 1]) ** 2)[inverse]
     bad = ~np.isfinite(values)
     if bad.any():
         k = int(np.flatnonzero(bad)[0])

@@ -203,6 +203,21 @@ def test_non_finite_sweep_data_rejected(tmp_path, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, message", [
+    (["heatmap", "--T", "1e300", "--alpha-points", "2", "--delta-points", "2"],
+     "alpha = -0.3, delta = -1e-300"),
+    (["scan", "--mode", "exact", "--error", "detuning", "--schemes", "oss",
+      "--min=-1e200", "--max", "0", "--points", "3"], "alpha = 0, delta = -1e+200"),
+])
+def test_overflow_error_names_the_first_point_with_its_sign(tmp_path, capsys, args, message):
+    # the sweeps propagate each (alpha, |delta|) once; the error still names
+    # the first swept point, with its signed delta
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: exact fidelity is nan at {message}: the step propagators overflowed "
+        "(Hamiltonian entries too large to exponentiate)\n")
+
+
 def test_optimize_with_overflowing_sensitivities_exits_2(capsys):
     # q_delta grows like T^2 and overflows at T = 1e300; the error names the
     # first overflowing q, not the n-range boundary its argmin would give

@@ -23,7 +23,7 @@ from chiralpulse import (
     q_delta,
     sps_schedule,
 )
-from chiralpulse.dynamics import DEFAULT_STEPS
+from chiralpulse.dynamics import DEFAULT_STEPS, _cf4_products
 from chiralpulse.robustness import (
     fidelity_from_pulses,
     golden_section,
@@ -224,10 +224,14 @@ def test_mirror_symmetries_of_random_pulses(pulses, alpha, delta):
     # H_L(alpha, -delta) = -S conj(H_L(alpha, delta)) S, S = diag(1, -1, 1), holds
     # step by step in floating point, so F_L is exactly even in delta; and
     # P H_L(alpha, delta) P = H_R(alpha, -delta) (P swaps levels 1 and 3), so the
-    # sweeps' right-handed columns, F_L, agree with a right-handed propagation
+    # sweeps' right-handed columns, F_L, agree with a right-handed propagation.
+    # The sweeps fold +-delta onto |delta|, so the kernel is called directly
     pulses, dts = pulses
+    total = _cf4_products(pulses.omega, pulses.omega_q, L.coupling_sign, dts,
+                          np.array([alpha, alpha]), np.array([delta, -delta]))
+    populations = np.abs(total[:, 1]) ** 2
+    assert populations[:, 0].tolist() == populations[:, 1].tolist()
     f_left = fidelity_from_pulses(pulses, dts, ErrorModel(alpha, delta), L)
-    assert fidelity_from_pulses(pulses, dts, ErrorModel(alpha, -delta), L) == f_left
     f_right = fidelity_from_pulses(pulses, dts, ErrorModel(alpha, delta), R)
     assert abs(f_left - f_right) <= 1e-13
 

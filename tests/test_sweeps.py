@@ -12,12 +12,14 @@ from chiralpulse import (
     fidelity_heatmap,
     high_fidelity_region,
     make_grid,
+    make_schedule,
     population_trace,
     pulses_from_invariant,
     q_alpha,
     q_delta,
     sps_schedule,
 )
+from chiralpulse import dynamics, robustness
 from chiralpulse.dynamics import _CHUNK_BYTES, DEFAULT_STEPS, gauss_nodes
 from chiralpulse.robustness import fidelities_from_pulses
 from chiralpulse.sweeps import SweepResult
@@ -182,6 +184,86 @@ def test_fidelities_across_a_chunk_boundary_equal_single_points():
     alone = [exact_fidelity(schedule, ErrorModel(alpha=a, delta=d), L)
              for a, d in zip(alphas, deltas)]
     assert batch.tolist() == alone
+
+
+def _count_kernel_points(monkeypatch) -> list:
+    """Record the number of error points of every ``_cf4_products`` call of the sweeps."""
+    calls = []
+
+    def counting(omega, omega_q, sign, dts, alphas, deltas):
+        calls.append(len(alphas))
+        return dynamics._cf4_products(omega, omega_q, sign, dts, alphas, deltas)
+
+    monkeypatch.setattr(robustness, "_cf4_products", counting)
+    return calls
+
+
+def _unfolded(schedule, alphas, deltas):
+    """Left-handed fidelities with each point propagated at its signed delta."""
+    grid = make_grid(schedule.duration, DEFAULT_STEPS)
+    pulses = pulses_from_invariant(schedule, gauss_nodes(grid))
+    total = dynamics._cf4_products(pulses.omega, pulses.omega_q, L.coupling_sign,
+                                   np.diff(grid), np.asarray(alphas, dtype=float),
+                                   np.asarray(deltas, dtype=float))
+    return (np.abs(total[2, 1]) ** 2).tolist()
+
+
+def test_heatmap_folds_onto_distinct_alpha_abs_delta(monkeypatch):
+    # linspace(-1, 1, 4) holds +-1 and two values near +-1/3 that are not
+    # exact negatives: 4 alphas x 3 distinct |delta|
+    schedule = ansatz_schedule(1.10, 1.0)
+    calls = _count_kernel_points(monkeypatch)
+    result = fidelity_heatmap(SweepSpec(
+        schemes=(("ansatz1.1", schedule),),
+        axis1=ErrorAxis("systematic", -0.3, 0.3, 4),
+        axis2=ErrorAxis("detuning", -1.0, 1.0, 4),
+    ))
+    assert calls == [12]
+    rows = result.data[:, :2]
+    left = result.column("F_exact_left").tolist()
+    assert left == _unfolded(schedule, rows[:, 0], rows[:, 1])
+    assert left == [exact_fidelity(schedule, ErrorModel(alpha=a, delta=d), L) for a, d in rows]
+
+
+def test_folded_101_point_delta_axis_equals_unfolded(monkeypatch):
+    schedule = ansatz_schedule(1.10, 1.0)
+    alphas = np.array([-0.3, 0.0, 0.2])
+    deltas = ErrorAxis("detuning", -1.0, 1.0, 101).values
+    cell_alphas, cell_deltas = np.repeat(alphas, 101), np.tile(deltas, 3)
+    grid = make_grid(1.0, DEFAULT_STEPS)
+    pulses = pulses_from_invariant(schedule, gauss_nodes(grid))
+    calls = _count_kernel_points(monkeypatch)
+    folded = fidelities_from_pulses(pulses, np.diff(grid), cell_alphas, cell_deltas, L)
+    assert calls == [3 * len(np.unique(np.abs(deltas)))]
+    assert folded.tolist() == _unfolded(schedule, cell_alphas, cell_deltas)
+
+
+def test_fold_merges_signed_zeros_and_repeated_points(monkeypatch):
+    schedule = sps_schedule(1.0)
+    alphas = [0.1, 0.1, -0.0, 0.0, 0.0, 0.2, 0.2]
+    deltas = [0.3, -0.3, -0.0, 0.0, -0.0, 0.7, 0.7]
+    grid = make_grid(1.0, DEFAULT_STEPS)
+    pulses = pulses_from_invariant(schedule, gauss_nodes(grid))
+    calls = _count_kernel_points(monkeypatch)
+    folded = fidelities_from_pulses(pulses, np.diff(grid), alphas, deltas, L)
+    assert calls == [3]
+    assert folded.tolist() == _unfolded(schedule, alphas, deltas)
+
+
+def test_scans_propagate_each_distinct_point_once(monkeypatch):
+    schemes = tuple((label, make_schedule(label, 1.0)) for label in ("sps", "oss", "osd"))
+    calls = _count_kernel_points(monkeypatch)
+    detuning = fidelity_curve(SweepSpec(schemes=schemes, mode="both",
+                                        axis1=ErrorAxis("detuning", -1.0, 1.0, 5)))
+    assert calls == [3, 3, 3]
+    calls.clear()
+    fidelity_curve(SweepSpec(schemes=schemes, mode="both",
+                             axis1=ErrorAxis("systematic", -0.3, 0.3, 5)))
+    assert calls == [5, 5, 5]
+    for label, schedule in schemes:
+        amps = detuning.data[:, 0]
+        assert detuning.column(f"F_{label}_exact_left").tolist() == _unfolded(
+            schedule, np.zeros(5), amps)
 
 
 def test_heatmap_requires_two_axes():
