@@ -11,7 +11,6 @@ from .dynamics import (
     Handedness,
     QuantumState,
     Trajectory,
-    basis_state,
     hamiltonian_stack,
     make_grid,
     propagate,
@@ -26,15 +25,12 @@ from .errors import (
 )
 from .invariants import (
     InvariantSchedule,
-    LRPhase,
     PulseSchedule,
     ValidationReport,
     ansatz_schedule,
     default_clamp,
-    invariant_eigensystem,
     invariant_matrix,
     invariant_matrix_dot,
-    lr_phase,
     make_schedule,
     pulses_from_invariant,
     schedule_hamiltonian,
@@ -62,17 +58,16 @@ from .sweeps import (
 __all__ = [
     "__version__",
     # dynamics
-    "Handedness", "QuantumState", "Trajectory", "basis_state",
-    "hamiltonian_stack", "make_grid", "propagate",
+    "Handedness", "QuantumState", "Trajectory", "hamiltonian_stack",
+    "make_grid", "propagate",
     # errors
     "ChiralPulseError", "ClampViolation", "NoInteriorMinimum",
     "NonFiniteHamiltonian", "QuadratureFailure", "SingularTheta",
     # invariants
-    "InvariantSchedule", "LRPhase", "PulseSchedule", "ValidationReport",
-    "ansatz_schedule", "default_clamp", "invariant_eigensystem",
-    "invariant_matrix", "invariant_matrix_dot", "lr_phase", "make_schedule",
-    "pulses_from_invariant", "schedule_hamiltonian", "sps_schedule",
-    "validate_schedule",
+    "InvariantSchedule", "PulseSchedule", "ValidationReport",
+    "ansatz_schedule", "default_clamp", "invariant_matrix",
+    "invariant_matrix_dot", "make_schedule", "pulses_from_invariant",
+    "schedule_hamiltonian", "sps_schedule", "validate_schedule",
     # robustness
     "ErrorModel", "OptimumResult", "exact_fidelity", "optimize_n", "q_alpha",
     "q_delta",

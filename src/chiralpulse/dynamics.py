@@ -94,15 +94,6 @@ class Handedness(Enum):
         return 3 if self is Handedness.LEFT else 1
 
 
-def basis_state(level: int) -> np.ndarray:
-    """Return the basis ket |level> for level in {1, 2, 3}."""
-    if level not in (1, 2, 3):
-        raise ValueError(f"level must be 1, 2 or 3, got {level}")
-    v = np.zeros(3, dtype=complex)
-    v[level - 1] = 1.0
-    return v
-
-
 @dataclass(frozen=True)
 class QuantumState:
     """Normalized complex amplitude vector over {|1>, |2>, |3>}."""
@@ -120,10 +111,18 @@ class QuantumState:
 
     @classmethod
     def basis(cls, level: int) -> "QuantumState":
-        return cls(basis_state(level))
+        """The basis ket |level> for level in {1, 2, 3}."""
+        if level not in (1, 2, 3):
+            raise ValueError(f"level must be 1, 2 or 3, got {level}")
+        amps = np.zeros(3, dtype=complex)
+        amps[level - 1] = 1.0
+        return cls(amps)
 
-    def __array__(self, dtype=None):
-        return self.amplitudes if dtype is None else self.amplitudes.astype(dtype)
+    def __array__(self, dtype=None, copy=None):
+        """The amplitudes; a new array when numpy asks for a copy (``copy=True``)."""
+        if copy:
+            return np.array(self.amplitudes, dtype=dtype)
+        return np.asarray(self.amplitudes, dtype=dtype)
 
 
 def hamiltonian_stack(omega, omega_q, sign: int, alpha: float = 0.0,

@@ -26,7 +26,9 @@ The accumulated phase of the +/-1 eigenvalue channels is
     eta_plus(t) = integral_0^t phi_dot csc(phi)
                   (sin(theta) + cos(theta)) / (cos(theta) - sin(theta)) dt',
 
-with eta_minus = -eta_plus and eta_zero = 0.
+with eta_minus = -eta_plus and eta_zero = 0.  Each schedule carries this
+phase in closed form (``InvariantSchedule.eta_plus_of``); the tests check it
+against a quadrature of the integral.
 
 Two schedule families are provided:
 
@@ -70,8 +72,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import Handedness, _component_major, _mul3, hamiltonian_stack
-from .errors import ChiralPulseError, ClampViolation, SingularTheta
-from .quadrature import complex_quad
+from .errors import ClampViolation, SingularTheta
 
 DEFAULT_CLAMP = 100.0   # cap on |Omega_q| in units of 1/T
 VALIDATION_SAMPLES = 2000
@@ -86,7 +87,7 @@ def default_clamp(duration: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# invariant matrices and eigenvectors
+# invariant matrices
 # ---------------------------------------------------------------------------
 
 def _matrix_axes_last(out: np.ndarray, handedness: Handedness) -> np.ndarray:
@@ -137,28 +138,6 @@ def invariant_matrix_dot(handedness: Handedness, phi, theta, phi_dot, theta_dot)
     return _matrix_axes_last(out, handedness)
 
 
-def invariant_eigensystem(handedness: Handedness, phi, theta):
-    """Closed-form eigenpairs of the invariant, ordered (0, +1, -1).
-
-    Returns a tuple of (eigenvalue, eigenvector) pairs; eigenvectors broadcast
-    over array-valued angles with the component axis last, are normalized, and
-    are mutually orthogonal.  The right-handed eigenvectors are the left ones
-    with components 1 and 3 swapped, P v.
-    """
-    phi = np.asarray(phi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast_shapes(phi.shape, theta.shape)
-    sp, cp = np.broadcast_to(np.sin(phi), shape), np.broadcast_to(np.cos(phi), shape)
-    st, ct = np.broadcast_to(np.sin(theta), shape), np.broadcast_to(np.cos(theta), shape)
-    r = 1.0 / np.sqrt(2.0)
-    v0 = np.stack([-sp * ct, 1j * cp, sp * st], axis=-1)
-    vp = r * np.stack([cp * ct + 1j * st, 1j * sp, -cp * st + 1j * ct], axis=-1)
-    vm = r * np.stack([cp * ct - 1j * st, 1j * sp, -cp * st - 1j * ct], axis=-1)
-    if handedness is Handedness.RIGHT:
-        v0, vp, vm = v0[..., ::-1], vp[..., ::-1], vm[..., ::-1]
-    return ((0.0, v0), (1.0, vp), (-1.0, vm))
-
-
 # ---------------------------------------------------------------------------
 # schedules
 # ---------------------------------------------------------------------------
@@ -173,8 +152,8 @@ class InvariantSchedule:
     both the loop pulse (Omega_q = phi_dot*cos(phi)*factor - theta_dot) and
     the phase rate (eta_plus_dot = -phi_dot*factor) derive.
 
-    ``eta_plus_of`` is the closed-form channel phase, anchored at
-    ``eta_anchor`` (0 except where the t=0 endpoint diverges).
+    ``eta_plus_of`` is the closed-form channel phase, anchored at t = 0, or
+    at t = T for sps, whose t = 0 endpoint diverges.
     """
 
     kind: str                   # "sps" or "ansatz"
@@ -186,7 +165,6 @@ class InvariantSchedule:
     theta_dot_of: Callable
     coupling_factor_of: Callable
     eta_plus_of: Callable
-    eta_anchor: float
 
     @property
     def label(self) -> str:
@@ -241,7 +219,7 @@ def sps_schedule(duration: float) -> InvariantSchedule:
         phi_of=phi_of, phi_dot_of=phi_dot_of,
         theta_of=theta_of, theta_dot_of=theta_dot_of,
         coupling_factor_of=coupling_factor_of,
-        eta_plus_of=eta_plus_of, eta_anchor=T,
+        eta_plus_of=eta_plus_of,
     )
 
 
@@ -298,7 +276,7 @@ def ansatz_schedule(n: float, duration: float) -> InvariantSchedule:
         phi_of=phi_of, phi_dot_of=phi_dot_of,
         theta_of=theta_of, theta_dot_of=theta_dot_of,
         coupling_factor_of=coupling_factor_of,
-        eta_plus_of=eta_plus_of, eta_anchor=0.0,
+        eta_plus_of=eta_plus_of,
     )
 
 
@@ -412,55 +390,6 @@ class PulseSchedule:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
 
-    @classmethod
-    def from_csv(cls, path) -> "PulseSchedule":
-        """Read a file written by ``to_csv``.
-
-        Raises ``ChiralPulseError`` naming what is wrong: a missing `T` or
-        `clamp_value` metadata line, a missing or different column header, a
-        row with the wrong number of columns, or no rows at all.
-        """
-        meta: dict[str, str] = {}
-        header = None
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line[1:].partition("=")
-                    meta[key.strip()] = value.strip()
-                elif header is None:
-                    header = line
-                else:
-                    fields = line.split(",")
-                    if len(fields) != 4:
-                        raise ChiralPulseError(
-                            f"{path}: line {lineno} has {len(fields)} columns, "
-                            f"expected 4 ({PULSE_HEADER})")
-                    rows.append([float(x) for x in fields])
-        missing = [key for key in ("T", "clamp_value") if key not in meta]
-        if missing:
-            raise ChiralPulseError(f"{path}: missing metadata {', '.join(missing)}")
-        if header != PULSE_HEADER:
-            raise ChiralPulseError(
-                f"{path}: column header {header!r}, expected {PULSE_HEADER!r}")
-        if not rows:
-            raise ChiralPulseError(f"{path}: no pulse rows")
-        data = np.asarray(rows, dtype=float)
-        T = float(meta["T"])
-        return cls(
-            times=data[:, 0] * T,
-            omega=data[:, 1] / T,
-            omega_q=data[:, 2] / T,
-            duration=T,
-            clamp_value=float(meta["clamp_value"]),
-            gamma=float(data[0, 3]),
-            kind=meta.get("kind", ""),
-            n=float(meta["n"]) if "n" in meta else None,
-        )
-
 
 def pulses_from_invariant(schedule: InvariantSchedule, grid: np.ndarray,
                           clamp: float | None = None) -> PulseSchedule:
@@ -500,48 +429,6 @@ def schedule_hamiltonian(schedule: InvariantSchedule, handedness: Handedness,
         return pulses.omega, sign * pulses.omega_q
 
     return couplings_at
-
-
-# ---------------------------------------------------------------------------
-# channel phases
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class LRPhase:
-    """Accumulated channel phases: eta_plus(t) by quadrature, eta_zero = 0."""
-
-    eta_plus: Callable
-    eta_zero: Callable
-    anchor_time: float
-
-
-def lr_phase(schedule: InvariantSchedule) -> LRPhase:
-    """Evaluate the +channel phase by composite Gauss-Legendre quadrature from the anchor to t.
-
-    The integrand is computed trigonometrically from theta_of, independently of
-    the schedule's closed-form phase, so comparing the two is a meaningful
-    consistency check.  Integration anchors at schedule.eta_anchor: t = 0 when
-    the integrand is integrable there, t = T for the constant-theta family
-    whose endpoint behaves like 1/t (the resulting additive constant is a pure
-    gauge choice, invisible to any |integral|^2).
-    """
-    anchor = schedule.eta_anchor
-
-    def integrand(t):
-        theta = schedule.theta_of(t)
-        st, ct = np.sin(theta), np.cos(theta)
-        return (schedule.phi_dot_of(t) * (st + ct)
-                / ((ct - st) * np.sin(schedule.phi_of(t))))
-
-    def eta_plus(t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        values = np.array([complex_quad(integrand, anchor, tk).real for tk in ts])
-        return values if np.ndim(t) else float(values[0])
-
-    def eta_zero(t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    return LRPhase(eta_plus=eta_plus, eta_zero=eta_zero, anchor_time=anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +495,12 @@ def validate_schedule(schedule: InvariantSchedule,
 
     Each check samples VALIDATION_SAMPLES times.  Failures are reported, not
     raised; each check carries its worst residual, and a NaN residual fails
-    its check.  The invariant condition is checked for each handedness on its
-    own, in component-major (3,3,N) arithmetic (``_invariant_residual``).
+    its check.  The invariant condition is checked for the left-handed system,
+    in component-major (3,3,N) arithmetic (``_invariant_residual``): the
+    right-handed residual is its level-swap mirror, bit for bit.  The
+    right-handed H and I are the left ones with levels 1 and 3 swapped, and
+    their diagonals are zero, so each entry of a 3x3 product has at most two
+    nonzero terms, and the mirrored sum, in reversed order, rounds alike.
     """
     T = schedule.duration
     if clamp is None:
@@ -645,7 +536,7 @@ def validate_schedule(schedule: InvariantSchedule,
     checks.append(CheckResult("derivative consistency", worst_rel <= 1e-6, worst_rel,
                               1e-6, "finite difference vs analytic, relative"))
 
-    # dynamical-invariant condition on the unclamped interior, both handednesses
+    # dynamical-invariant condition on the unclamped interior
     window = CLAMP_WINDOW_FRACTION * T
     t_in = np.linspace(window, T - window, VALIDATION_SAMPLES)
     omega, omega_q = _raw_pulses(schedule, t_in)
@@ -658,11 +549,8 @@ def validate_schedule(schedule: InvariantSchedule,
         return ValidationReport(schedule=schedule.describe(), checks=tuple(checks))
     phi, theta = schedule.phi_of(t_in), schedule.theta_of(t_in)
     pd, td = schedule.phi_dot_of(t_in), schedule.theta_dot_of(t_in)
-    residuals = []
-    for handedness in Handedness:
-        residual = _invariant_residual(handedness, omega, omega_q, phi, theta, pd, td)
-        residuals.append(float(np.max(np.abs(residual))))
-    worst_res = _worst(residuals)
+    residual = _invariant_residual(Handedness.LEFT, omega, omega_q, phi, theta, pd, td)
+    worst_res = float(np.max(np.abs(residual)))
     checks.append(CheckResult("dynamical invariant", worst_res <= 1e-8, worst_res,
                               1e-8, "dI/dt + (1/i)[I,H] on unclamped interior"))
 

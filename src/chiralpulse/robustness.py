@@ -124,22 +124,14 @@ def exact_fidelity(schedule: InvariantSchedule, error: ErrorModel,
     The target stays |3> (left) or |1> (right): the error perturbs the
     dynamics, not the goal.  Pulses are sampled, clamped (default
     ``default_clamp``), at the ``gauss_nodes`` of the uniform `steps`-interval grid.
+    This is the one-point case of ``fidelities_from_pulses``: its value is the
+    same, bit for bit, as that point's value in any sweep on the same grid.
     """
     grid = make_grid(schedule.duration, steps)
     pulses = pulses_from_invariant(schedule, gauss_nodes(grid), clamp)
-    return fidelity_from_pulses(pulses, np.diff(grid), error, handedness)
-
-
-def fidelity_from_pulses(pulses: PulseSchedule, dts: np.ndarray, error: ErrorModel,
-                         handedness: Handedness) -> float:
-    """Target-level population after the CF4 steps `dts` under one error model.
-
-    The one-point case of ``fidelities_from_pulses``, which ``exact_fidelity``
-    calls: its value is the same, bit for bit, as that point's value in any
-    batch.
-    """
-    return float(fidelities_from_pulses(pulses, dts, [error.alpha], [error.delta],
-                                        handedness)[0])
+    values = fidelities_from_pulses(pulses, np.diff(grid), [error.alpha], [error.delta],
+                                    handedness)
+    return float(values[0])
 
 
 def fidelities_from_pulses(pulses: PulseSchedule, dts: np.ndarray, alphas, deltas,

@@ -38,7 +38,7 @@ from ._version import __version__
 from .dynamics import (
     DEFAULT_STEPS,
     Handedness,
-    basis_state,
+    QuantumState,
     gauss_nodes,
     make_grid,
     propagate,
@@ -167,7 +167,7 @@ def population_trace(schedule: InvariantSchedule, handedness: Handedness,
         clamp = default_clamp(T)
     grid = make_grid(T, steps)
     pops = propagate(schedule_hamiltonian(schedule, handedness, clamp),
-                     basis_state(2), grid).populations
+                     QuantumState.basis(2), grid).populations
     keep = np.unique(np.round(np.linspace(0, steps, TRACE_POINTS)).astype(int))
     data = np.column_stack([grid[keep] / T, pops[keep, 0], pops[keep, 1], pops[keep, 2]])
     meta = _base_metadata({

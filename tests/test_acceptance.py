@@ -22,9 +22,7 @@ from chiralpulse import (
     exact_fidelity,
     fidelity_curve,
     fidelity_heatmap,
-    invariant_eigensystem,
     invariant_matrix,
-    lr_phase,
     make_grid,
     optimize_n,
     propagate,
@@ -36,6 +34,7 @@ from chiralpulse import (
 from chiralpulse.dynamics import DEFAULT_STEPS
 from chiralpulse.invariants import _raw_pulses, invariant_matrix_dot
 from chiralpulse.robustness import second_order_fidelity
+from oracles import invariant_eigensystem, lr_phase
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 

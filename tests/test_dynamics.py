@@ -11,7 +11,6 @@ from chiralpulse import (
     Handedness,
     NonFiniteHamiltonian,
     QuantumState,
-    basis_state,
     hamiltonian_stack,
     make_grid,
     propagate,
@@ -77,10 +76,25 @@ def test_quantum_state_normalization_guard():
         QuantumState(np.array([0, 1.1, 0], dtype=complex))
 
 
+def test_quantum_state_converts_to_an_array():
+    # numpy 2 passes copy= to __array__; without the keyword it warns
+    state = QuantumState.basis(2)
+    np.testing.assert_array_equal(np.array(state), [0, 1, 0])
+    copied = np.array(state, copy=True)
+    assert not np.shares_memory(copied, state.amplitudes)
+    copied[1] = 0.0
+    assert state.amplitudes[1] == 1.0
+    assert np.asarray(state) is state.amplitudes
+    assert np.asarray(state, dtype=np.complex64).dtype == np.complex64
+    with pytest.raises(ValueError, match="level must be 1, 2 or 3, got 4"):
+        QuantumState.basis(4)
+
+
 def test_zero_hamiltonian_is_identity_evolution():
     traj = propagate(lambda t: (np.zeros(len(t)), np.zeros(len(t))),
                      QuantumState.basis(2), make_grid(1.0, 100))
-    np.testing.assert_allclose(traj.states[-1], basis_state(2), atol=1e-14)
+    np.testing.assert_allclose(traj.states[-1], QuantumState.basis(2).amplitudes,
+                               atol=1e-14)
 
 
 def test_sps_discrimination_left_and_right():
@@ -197,7 +211,7 @@ def test_propagate_states_match_stepwise_matvec(level):
     u = _exponentials(_combine(pulses.omega), _combine(R.coupling_sign * pulses.omega_q),
                       _half_steps(np.diff(grid)), [0.0], [0.0])
     halves = np.moveaxis(u[:, :, 0], -1, 0)
-    state = basis_state(level)
+    state = QuantumState.basis(level).amplitudes
     expected = [state]
     for first, second in zip(halves[0::2], halves[1::2]):
         state = second @ (first @ state)

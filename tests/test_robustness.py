@@ -10,8 +10,8 @@ from chiralpulse import (
     Handedness,
     NoInteriorMinimum,
     PulseSchedule,
+    QuantumState,
     ansatz_schedule,
-    basis_state,
     default_clamp,
     exact_fidelity,
     hamiltonian_stack,
@@ -25,7 +25,7 @@ from chiralpulse import (
 )
 from chiralpulse.dynamics import DEFAULT_STEPS, _cf4_products
 from chiralpulse.robustness import (
-    fidelity_from_pulses,
+    fidelities_from_pulses,
     golden_section,
     second_order_fidelity,
 )
@@ -154,8 +154,9 @@ def test_fidelity_from_pulses_matches_expm_sequential_product(steps):
                 h = (1.0 + error.alpha) * h + error.delta * DETUNING
                 total = _cf4_reference(h[0::2], h[1::2], dts)
                 expected = abs(total[hand.target_level - 1, 1]) ** 2
-                assert fidelity_from_pulses(pulses, dts, error, hand) == pytest.approx(
-                    expected, rel=0, abs=1e-12)
+                value = fidelities_from_pulses(pulses, dts, [error.alpha], [error.delta],
+                                               hand)[0]
+                assert value == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_fidelity_from_pulses_needs_two_samples_per_step():
@@ -163,7 +164,7 @@ def test_fidelity_from_pulses_needs_two_samples_per_step():
     dts = np.diff(grid)
     midpoints = pulses_from_invariant(sps_schedule(1.0), grid[:-1] + 0.5 * dts)
     with pytest.raises(ValueError, match="100 pulse samples for 100 steps"):
-        fidelity_from_pulses(midpoints, dts, ErrorModel(), L)
+        fidelities_from_pulses(midpoints, dts, [0.0], [0.0], L)
 
 
 def _dop853_fidelity(schedule, error, hand):
@@ -178,7 +179,7 @@ def _dop853_fidelity(schedule, error, hand):
         h0 = np.array([[0.0, om, s * 1j * oq], [om, 0.0, om], [-s * 1j * oq, om, 0.0]])
         return -1j * (((1.0 + error.alpha) * h0 + detuning) @ psi)
 
-    sol = solve_ivp(rhs, (0.0, schedule.duration), basis_state(2), method="DOP853",
+    sol = solve_ivp(rhs, (0.0, schedule.duration), QuantumState.basis(2).amplitudes, method="DOP853",
                     rtol=1e-12, atol=1e-12)
     assert sol.status == 0
     return abs(sol.y[hand.target_level - 1, -1]) ** 2
@@ -231,8 +232,8 @@ def test_mirror_symmetries_of_random_pulses(pulses, alpha, delta):
                           np.array([alpha, alpha]), np.array([delta, -delta]))
     populations = np.abs(total[:, 1]) ** 2
     assert populations[:, 0].tolist() == populations[:, 1].tolist()
-    f_left = fidelity_from_pulses(pulses, dts, ErrorModel(alpha, delta), L)
-    f_right = fidelity_from_pulses(pulses, dts, ErrorModel(alpha, delta), R)
+    f_left = fidelities_from_pulses(pulses, dts, [alpha], [delta], L)[0]
+    f_right = fidelities_from_pulses(pulses, dts, [alpha], [delta], R)[0]
     assert abs(f_left - f_right) <= 1e-13
 
 
