@@ -17,12 +17,14 @@ Conventions (hbar = 1 throughout):
   with s = +1 for left-handed and s = -1 for right-handed molecules, i.e.
   the two enantiomers see the same pulses but an opposite-sign loop phase.
 
-``hamiltonian_stack`` is the one assembly of this matrix, error terms
-included: every Hamiltonian matrix the package checks is built there from
-sampled (Omega, Omega_q).  The propagators form no matrix: they write the
-entries of each exponential from the same samples
-(``_half_step_exponentials``), and the tests check those against the matrix
-exponential of ``hamiltonian_stack``.
+``hamiltonian_stack`` is the one assembly of this matrix: every
+Hamiltonian matrix the package checks is built there from sampled (Omega,
+Omega_q).  The systematic amplitude error alpha and the detuning delta turn
+H into (1 + alpha) H + delta (|3><3| - |1><1|); only the propagators take
+them, and they form no matrix: they write the entries of each exponential
+from the samples (``_half_step_exponentials``).  The tests check those
+against the matrix exponential of the perturbed stack, which they assemble
+from ``hamiltonian_stack``.
 
 Propagation uses the fourth-order commutator-free Magnus step CF4 (Blanes &
 Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput.
@@ -33,14 +35,14 @@ exp(-i (h/2) 2(a2 H1 + a1 H2)), with a1 = 1/4 + sqrt(3)/6 and
 a2 = 1/4 - sqrt(3)/6.  The local error is O(h^5), so the global error falls
 16-fold when h is halved.  Every factor is an exact matrix exponential, so
 every step is unitary and the state norm is preserved structurally, not by
-tolerance.  ``hamiltonian_stack`` is affine in (Omega, Omega_q) and the two
-weights 2 a1 and 2 a2 sum to 1, so each combined exponent is again a
-``hamiltonian_stack`` matrix with the same alpha and delta.  Such a matrix
-is Hermitian and traceless with det H = 0, so its spectrum is exactly
-{-r, 0, r} and each exponential has a closed form.  ``gauss_nodes`` gives
-the 2N interleaved node times of an N-step grid.  One routine,
-``_half_step_exponentials``, writes that closed form from the real
-couplings of the combined exponents, and both propagation paths use it:
+tolerance.  The perturbed H is affine in (Omega, Omega_q) and the two
+weights 2 a1 and 2 a2 sum to 1, so each combined exponent is again such a
+matrix, with the same alpha and delta.  It is Hermitian and traceless with
+det H = 0, so its spectrum is exactly {-r, 0, r} and each exponential has
+a closed form.  ``gauss_nodes`` gives the 2N interleaved node times of an
+N-step grid.  One routine, ``_half_step_exponentials``, writes that closed
+form from the real couplings of the combined exponents, and both
+propagation paths use it:
 
 * ``propagate`` calls a vectorized callable once, on the nodes, for the real
   couplings (Omega, sign * Omega_q) there, combines them, writes the
@@ -125,16 +127,14 @@ class QuantumState:
         return np.asarray(self.amplitudes, dtype=dtype)
 
 
-def hamiltonian_stack(omega, omega_q, sign: int, alpha: float = 0.0,
-                      delta: float = 0.0) -> np.ndarray:
-    """(N,3,3) stack of (1 + alpha) * H + delta * (|3><3| - |1><1|) from pulse samples.
+def hamiltonian_stack(omega, omega_q, sign: int) -> np.ndarray:
+    """(N,3,3) stack of the cyclic Hamiltonian H from pulse samples.
 
-    H is the cyclic Hamiltonian of the module docstring with Omega = omega[k]
-    and Omega_q = omega_q[k]; `sign` is ``Handedness.coupling_sign`` (-s).
-    alpha is the systematic amplitude error and delta the detuning, in the
-    units of the pulses.  This is the only place the matrix entries are written;
-    the propagators never form it (see ``_half_step_exponentials``), but the
-    tests and ``validate_schedule`` check against it.  The stack is a
+    H is the matrix of the module docstring with Omega = omega[k] and
+    Omega_q = omega_q[k]; `sign` is ``Handedness.coupling_sign`` (-s).  This
+    is the only place the matrix entries are written; the propagators never
+    form it (see ``_half_step_exponentials``), but the tests and
+    ``validate_schedule`` check against it.  The stack is a
     transposed view of a component-major (3,3,N) array, which
     ``_component_major`` takes without a copy.
     """
@@ -145,9 +145,6 @@ def hamiltonian_stack(omega, omega_q, sign: int, alpha: float = 0.0,
     out[1, 2] = out[2, 1] = omega
     out[0, 2] = sign * 1j * omega_q
     out[2, 0] = -sign * 1j * omega_q
-    out *= 1.0 + alpha
-    out[0, 0] -= delta
-    out[2, 2] += delta
     return np.moveaxis(out, -1, 0)
 
 
@@ -341,13 +338,14 @@ def _cf4_products(omega: np.ndarray, omega_q: np.ndarray, sign: int, dts: np.nda
 
     `omega` and `omega_q` are the 2N pulse samples at ``gauss_nodes`` and
     `sign` is ``Handedness.coupling_sign``; error point m is the Hamiltonian
-    ``hamiltonian_stack(omega, omega_q, sign, alphas[m], deltas[m])``.  That is
-    affine in the samples and the CF4 weights sum to 1, so the samples are
-    combined once, as real arrays, for all points.  Points run in chunks of
-    about ``_CHUNK_BYTES`` of exponentials, each through
-    ``_half_step_exponentials`` and one ``_tree_product``.  Every operation is
-    elementwise over the points, so a point's propagator does not depend on
-    the other points or on the chunking.
+    (1 + alphas[m]) H + deltas[m] (|3><3| - |1><1|), with H the
+    ``hamiltonian_stack(omega, omega_q, sign)`` matrix.  That is affine in
+    the samples and the CF4 weights sum to 1, so the samples are combined
+    once, as real arrays, for all points.  Points run in chunks of about
+    ``_CHUNK_BYTES`` of exponentials, each through
+    ``_half_step_exponentials`` and one ``_tree_product``.  Every operation
+    is elementwise over the points, so a point's propagator does not depend
+    on the other points or on the chunking.
     """
     w = _combine(np.asarray(omega, dtype=float))
     q = _combine(sign * np.asarray(omega_q, dtype=float))

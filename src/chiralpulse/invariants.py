@@ -71,6 +71,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._csvrows import write_table
 from .dynamics import Handedness, _component_major, _mul3, hamiltonian_stack
 from .errors import ClampViolation, SingularTheta
 
@@ -373,22 +374,19 @@ class PulseSchedule:
     def to_csv(self, path, extra_metadata: dict | None = None) -> None:
         """Write `t,omega,omega_q,gamma` rows; times in units of T, frequencies in 1/T.
 
-        Every value is written with 15 significant digits (``%.15g``).  The
-        columns are scaled as whole arrays, which round exactly as the
-        per-sample scalar operations would, and all rows are formatted by
-        one ``%`` over a row template repeated once per sample.
+        Every value is written with 15 significant digits, the bytes of
+        ``%.15g`` (``_csvrows.format_rows``), and every line ends in a line feed.
+        The columns are scaled as whole arrays, which round exactly as the
+        per-sample scalar operations would.
         """
         meta = self.metadata()
         if extra_metadata:
             meta.update(extra_metadata)
         T = self.duration
         values = np.column_stack([self.times / T, self.omega * T, self.omega_q * T])
-        row = f"%.15g,%.15g,%.15g,{self.gamma:.15g}\n"
         lines = [f"# {key} = {value}\n" for key, value in meta.items()]
         lines.append(PULSE_HEADER + "\n")
-        lines.append(row * len(values) % tuple(values.ravel().tolist()))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+        write_table(path, "".join(lines), values, f",{self.gamma:.15g}\n")
 
 
 def pulses_from_invariant(schedule: InvariantSchedule, grid: np.ndarray,

