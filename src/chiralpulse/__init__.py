@@ -38,9 +38,8 @@ from .invariants import (
     validate_schedule,
 )
 from .robustness import (
-    ErrorModel,
     OptimumResult,
-    exact_fidelity,
+    exact_fidelities,
     optimize_n,
     q_alpha,
     q_delta,
@@ -48,7 +47,6 @@ from .robustness import (
 from .sweeps import (
     ErrorAxis,
     SweepResult,
-    SweepSpec,
     fidelity_curve,
     fidelity_heatmap,
     high_fidelity_region,
@@ -69,9 +67,8 @@ __all__ = [
     "invariant_matrix_dot", "make_schedule", "pulses_from_invariant",
     "schedule_hamiltonian", "sps_schedule", "validate_schedule",
     # robustness
-    "ErrorModel", "OptimumResult", "exact_fidelity", "optimize_n", "q_alpha",
-    "q_delta",
+    "OptimumResult", "exact_fidelities", "optimize_n", "q_alpha", "q_delta",
     # sweeps
-    "ErrorAxis", "SweepResult", "SweepSpec", "fidelity_curve",
+    "ErrorAxis", "SweepResult", "fidelity_curve",
     "fidelity_heatmap", "high_fidelity_region", "population_trace",
 ]

@@ -7,9 +7,12 @@ metadata block, and each run ends with a single machine-parsable
 `key=value` summary line on stdout.  `--workers` is accepted (>= 1) and
 ignored: sweeps run in one thread, and it is not echoed.
 
-`scan` and `heatmap` fill their right-handed columns from the left-handed
-propagation (the two systems are mirrors, see ``sweeps``); `simulate`
-propagates each handedness.
+`scan` calls ``fidelity_curve`` once per scheme of `--schemes`, each writing
+one file, so a scheme listed twice is rejected before anything is computed;
+`heatmap` calls ``fidelity_heatmap`` and `optimize` checks its optimum with
+``exact_fidelities``.  `scan` and `heatmap` fill their right-handed columns
+from the left-handed propagation (the two systems are mirrors, see
+``sweeps``); `simulate` propagates each handedness.
 """
 
 from __future__ import annotations
@@ -31,14 +34,8 @@ from .invariants import (
     pulses_from_invariant,
     validate_schedule,
 )
-from .robustness import ErrorModel, exact_fidelity, optimize_n
-from .sweeps import (
-    ErrorAxis,
-    SweepSpec,
-    fidelity_curve,
-    fidelity_heatmap,
-    population_trace,
-)
+from .robustness import exact_fidelities, optimize_n
+from .sweeps import ErrorAxis, fidelity_curve, fidelity_heatmap, population_trace
 
 SCHEME_CHOICES = ("sps", "ansatz", "oss", "osd")
 
@@ -315,12 +312,15 @@ def cmd_scan(cfg: dict) -> int:
     lo = cfg["min"] if cfg["min"] is not None else (-0.3 if kind == "systematic" else -1.0 / cfg["T"])
     hi = cfg["max"] if cfg["max"] is not None else (0.3 if kind == "systematic" else 1.0 / cfg["T"])
     axis = ErrorAxis(kind=kind, minimum=lo, maximum=hi, points=cfg["points"])
-    results = []    # every scheme is built before any file is written
-    for token in str(cfg["schemes"]).split(","):
-        label, schedule = _parse_scheme_token(token, cfg["T"])
-        spec = SweepSpec(schemes=((label, schedule),), axis1=axis, mode=cfg["mode"],
-                         steps=cfg["steps"], clamp=_absolute_clamp(cfg))
-        results.append((label, fidelity_curve(spec)))
+    tokens = str(cfg["schemes"]).split(",")
+    schemes = dict(_parse_scheme_token(token, cfg["T"]) for token in tokens)
+    if len(schemes) < len(tokens):
+        raise ValueError(f"schemes {cfg['schemes']} lists a scheme twice; "
+                         "each scheme writes one file")
+    # every scheme is computed before any file is written
+    results = [(label, fidelity_curve(label, schedule, axis, cfg["mode"], cfg["steps"],
+                                      _absolute_clamp(cfg)))
+               for label, schedule in schemes.items()]
     written = []
     for label, result in results:
         result.metadata.update(_effective_metadata(cfg))
@@ -337,15 +337,13 @@ def cmd_heatmap(cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     schedule = _scheme_from_config(cfg)
     label = schedule.slug
-    spec = SweepSpec(
-        schemes=((label, schedule),),
-        axis1=ErrorAxis("systematic", cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_points"]),
+    result = fidelity_heatmap(
+        schedule,
+        ErrorAxis("systematic", cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_points"]),
         # the detuning flags are quoted in units of 1/T, like --clamp
-        axis2=ErrorAxis("detuning", cfg["delta_min"] / cfg["T"], cfg["delta_max"] / cfg["T"],
-                        cfg["delta_points"]),
-        mode="exact", steps=cfg["steps"], clamp=_absolute_clamp(cfg),
-    )
-    result = fidelity_heatmap(spec)
+        ErrorAxis("detuning", cfg["delta_min"] / cfg["T"], cfg["delta_max"] / cfg["T"],
+                  cfg["delta_points"]),
+        cfg["steps"], _absolute_clamp(cfg))
     result.metadata.update(_effective_metadata(cfg))
     path = out / f"heatmap_{label}_exact.csv"
     result.to_csv(path)
@@ -362,10 +360,9 @@ def cmd_optimize(cfg: dict) -> int:
     result = optimize_n(cfg["kind"], (cfg["n_min"], cfg["n_max"]),
                         tolerance=cfg["tol"], duration=cfg["T"])
     schedule = ansatz_schedule(result.n_star, cfg["T"])
-    probe = (ErrorModel.systematic(0.1) if result.kind == "systematic"
-             else ErrorModel.detuning(0.1 / cfg["T"]))
-    cross = exact_fidelity(schedule, probe, Handedness.LEFT,
-                           steps=cfg["steps"], clamp=_absolute_clamp(cfg))
+    alpha, delta = (0.1, 0.0) if result.kind == "systematic" else (0.0, 0.1 / cfg["T"])
+    cross = exact_fidelities(schedule, alpha, delta, Handedness.LEFT,
+                             cfg["steps"], _absolute_clamp(cfg))[0]
     print(f"optimal n for {result.kind} sensitivity: n* = {result.n_star:.4f}, "
           f"q_min = {result.q_min:.6g}")
     _summary("optimize", {

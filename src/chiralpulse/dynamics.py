@@ -151,10 +151,16 @@ def hamiltonian_stack(omega, omega_q, sign: int) -> np.ndarray:
 DEFAULT_STEPS = 400
 
 
+def _checked_duration(duration: float) -> float:
+    """`duration` as a float, or ``ValueError`` unless it is positive and finite."""
+    if not (np.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be positive and finite, got {duration}")
+    return float(duration)
+
+
 def make_grid(duration: float, steps: int = DEFAULT_STEPS) -> np.ndarray:
     """Uniform time grid with `steps` intervals on [0, duration]."""
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    duration = _checked_duration(duration)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     return np.linspace(0.0, duration, steps + 1)
@@ -382,7 +388,7 @@ def propagate(
         arrays: W = Omega and Q = ``coupling_sign`` * Omega_q, as from
         ``schedule_hamiltonian``.  Every such pair is a cyclic Hamiltonian.
     initial : QuantumState or complex 3-vector
-    grid : strictly increasing time samples covering the evolution window
+    grid : strictly increasing, finite time samples covering the evolution window
 
     Returns
     -------
@@ -399,8 +405,9 @@ def propagate(
         naming the shapes the callable returned, if they are not (2N,).
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be a strictly increasing 1-D array of times")
+    if (grid.ndim != 1 or len(grid) < 2 or not np.isfinite(grid).all()
+            or not np.all(np.diff(grid) > 0)):
+        raise ValueError("grid must be a strictly increasing 1-D array of finite times")
     nodes = gauss_nodes(grid)
     w, q = (np.asarray(x, dtype=float) for x in couplings_at(nodes))
     if w.shape != nodes.shape or q.shape != nodes.shape:

@@ -72,7 +72,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._csvrows import write_table
-from .dynamics import Handedness, _component_major, _mul3, hamiltonian_stack
+from .dynamics import (Handedness, _checked_duration, _component_major, _mul3,
+                       hamiltonian_stack)
 from .errors import ClampViolation, SingularTheta
 
 DEFAULT_CLAMP = 100.0   # cap on |Omega_q| in units of 1/T
@@ -189,9 +190,7 @@ class InvariantSchedule:
 
 def sps_schedule(duration: float) -> InvariantSchedule:
     """Linear phi ramp at fixed theta = pi/2: the simplest boundary-compatible choice."""
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    T = float(duration)
+    T = _checked_duration(duration)
     rate = np.pi / (2.0 * T)
 
     def phi_of(t):
@@ -234,11 +233,9 @@ def ansatz_schedule(n: float, duration: float) -> InvariantSchedule:
     exactly for every n, and sin(theta) - cos(theta) = sqrt(2)/sqrt(X^2+1)
     never vanishes, so the synthesized pulses are finite on the whole window.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    T = _checked_duration(duration)
     if not np.isfinite(n):
         raise ValueError(f"n must be finite, got {n}")
-    T = float(duration)
     n = float(n)
     rate = np.pi / (2.0 * T)
 

@@ -1,4 +1,4 @@
-"""Error models, second-order and exact fidelities, sensitivities, and the optimum over n.
+"""Second-order and exact fidelities, sensitivities, and the optimum over n.
 
 Two experimental imperfections are modelled on top of a designed schedule:
 
@@ -30,8 +30,9 @@ the integrals stop at u = 40 (the dropped tail is O(e^-40) ~ 4e-18):
                                                                   ~= 0.28371 T^2
 
 ``second_order_fidelity`` evaluates the closed forms from a given q, so a
-sweep computes q once per scheme; ``exact_fidelity`` propagates the perturbed
-Hamiltonian instead, and ``optimize_n`` minimizes q over the ansatz weight n.
+sweep computes q once per scheme; ``exact_fidelities`` propagates the
+perturbed Hamiltonian instead, at any number of error points (alpha, delta),
+and ``optimize_n`` minimizes q over the ansatz weight n.
 """
 
 from __future__ import annotations
@@ -42,37 +43,11 @@ import numpy as np
 
 from .dynamics import DEFAULT_STEPS, Handedness, _cf4_products, gauss_nodes, make_grid
 from .errors import NoInteriorMinimum
-from .invariants import (
-    InvariantSchedule,
-    PulseSchedule,
-    ansatz_schedule,
-    pulses_from_invariant,
-)
+from .invariants import InvariantSchedule, ansatz_schedule, pulses_from_invariant
 from .quadrature import complex_quad
 
 GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
 COARSE_POINTS = 201     # n grid that brackets the minimum for golden-section search
-
-
-@dataclass(frozen=True)
-class ErrorModel:
-    """Systematic scaling (alpha) and/or diagonal detuning (delta, units 1/T)."""
-
-    alpha: float = 0.0
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.delta)):
-            raise ValueError("error amplitudes must be finite")
-
-    @classmethod
-    def systematic(cls, alpha: float) -> "ErrorModel":
-        return cls(alpha=alpha)
-
-    @classmethod
-    def detuning(cls, delta: float) -> "ErrorModel":
-        return cls(delta=delta)
-
 
 
 def _sensitivity_amplitude(schedule: InvariantSchedule, which: str) -> complex:
@@ -110,41 +85,25 @@ def q_delta(schedule: InvariantSchedule) -> float:
     return float(np.abs(_sensitivity_amplitude(schedule, "delta")) ** 2)
 
 
-def second_order_fidelity(kind: str, amplitude: float, q: float) -> float:
-    """1 - alpha^2 * q ("systematic") or 1 - (delta^2 / 4) * q ("detuning")."""
+def second_order_fidelity(kind: str, amplitude, q: float):
+    """1 - alpha^2 * q ("systematic") or 1 - (delta^2 / 4) * q ("detuning"), elementwise."""
     scale = amplitude ** 2 if kind == "systematic" else 0.25 * amplitude ** 2
     return 1.0 - scale * q
 
 
-def exact_fidelity(schedule: InvariantSchedule, error: ErrorModel,
-                   handedness: Handedness, steps: int = DEFAULT_STEPS,
-                   clamp: float | None = None) -> float:
-    """Propagate |2> under the perturbed Hamiltonian; overlap with the unperturbed target.
+def exact_fidelities(schedule: InvariantSchedule, alphas, deltas, handedness: Handedness,
+                     steps: int = DEFAULT_STEPS, clamp: float | None = None) -> np.ndarray:
+    """Target-level populations from |2> under the perturbed Hamiltonian, one per error point.
 
-    The target stays |3> (left) or |1> (right): the error perturbs the
-    dynamics, not the goal.  Pulses are sampled, clamped (default
-    ``default_clamp``), at the ``gauss_nodes`` of the uniform `steps`-interval grid.
-    This is the one-point case of ``fidelities_from_pulses``: its value is the
-    same, bit for bit, as that point's value in any sweep on the same grid.
-    """
-    grid = make_grid(schedule.duration, steps)
-    pulses = pulses_from_invariant(schedule, gauss_nodes(grid), clamp)
-    values = fidelities_from_pulses(pulses, np.diff(grid), [error.alpha], [error.delta],
-                                    handedness)
-    return float(values[0])
-
-
-def fidelities_from_pulses(pulses: PulseSchedule, dts: np.ndarray, alphas, deltas,
-                           handedness: Handedness) -> np.ndarray:
-    """Target-level populations after the CF4 steps `dts`, one per error point (alpha, delta).
-
-    The pulses are sampled once, at ``dynamics.gauss_nodes``; `alphas` and
-    `deltas` are broadcast against each other into the error points.  Only
-    the final state from |2> is needed, so each point's 2N half-step
-    exponentials are multiplied into one matrix (``dynamics._cf4_products``)
-    and its |2> column read off.  The points are batched, but every operation
-    is elementwise over them, so a point's value does not depend on which
-    batch, or which sweep, it was computed in.
+    `alphas` and `deltas` are broadcast against each other into the error
+    points (alpha, delta).  The target stays |3> (left) or |1> (right): the
+    error perturbs the dynamics, not the goal.  The pulses are sampled once,
+    clamped (default ``default_clamp``), at the ``gauss_nodes`` of the uniform
+    `steps`-interval grid.  Only the final state from |2> is needed, so each
+    point's 2N half-step exponentials are multiplied into one matrix
+    (``dynamics._cf4_products``) and its |2> column read off.  The points are
+    batched, but every operation is elementwise over them, so a point's value
+    does not depend on which batch, or which sweep, it was computed in.
 
     F is exactly even in delta (see the ``sweeps`` module docstring), and
     |delta| is exactly delta or -delta, so only the distinct pairs
@@ -152,14 +111,12 @@ def fidelities_from_pulses(pulses: PulseSchedule, dts: np.ndarray, alphas, delta
     points; pairs that are not exact negatives are propagated twice.  Zeros of
     either sign give the same value, so they count as one.
 
-    Raises ``ValueError`` unless there are 2 * len(dts) pulse samples, if an
-    error amplitude is not finite, and if a value is not finite: finite
-    Hamiltonian entries can still overflow r^2 = 2 W^2 + Q^2 + delta^2 in the
-    step propagators.
+    Raises ``ValueError`` if an error amplitude is not finite, and if a value
+    is not finite: finite Hamiltonian entries can still overflow
+    r^2 = 2 W^2 + Q^2 + delta^2 in the step propagators.
     """
-    if len(pulses.omega) != 2 * len(dts):
-        raise ValueError(f"{len(pulses.omega)} pulse samples for {len(dts)} steps; "
-                         "CF4 needs two per step, at dynamics.gauss_nodes")
+    grid = make_grid(schedule.duration, steps)
+    pulses = pulses_from_invariant(schedule, gauss_nodes(grid), clamp)
     alphas, deltas = (np.ravel(x) for x in np.broadcast_arrays(
         np.asarray(alphas, dtype=float), np.asarray(deltas, dtype=float)))
     if not (np.isfinite(alphas).all() and np.isfinite(deltas).all()):
@@ -169,7 +126,7 @@ def fidelities_from_pulses(pulses: PulseSchedule, dts: np.ndarray, alphas, delta
     pairs, inverse = np.unique(pairs, return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value is rejected next
         total = _cf4_products(pulses.omega, pulses.omega_q, handedness.coupling_sign,
-                              np.asarray(dts, dtype=float), pairs.real, pairs.imag)
+                              np.diff(grid), pairs.real, pairs.imag)
         values = (np.abs(total[handedness.target_level - 1, 1]) ** 2)[inverse]
     bad = ~np.isfinite(values)
     if bad.any():

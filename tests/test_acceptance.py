@@ -14,12 +14,10 @@ import pytest
 
 from chiralpulse import (
     ErrorAxis,
-    ErrorModel,
     Handedness,
     QuantumState,
-    SweepSpec,
     ansatz_schedule,
-    exact_fidelity,
+    exact_fidelities,
     fidelity_curve,
     fidelity_heatmap,
     invariant_matrix,
@@ -119,7 +117,7 @@ def test_criterion_3_detuning_minimum_verified_by_exact_propagation():
     result = optimize_n("detuning", (0.5, 1.5), tolerance=1e-3)
     schedule = ansatz_schedule(result.n_star, 1.0)
     eps = 0.004
-    loss = 1.0 - exact_fidelity(schedule, ErrorModel.detuning(eps), L)
+    loss = 1.0 - exact_fidelities(schedule, 0.0, eps, L)[0]
     q_exact = 4.0 * loss / eps ** 2
     report("3 detuning minimum cross-check", abs(q_exact - result.q_min) < 5e-4,
            f"perturbative={result.q_min:.6f} exact={q_exact:.6f}")
@@ -131,14 +129,11 @@ def test_criterion_3_detuning_minimum_verified_by_exact_propagation():
 # ---------------------------------------------------------------------------
 
 def _ordering_margin(kind, lo, hi, better_label, better_schedule):
-    spec = SweepSpec(
-        schemes=(("sps", sps_schedule(1.0)), (better_label, better_schedule)),
-        axis1=ErrorAxis(kind, lo, hi, 51),
-        mode="exact", clamp=COMPARISON_CLAMP,
-    )
-    result = fidelity_curve(spec)
-    margin = (result.column(f"F_{better_label}_exact_left")
-              - result.column("F_sps_exact_left"))
+    axis = ErrorAxis(kind, lo, hi, 51)
+    sps = fidelity_curve("sps", sps_schedule(1.0), axis, clamp=COMPARISON_CLAMP)
+    better = fidelity_curve(better_label, better_schedule, axis, clamp=COMPARISON_CLAMP)
+    margin = (better.column(f"F_{better_label}_exact_left")
+              - sps.column("F_sps_exact_left"))
     return float(np.min(margin))
 
 
@@ -162,9 +157,8 @@ def _consistency_gaps(schedule, kind):
     q = q_alpha(schedule) if kind == "systematic" else q_delta(schedule)
     gaps = []
     for eps in (0.01, 0.02, 0.04):
-        error = (ErrorModel.systematic(eps) if kind == "systematic"
-                 else ErrorModel.detuning(eps))
-        exact = exact_fidelity(schedule, error, L)
+        alpha, delta = (eps, 0.0) if kind == "systematic" else (0.0, eps)
+        exact = exact_fidelities(schedule, alpha, delta, L)[0]
         gaps.append(abs(exact - second_order_fidelity(kind, eps, q)))
     return gaps
 
@@ -214,13 +208,9 @@ def test_criterion_5_remainder_bounded_by_cubic():
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_heatmap():
-    spec = SweepSpec(
-        schemes=(("ansatz1.1", ansatz_schedule(1.10, 1.0)),),
-        axis1=ErrorAxis("systematic", -0.1, 0.1, 41),
-        axis2=ErrorAxis("detuning", -0.5, 0.5, 41),
-        mode="exact",
-    )
-    result = fidelity_heatmap(spec)
+    result = fidelity_heatmap(ansatz_schedule(1.10, 1.0),
+                              ErrorAxis("systematic", -0.1, 0.1, 41),
+                              ErrorAxis("detuning", -0.5, 0.5, 41))
     rows = result.data
     center = rows[(rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)][0, 2]
     fraction = float(result.metadata["region_F>=0.99_fraction_left"])
@@ -298,14 +288,13 @@ def test_criterion_8_handedness_symmetry():
             schedule = ansatz_schedule(float(rng.uniform(0.6, 1.4)), 1.0)
         roll = rng.random()
         if roll < 0.4:
-            error = ErrorModel.systematic(float(rng.uniform(-0.15, 0.15)))
+            alpha, delta = rng.uniform(-0.15, 0.15), 0.0
         elif roll < 0.8:
-            error = ErrorModel.detuning(float(rng.uniform(-0.8, 0.8)))
+            alpha, delta = 0.0, rng.uniform(-0.8, 0.8)
         else:
-            error = ErrorModel(alpha=float(rng.uniform(-0.1, 0.1)),
-                               delta=float(rng.uniform(-0.5, 0.5)))
-        fl = exact_fidelity(schedule, error, L)
-        fr = exact_fidelity(schedule, error, R)
+            alpha, delta = rng.uniform(-0.1, 0.1), rng.uniform(-0.5, 0.5)
+        fl = exact_fidelities(schedule, alpha, delta, L)[0]
+        fr = exact_fidelities(schedule, alpha, delta, R)[0]
         worst = max(worst, abs(fl - fr))
     report("8 handedness symmetry", worst <= 1e-6, f"max |F_L - F_R|={worst:.2e}")
     assert worst <= 1e-6

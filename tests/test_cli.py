@@ -139,6 +139,21 @@ def test_scan_detuning_default_range(tmp_path):
     assert rows[0, 0] == -1.0 and rows[-1, 0] == 1.0
 
 
+@pytest.mark.parametrize("schemes", ["sps,SPS", "oss,sps,oss", "ansatz:1.1,ansatz:1.10"])
+def test_scan_rejects_a_repeated_scheme(tmp_path, capsys, monkeypatch, schemes):
+    # each scheme writes one file, so a repeat is rejected before anything runs
+    def not_called(*args, **kwargs):
+        raise AssertionError("fidelity_curve called")
+
+    monkeypatch.setattr("chiralpulse.cli.fidelity_curve", not_called)
+    assert run_cli(["scan", "--schemes", schemes, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: schemes {schemes} lists a scheme twice; "
+                            "each scheme writes one file\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_heatmap_small(tmp_path, capsys):
     code = run_cli(["heatmap", "--scheme", "ansatz", "--n", "1.10",
                     "--alpha-min", "-0.05", "--alpha-max", "0.05", "--alpha-points", "3",

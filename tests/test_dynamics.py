@@ -258,3 +258,18 @@ def test_make_grid_validation():
         make_grid(1.0, 0)
     g = make_grid(2.0, 10)
     assert g[0] == 0.0 and g[-1] == 2.0 and len(g) == 11
+
+
+@pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf, -1.0])
+def test_make_grid_rejects_a_non_finite_or_negative_duration(duration):
+    with pytest.raises(ValueError, match="duration must be positive and finite"):
+        make_grid(duration, 10)
+
+
+@pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [-np.inf, 0.0, 1.0]],
+                         ids=["nan", "inf", "minus_inf"])
+def test_propagate_rejects_a_non_finite_grid(grid):
+    # NaN fails every comparison, so a grid holding one is not "strictly
+    # increasing"; it is rejected before the Hamiltonian is sampled
+    with pytest.raises(ValueError, match="strictly increasing 1-D array of finite times"):
+        propagate(lambda t: (np.ones(len(t)), np.zeros(len(t))), QuantumState.basis(2), grid)

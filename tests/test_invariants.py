@@ -151,6 +151,14 @@ def test_make_schedule_aliases():
         make_schedule("nope", 1.0)
 
 
+@pytest.mark.parametrize("duration", [np.nan, np.inf, 0.0, -2.0])
+def test_schedules_reject_a_non_finite_or_non_positive_duration(duration):
+    for build in (sps_schedule, lambda T: ansatz_schedule(1.1, T),
+                  lambda T: make_schedule("oss", T)):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            build(duration)
+
+
 # ---------------------------------------------------------------------------
 # pulse synthesis
 # ---------------------------------------------------------------------------

@@ -6,14 +6,13 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from chiralpulse import (
-    ErrorModel,
     Handedness,
     NoInteriorMinimum,
     PulseSchedule,
     QuantumState,
     ansatz_schedule,
     default_clamp,
-    exact_fidelity,
+    exact_fidelities,
     make_grid,
     optimize_n,
     population_trace,
@@ -23,22 +22,11 @@ from chiralpulse import (
     sps_schedule,
 )
 from chiralpulse.dynamics import DEFAULT_STEPS, _cf4_products
-from chiralpulse.robustness import (
-    fidelities_from_pulses,
-    golden_section,
-    second_order_fidelity,
-)
+from chiralpulse.robustness import golden_section, second_order_fidelity
 from oracles import perturbed_hamiltonian
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 DETUNING = np.diag([-1.0, 0.0, 1.0])   # |3><3| - |1><1|
-
-
-def test_error_model_kinds():
-    assert ErrorModel.systematic(0.1) == ErrorModel(alpha=0.1, delta=0.0)
-    assert ErrorModel.detuning(0.5) == ErrorModel(alpha=0.0, delta=0.5)
-    with pytest.raises(ValueError):
-        ErrorModel(alpha=np.nan)
 
 
 def test_q_alpha_known_values():
@@ -89,7 +77,7 @@ def test_exact_fidelity_no_error_full_transfer():
     # multiplied in another order
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0), ansatz_schedule(2.0, 0.3)):
         for hand in (L, R):
-            fidelity = exact_fidelity(schedule, ErrorModel(), hand)
+            fidelity = exact_fidelities(schedule, 0.0, 0.0, hand)[0]
             assert fidelity > 1.0 - 1e-4
             final = population_trace(schedule, hand).data[-1, hand.target_level]
             assert final == pytest.approx(fidelity, rel=0, abs=1e-14)
@@ -127,12 +115,12 @@ def test_exact_fidelity_matches_stepwise_propagation():
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0)):
         samples = [pulses_from_invariant(schedule, t) for t in (t1, t2)]
         for hand in (L, R):
-            for error in (ErrorModel(), ErrorModel(alpha=0.05, delta=0.3)):
+            for alpha, delta in ((0.0, 0.0), (0.05, 0.3)):
                 h1, h2 = (perturbed_hamiltonian(p.omega, p.omega_q, hand.coupling_sign,
-                                                error.alpha, error.delta) for p in samples)
+                                                alpha, delta) for p in samples)
                 total = _cf4_reference(h1, h2, dts)
                 expected = abs(total[hand.target_level - 1, 1]) ** 2
-                assert exact_fidelity(schedule, error, hand) == pytest.approx(
+                assert exact_fidelities(schedule, alpha, delta, hand)[0] == pytest.approx(
                     expected, rel=0, abs=1e-12)
 
 
@@ -145,39 +133,36 @@ def test_fidelity_from_pulses_matches_expm_sequential_product(steps):
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0)):
         pulses = pulses_from_invariant(schedule, nodes)
         for hand in (L, R):
-            for error in (ErrorModel(), ErrorModel(alpha=0.05, delta=0.3)):
+            for alpha, delta in ((0.0, 0.0), (0.05, 0.3)):
                 # H of the dynamics module docstring, written out here
                 h = np.zeros((2 * steps, 3, 3), dtype=complex)
                 h[:, 0, 1] = h[:, 1, 0] = h[:, 1, 2] = h[:, 2, 1] = pulses.omega
                 h[:, 0, 2] = hand.coupling_sign * 1j * pulses.omega_q
                 h[:, 2, 0] = -hand.coupling_sign * 1j * pulses.omega_q
-                h = (1.0 + error.alpha) * h + error.delta * DETUNING
+                h = (1.0 + alpha) * h + delta * DETUNING
                 total = _cf4_reference(h[0::2], h[1::2], dts)
                 expected = abs(total[hand.target_level - 1, 1]) ** 2
-                value = fidelities_from_pulses(pulses, dts, [error.alpha], [error.delta],
-                                               hand)[0]
+                value = exact_fidelities(schedule, alpha, delta, hand, steps)[0]
                 assert value == pytest.approx(expected, rel=0, abs=1e-12)
 
 
-def test_fidelity_from_pulses_needs_two_samples_per_step():
-    grid = make_grid(1.0, 100)
-    dts = np.diff(grid)
-    midpoints = pulses_from_invariant(sps_schedule(1.0), grid[:-1] + 0.5 * dts)
-    with pytest.raises(ValueError, match="100 pulse samples for 100 steps"):
-        fidelities_from_pulses(midpoints, dts, [0.0], [0.0], L)
+def test_exact_fidelities_reject_non_finite_amplitudes():
+    for alpha, delta in ((np.nan, 0.0), (0.0, [0.1, np.inf])):
+        with pytest.raises(ValueError, match="error amplitudes must be finite"):
+            exact_fidelities(sps_schedule(1.0), alpha, delta, L)
 
 
-def _dop853_fidelity(schedule, error, hand):
+def _dop853_fidelity(schedule, alpha, delta, hand):
     """Adaptive 8th-order Runge-Kutta (rtol = atol = 1e-12) on the perturbed H."""
     clamp = default_clamp(schedule.duration)
     s = hand.coupling_sign
-    detuning = error.delta * DETUNING
+    detuning = delta * DETUNING
 
     def rhs(t, psi):
         p = pulses_from_invariant(schedule, np.array([t]), clamp)
         om, oq = p.omega[0], p.omega_q[0]
         h0 = np.array([[0.0, om, s * 1j * oq], [om, 0.0, om], [-s * 1j * oq, om, 0.0]])
-        return -1j * (((1.0 + error.alpha) * h0 + detuning) @ psi)
+        return -1j * (((1.0 + alpha) * h0 + detuning) @ psi)
 
     sol = solve_ivp(rhs, (0.0, schedule.duration), QuantumState.basis(2).amplitudes, method="DOP853",
                     rtol=1e-12, atol=1e-12)
@@ -194,17 +179,15 @@ def test_default_steps_accuracy_against_dop853(scheme, alpha, delta, bound):
     # the default 400 CF4 steps are 10-40x more accurate than the 4000-step
     # midpoint rule they replace (3.3e-7, 9.6e-8 and 8.4e-8 on these cases)
     schedule = sps_schedule(1.0) if scheme == "sps" else ansatz_schedule(1.10, 1.0)
-    error = ErrorModel(alpha=alpha, delta=delta)
-    assert abs(exact_fidelity(schedule, error, L)
-               - _dop853_fidelity(schedule, error, L)) < bound
+    assert abs(exact_fidelities(schedule, alpha, delta, L)[0]
+               - _dop853_fidelity(schedule, alpha, delta, L)) < bound
 
 
 def test_exact_fidelity_handedness_symmetry():
     schedule = ansatz_schedule(1.07, 1.0)
-    for error in (ErrorModel.systematic(0.05), ErrorModel.detuning(0.4),
-                  ErrorModel(alpha=0.08, delta=-0.3)):
-        fl = exact_fidelity(schedule, error, L)
-        fr = exact_fidelity(schedule, error, R)
+    for alpha, delta in ((0.05, 0.0), (0.0, 0.4), (0.08, -0.3)):
+        fl = exact_fidelities(schedule, alpha, delta, L)[0]
+        fr = exact_fidelities(schedule, alpha, delta, R)[0]
         assert abs(fl - fr) < 1e-6
 
 
@@ -228,13 +211,13 @@ def test_mirror_symmetries_of_random_pulses(pulses, alpha, delta):
     # sweeps' right-handed columns, F_L, agree with a right-handed propagation.
     # The sweeps fold +-delta onto |delta|, so the kernel is called directly
     pulses, dts = pulses
-    total = _cf4_products(pulses.omega, pulses.omega_q, L.coupling_sign, dts,
-                          np.array([alpha, alpha]), np.array([delta, -delta]))
-    populations = np.abs(total[:, 1]) ** 2
+    alphas, deltas = np.array([alpha, alpha]), np.array([delta, -delta])
+    left, right = (_cf4_products(pulses.omega, pulses.omega_q, hand.coupling_sign, dts,
+                                 alphas, deltas) for hand in (L, R))
+    populations = np.abs(left[:, 1]) ** 2
     assert populations[:, 0].tolist() == populations[:, 1].tolist()
-    f_left = fidelities_from_pulses(pulses, dts, [alpha], [delta], L)[0]
-    f_right = fidelities_from_pulses(pulses, dts, [alpha], [delta], R)[0]
-    assert abs(f_left - f_right) <= 1e-13
+    f_right = abs(right[R.target_level - 1, 1, 0]) ** 2
+    assert abs(populations[L.target_level - 1, 0] - f_right) <= 1e-13
 
 
 def test_quadratic_leading_order_recovers_q_alpha():
@@ -242,8 +225,7 @@ def test_quadratic_leading_order_recovers_q_alpha():
     schedule = ansatz_schedule(1.07, 1.0)
     qa = q_alpha(schedule)
     alphas = np.linspace(-0.02, 0.02, 9)
-    losses = np.array([1.0 - exact_fidelity(schedule, ErrorModel.systematic(a), L)
-                       for a in alphas])
+    losses = np.array([1.0 - exact_fidelities(schedule, a, 0.0, L)[0] for a in alphas])
     coeff = np.polyfit(alphas, losses, 2)[0]
     assert coeff == pytest.approx(qa, rel=0.05)
 
@@ -254,8 +236,7 @@ def test_perturbative_remainder_is_third_order_bounded():
     qa = q_alpha(schedule)
     constants = []
     for eps in (0.01, 0.02, 0.04):
-        diff = abs(exact_fidelity(schedule, ErrorModel.systematic(eps), L)
-                   - (1.0 - eps ** 2 * qa))
+        diff = abs(exact_fidelities(schedule, eps, 0.0, L)[0] - (1.0 - eps ** 2 * qa))
         constants.append(diff / eps ** 3)
     assert max(constants) < 0.2, f"remainder constants {constants}"
 

@@ -3,11 +3,9 @@ import pytest
 
 from chiralpulse import (
     ErrorAxis,
-    ErrorModel,
     Handedness,
-    SweepSpec,
     ansatz_schedule,
-    exact_fidelity,
+    exact_fidelities,
     fidelity_curve,
     fidelity_heatmap,
     high_fidelity_region,
@@ -21,7 +19,6 @@ from chiralpulse import (
 )
 from chiralpulse import dynamics, robustness
 from chiralpulse.dynamics import _CHUNK_BYTES, DEFAULT_STEPS, gauss_nodes
-from chiralpulse.robustness import fidelities_from_pulses
 from chiralpulse.sweeps import SweepResult
 
 L, R = Handedness.LEFT, Handedness.RIGHT
@@ -65,48 +62,35 @@ def test_population_trace_row_sums_for_ansatz():
 
 
 def test_fidelity_curve_zero_error_is_unity():
-    spec = SweepSpec(
-        schemes=(("sps", sps_schedule(1.0)), ("oss", ansatz_schedule(1.07, 1.0))),
-        axis1=ErrorAxis("systematic", -0.1, 0.1, 5),
-        mode="exact",
-    )
-    result = fidelity_curve(spec)
-    at_zero = result.data[2]
-    assert result.data[2, 0] == 0.0
-    assert np.all(at_zero[1:] > 1.0 - 1e-4)
+    axis = ErrorAxis("systematic", -0.1, 0.1, 5)
+    for label, schedule in (("sps", sps_schedule(1.0)), ("oss", ansatz_schedule(1.07, 1.0))):
+        result = fidelity_curve(label, schedule, axis)
+        at_zero = result.data[2]
+        assert result.data[2, 0] == 0.0
+        assert np.all(at_zero[1:] > 1.0 - 1e-4)
 
 
 def test_fidelity_curve_scheme_ordering_systematic():
     # compare schemes with the truncation bias suppressed (high clamp), so the
     # margin reflects the schedules rather than the pulse cap
-    spec = SweepSpec(
-        schemes=(("sps", sps_schedule(1.0)), ("oss", ansatz_schedule(1.07, 1.0))),
-        axis1=ErrorAxis("systematic", -0.2, 0.2, 21),
-        mode="exact", clamp=5000.0,
-    )
-    result = fidelity_curve(spec)
-    margin = result.column("F_oss_exact_left") - result.column("F_sps_exact_left")
+    axis = ErrorAxis("systematic", -0.2, 0.2, 21)
+    sps = fidelity_curve("sps", sps_schedule(1.0), axis, clamp=5000.0)
+    oss = fidelity_curve("oss", ansatz_schedule(1.07, 1.0), axis, clamp=5000.0)
+    margin = oss.column("F_oss_exact_left") - sps.column("F_sps_exact_left")
     assert np.min(margin) >= -1e-6
 
 
 def test_fidelity_curve_scheme_ordering_detuning():
-    spec = SweepSpec(
-        schemes=(("sps", sps_schedule(1.0)), ("osd", ansatz_schedule(1.12, 1.0))),
-        axis1=ErrorAxis("detuning", -1.0, 1.0, 21),
-        mode="exact", clamp=5000.0,
-    )
-    result = fidelity_curve(spec)
-    margin = result.column("F_osd_exact_left") - result.column("F_sps_exact_left")
+    axis = ErrorAxis("detuning", -1.0, 1.0, 21)
+    sps = fidelity_curve("sps", sps_schedule(1.0), axis, clamp=5000.0)
+    osd = fidelity_curve("osd", ansatz_schedule(1.12, 1.0), axis, clamp=5000.0)
+    margin = osd.column("F_osd_exact_left") - sps.column("F_sps_exact_left")
     assert np.min(margin) >= -1e-6
 
 
 def test_fidelity_curve_both_mode_agreement():
-    spec = SweepSpec(
-        schemes=(("oss", ansatz_schedule(1.07, 1.0)),),
-        axis1=ErrorAxis("systematic", -0.3, 0.3, 13),
-        mode="both",
-    )
-    result = fidelity_curve(spec)
+    result = fidelity_curve("oss", ansatz_schedule(1.07, 1.0),
+                            ErrorAxis("systematic", -0.3, 0.3, 13), "both")
     exact = result.column("F_oss_exact_left")
     pert = result.column("F_oss_pert")
     inside = np.abs(result.column("alpha")) <= 0.1
@@ -114,25 +98,37 @@ def test_fidelity_curve_both_mode_agreement():
     assert "agreement_worst_inside" in result.metadata
 
 
+@pytest.mark.parametrize("label, flagged, worst", [("sps", 78, "2.606e-03"),
+                                                   ("oss", 60, "5.396e-04")])
+def test_agreement_stats_of_the_default_scan(label, flagged, worst):
+    # the default `scan`: systematic axis [-0.3, 0.3] x 101, both modes, clamp
+    # 100/T at T = 1; a flagged point counts once per exact column, so the
+    # counts are even
+    result = fidelity_curve(label, make_schedule(label, 1.0),
+                            ErrorAxis("systematic", -0.3, 0.3, 101), "both", clamp=100.0)
+    assert result.metadata["agreement_window"] == "|alpha|<=0.1"
+    assert result.metadata["agreement_worst_inside"] == worst
+    assert result.metadata["agreement_flagged_outside"] == flagged
+
+
+def test_fidelity_curve_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'magic'"):
+        fidelity_curve("sps", sps_schedule(1.0), ErrorAxis("systematic", -0.1, 0.1, 3),
+                       mode="magic")
+
+
 def test_fidelity_curve_perturbative_handedness_free():
-    spec = SweepSpec(
-        schemes=(("osd", ansatz_schedule(1.12, 1.0)),),
-        axis1=ErrorAxis("detuning", -0.5, 0.5, 5),
-        mode="perturbative",
-    )
-    result = fidelity_curve(spec)
+    result = fidelity_curve("osd", ansatz_schedule(1.12, 1.0),
+                            ErrorAxis("detuning", -0.5, 0.5, 5), "perturbative")
     assert result.columns == ("delta", "F_osd_pert")
     assert np.all(result.column("F_osd_pert") <= 1.0)
 
 
 def test_heatmap_small_grid():
-    spec = SweepSpec(
-        schemes=(("ansatz1.1", ansatz_schedule(1.10, 1.0)),),
-        axis1=ErrorAxis("systematic", -0.1, 0.1, 7),
-        axis2=ErrorAxis("detuning", -0.5, 0.5, 7),
-        mode="exact",
-    )
-    result = fidelity_heatmap(spec)
+    schedule = ansatz_schedule(1.10, 1.0)
+    result = fidelity_heatmap(schedule, ErrorAxis("systematic", -0.1, 0.1, 7),
+                              ErrorAxis("detuning", -0.5, 0.5, 7))
+    assert result.metadata["scheme"].startswith("ansatz1.1:")
     rows = result.data
     center = rows[(rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)]
     assert center[0, 2] > 1.0 - 1e-4
@@ -140,8 +136,7 @@ def test_heatmap_small_grid():
     # an independent right-handed propagation agrees to rounding
     right = result.column("F_exact_right")
     for k in (0, 10, 24, 40, 48):
-        error = ErrorModel(alpha=rows[k, 0], delta=rows[k, 1])
-        assert abs(right[k] - exact_fidelity(spec.schemes[0][1], error, R)) < 1e-13
+        assert abs(right[k] - exact_fidelities(schedule, rows[k, 0], rows[k, 1], R)[0]) < 1e-13
     assert float(result.metadata["region_F>=0.99_fraction_left"]) > 0.0
     assert result.metadata["region_F>=0.99_contiguous_left"]
 
@@ -150,24 +145,20 @@ def test_heatmap_cells_equal_single_point_fidelities():
     # the heatmap batches its cells; each value is the same, bit for bit, as
     # that cell computed alone
     schedule = ansatz_schedule(1.10, 1.0)
-    result = fidelity_heatmap(SweepSpec(
-        schemes=(("ansatz1.1", schedule),),
-        axis1=ErrorAxis("systematic", -0.3, 0.3, 5),
-        axis2=ErrorAxis("detuning", -1.0, 1.0, 5),
-    ))
-    alone = [exact_fidelity(schedule, ErrorModel(alpha=a, delta=d), L)
-             for a, d in result.data[:, :2]]
+    result = fidelity_heatmap(schedule, ErrorAxis("systematic", -0.3, 0.3, 5),
+                              ErrorAxis("detuning", -1.0, 1.0, 5))
+    alone = [exact_fidelities(schedule, a, d, L)[0] for a, d in result.data[:, :2]]
     assert result.column("F_exact_left").tolist() == alone
 
 
 def test_scan_points_equal_single_point_fidelities():
     schemes = (("sps", sps_schedule(1.0)), ("ansatz1.1", ansatz_schedule(1.10, 1.0)))
-    for kind, model in (("systematic", ErrorModel.systematic),
-                        ("detuning", ErrorModel.detuning)):
-        result = fidelity_curve(SweepSpec(schemes=schemes, mode="both",
-                                          axis1=ErrorAxis(kind, -0.3, 0.3, 7)))
+    for kind in ("systematic", "detuning"):
         for label, schedule in schemes:
-            alone = [exact_fidelity(schedule, model(amp), L) for amp in result.data[:, 0]]
+            result = fidelity_curve(label, schedule, ErrorAxis(kind, -0.3, 0.3, 7), "both")
+            points = [(amp, 0.0) if kind == "systematic" else (0.0, amp)
+                      for amp in result.data[:, 0]]
+            alone = [exact_fidelities(schedule, a, d, L)[0] for a, d in points]
             assert result.column(f"F_{label}_exact_left").tolist() == alone
 
 
@@ -175,14 +166,11 @@ def test_fidelities_across_a_chunk_boundary_equal_single_points():
     # one point more than a chunk: the last point runs alone, in a prefix of
     # the chunk buffers
     schedule = ansatz_schedule(1.10, 1.0)
-    grid = make_grid(1.0, DEFAULT_STEPS)
-    pulses = pulses_from_invariant(schedule, gauss_nodes(grid))
     chunk = _CHUNK_BYTES // (9 * 16 * 2 * DEFAULT_STEPS)
     alphas = np.linspace(-0.3, 0.3, chunk + 1)
     deltas = np.linspace(1.0, -1.0, chunk + 1)
-    batch = fidelities_from_pulses(pulses, np.diff(grid), alphas, deltas, L)
-    alone = [exact_fidelity(schedule, ErrorModel(alpha=a, delta=d), L)
-             for a, d in zip(alphas, deltas)]
+    batch = exact_fidelities(schedule, alphas, deltas, L)
+    alone = [exact_fidelities(schedule, a, d, L)[0] for a, d in zip(alphas, deltas)]
     assert batch.tolist() == alone
 
 
@@ -213,16 +201,13 @@ def test_heatmap_folds_onto_distinct_alpha_abs_delta(monkeypatch):
     # exact negatives: 4 alphas x 3 distinct |delta|
     schedule = ansatz_schedule(1.10, 1.0)
     calls = _count_kernel_points(monkeypatch)
-    result = fidelity_heatmap(SweepSpec(
-        schemes=(("ansatz1.1", schedule),),
-        axis1=ErrorAxis("systematic", -0.3, 0.3, 4),
-        axis2=ErrorAxis("detuning", -1.0, 1.0, 4),
-    ))
+    result = fidelity_heatmap(schedule, ErrorAxis("systematic", -0.3, 0.3, 4),
+                              ErrorAxis("detuning", -1.0, 1.0, 4))
     assert calls == [12]
     rows = result.data[:, :2]
     left = result.column("F_exact_left").tolist()
     assert left == _unfolded(schedule, rows[:, 0], rows[:, 1])
-    assert left == [exact_fidelity(schedule, ErrorModel(alpha=a, delta=d), L) for a, d in rows]
+    assert left == [exact_fidelities(schedule, a, d, L)[0] for a, d in rows]
 
 
 def test_folded_101_point_delta_axis_equals_unfolded(monkeypatch):
@@ -230,10 +215,8 @@ def test_folded_101_point_delta_axis_equals_unfolded(monkeypatch):
     alphas = np.array([-0.3, 0.0, 0.2])
     deltas = ErrorAxis("detuning", -1.0, 1.0, 101).values
     cell_alphas, cell_deltas = np.repeat(alphas, 101), np.tile(deltas, 3)
-    grid = make_grid(1.0, DEFAULT_STEPS)
-    pulses = pulses_from_invariant(schedule, gauss_nodes(grid))
     calls = _count_kernel_points(monkeypatch)
-    folded = fidelities_from_pulses(pulses, np.diff(grid), cell_alphas, cell_deltas, L)
+    folded = exact_fidelities(schedule, cell_alphas, cell_deltas, L)
     assert calls == [3 * len(np.unique(np.abs(deltas)))]
     assert folded.tolist() == _unfolded(schedule, cell_alphas, cell_deltas)
 
@@ -242,10 +225,8 @@ def test_fold_merges_signed_zeros_and_repeated_points(monkeypatch):
     schedule = sps_schedule(1.0)
     alphas = [0.1, 0.1, -0.0, 0.0, 0.0, 0.2, 0.2]
     deltas = [0.3, -0.3, -0.0, 0.0, -0.0, 0.7, 0.7]
-    grid = make_grid(1.0, DEFAULT_STEPS)
-    pulses = pulses_from_invariant(schedule, gauss_nodes(grid))
     calls = _count_kernel_points(monkeypatch)
-    folded = fidelities_from_pulses(pulses, np.diff(grid), alphas, deltas, L)
+    folded = exact_fidelities(schedule, alphas, deltas, L)
     assert calls == [3]
     assert folded.tolist() == _unfolded(schedule, alphas, deltas)
 
@@ -253,25 +234,25 @@ def test_fold_merges_signed_zeros_and_repeated_points(monkeypatch):
 def test_scans_propagate_each_distinct_point_once(monkeypatch):
     schemes = tuple((label, make_schedule(label, 1.0)) for label in ("sps", "oss", "osd"))
     calls = _count_kernel_points(monkeypatch)
-    detuning = fidelity_curve(SweepSpec(schemes=schemes, mode="both",
-                                        axis1=ErrorAxis("detuning", -1.0, 1.0, 5)))
+    detuning = [fidelity_curve(label, schedule, ErrorAxis("detuning", -1.0, 1.0, 5), "both")
+                for label, schedule in schemes]
     assert calls == [3, 3, 3]
     calls.clear()
-    fidelity_curve(SweepSpec(schemes=schemes, mode="both",
-                             axis1=ErrorAxis("systematic", -0.3, 0.3, 5)))
-    assert calls == [5, 5, 5]
     for label, schedule in schemes:
-        amps = detuning.data[:, 0]
-        assert detuning.column(f"F_{label}_exact_left").tolist() == _unfolded(
+        fidelity_curve(label, schedule, ErrorAxis("systematic", -0.3, 0.3, 5), "both")
+    assert calls == [5, 5, 5]
+    for (label, schedule), result in zip(schemes, detuning):
+        amps = result.data[:, 0]
+        assert result.column(f"F_{label}_exact_left").tolist() == _unfolded(
             schedule, np.zeros(5), amps)
 
 
-def test_heatmap_requires_two_axes():
-    with pytest.raises(ValueError):
-        fidelity_heatmap(SweepSpec(
-            schemes=(("sps", sps_schedule(1.0)),),
-            axis1=ErrorAxis("systematic", -0.1, 0.1, 3),
-        ))
+def test_heatmap_rejects_swapped_axis_kinds():
+    alpha_axis = ErrorAxis("systematic", -0.1, 0.1, 3)
+    delta_axis = ErrorAxis("detuning", -0.5, 0.5, 3)
+    for axes in ((delta_axis, alpha_axis), (alpha_axis, alpha_axis)):
+        with pytest.raises(ValueError, match=r"heatmap axes must be \(systematic, detuning\)"):
+            fidelity_heatmap(sps_schedule(1.0), *axes)
 
 
 def test_high_fidelity_region_helper():
@@ -316,14 +297,10 @@ def test_sensitivity_curves_smooth_with_single_interior_minimum():
 
 
 def test_sweep_csv_determinism(tmp_path):
-    spec = SweepSpec(
-        schemes=(("sps", sps_schedule(1.0)),),
-        axis1=ErrorAxis("systematic", -0.1, 0.1, 5),
-        mode="exact", steps=500,
-    )
+    args = ("sps", sps_schedule(1.0), ErrorAxis("systematic", -0.1, 0.1, 5), "exact", 500)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    fidelity_curve(spec).to_csv(p1)
-    fidelity_curve(spec).to_csv(p2)
+    fidelity_curve(*args).to_csv(p1)
+    fidelity_curve(*args).to_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()
     assert header[0].startswith("# code_version = ")
@@ -338,24 +315,16 @@ def _per_row_sweep_csv(result):
 
 
 def test_sweep_csv_matches_per_row_formatting(tmp_path):
-    spec = SweepSpec(schemes=(("sps", sps_schedule(1.0)), ("oss", ansatz_schedule(1.07, 1.0))),
-                     axis1=ErrorAxis("detuning", -1.0, 1.0, 7), mode="both")
+    axis = ErrorAxis("detuning", -1.0, 1.0, 7)
     adversarial = np.array([[-0.0, 5e-324, 1e-300, 1e16],
                             [3.0, -7.0, 123456789012345.0, 0.1 + 0.2],
                             [np.pi, -2.0 / 3.0, 1.0 / 7.0, 9.999999999999999e22]])
     for k, result in enumerate([
             population_trace(sps_schedule(1.0), L),
-            fidelity_curve(spec),
+            fidelity_curve("sps", sps_schedule(1.0), axis, "both"),
+            fidelity_curve("oss", ansatz_schedule(1.07, 1.0), axis, "both"),
             SweepResult(columns=("a", "b", "c", "d"), data=adversarial, metadata={"x": 1}),
             SweepResult(columns=("a", "b"), data=adversarial.T[:, :2])]):  # not C-contiguous
         path = tmp_path / f"{k}.csv"
         result.to_csv(path)
         assert path.read_bytes() == _per_row_sweep_csv(result)
-
-
-def test_sweep_spec_validation():
-    axis = ErrorAxis("systematic", -0.1, 0.1, 3)
-    with pytest.raises(ValueError):
-        SweepSpec(schemes=(), axis1=axis)
-    with pytest.raises(ValueError):
-        SweepSpec(schemes=(("sps", sps_schedule(1.0)),), axis1=axis, mode="magic")
