@@ -11,7 +11,6 @@ from .dynamics import (
     Handedness,
     QuantumState,
     Trajectory,
-    hamiltonian_stack,
     make_grid,
     propagate,
 )
@@ -29,8 +28,6 @@ from .invariants import (
     ValidationReport,
     ansatz_schedule,
     default_clamp,
-    invariant_matrix,
-    invariant_matrix_dot,
     make_schedule,
     pulses_from_invariant,
     schedule_hamiltonian,
@@ -56,16 +53,15 @@ from .sweeps import (
 __all__ = [
     "__version__",
     # dynamics
-    "Handedness", "QuantumState", "Trajectory", "hamiltonian_stack",
-    "make_grid", "propagate",
+    "Handedness", "QuantumState", "Trajectory", "make_grid", "propagate",
     # errors
     "ChiralPulseError", "ClampViolation", "NoInteriorMinimum",
     "NonFiniteHamiltonian", "QuadratureFailure", "SingularTheta",
     # invariants
     "InvariantSchedule", "PulseSchedule", "ValidationReport",
-    "ansatz_schedule", "default_clamp", "invariant_matrix",
-    "invariant_matrix_dot", "make_schedule", "pulses_from_invariant",
-    "schedule_hamiltonian", "sps_schedule", "validate_schedule",
+    "ansatz_schedule", "default_clamp", "make_schedule",
+    "pulses_from_invariant", "schedule_hamiltonian", "sps_schedule",
+    "validate_schedule",
     # robustness
     "OptimumResult", "exact_fidelities", "optimize_n", "q_alpha", "q_delta",
     # sweeps

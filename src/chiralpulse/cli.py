@@ -5,7 +5,9 @@ Configuration precedence is CLI flag > config file (`--config`, flat
 default.  The effective configuration is echoed into every output file's
 metadata block, and each run ends with a single machine-parsable
 `key=value` summary line on stdout.  `--workers` is accepted (>= 1) and
-ignored: sweeps run in one thread, and it is not echoed.
+ignored: sweeps run in one thread, and it is not echoed.  Each command
+computes its results before it creates `--out`, so a rejected run leaves no
+directory or file behind.
 
 `scan` calls ``fidelity_curve`` once per scheme of `--schemes`, each writing
 one file, so a scheme listed twice is rejected before anything is computed;
@@ -263,10 +265,10 @@ def _absolute_clamp(cfg: dict) -> float:
 
 def cmd_design(cfg: dict) -> int:
     schedule = _scheme_from_config(cfg)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     grid = make_grid(cfg["T"], cfg["steps"])
     pulses = pulses_from_invariant(schedule, grid, _absolute_clamp(cfg))
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
     pulses.to_csv(out / "pulses.csv", extra_metadata=_effective_metadata(cfg))
     report = validate_schedule(schedule, clamp=_absolute_clamp(cfg))
     (out / "validation.txt").write_text(report.to_text(), encoding="utf-8")
@@ -280,12 +282,13 @@ def cmd_design(cfg: dict) -> int:
 
 def cmd_simulate(cfg: dict) -> int:
     schedule = _scheme_from_config(cfg)
+    traces = {handedness: population_trace(schedule, handedness, steps=cfg["steps"],
+                                           clamp=_absolute_clamp(cfg))
+              for handedness in Handedness}
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     finals = {}
-    for handedness in Handedness:
-        trace = population_trace(schedule, handedness, steps=cfg["steps"],
-                                 clamp=_absolute_clamp(cfg))
+    for handedness, trace in traces.items():
         trace.metadata.update(_effective_metadata(cfg))
         path = out / f"populations_{schedule.slug}_{handedness.value}.csv"
         trace.to_csv(path)
@@ -306,8 +309,6 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_scan(cfg: dict) -> int:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     kind = cfg["error"]
     lo = cfg["min"] if cfg["min"] is not None else (-0.3 if kind == "systematic" else -1.0 / cfg["T"])
     hi = cfg["max"] if cfg["max"] is not None else (0.3 if kind == "systematic" else 1.0 / cfg["T"])
@@ -321,6 +322,8 @@ def cmd_scan(cfg: dict) -> int:
     results = [(label, fidelity_curve(label, schedule, axis, cfg["mode"], cfg["steps"],
                                       _absolute_clamp(cfg)))
                for label, schedule in schemes.items()]
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
     written = []
     for label, result in results:
         result.metadata.update(_effective_metadata(cfg))
@@ -333,8 +336,6 @@ def cmd_scan(cfg: dict) -> int:
 
 
 def cmd_heatmap(cfg: dict) -> int:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     schedule = _scheme_from_config(cfg)
     label = schedule.slug
     result = fidelity_heatmap(
@@ -345,6 +346,8 @@ def cmd_heatmap(cfg: dict) -> int:
                   cfg["delta_points"]),
         cfg["steps"], _absolute_clamp(cfg))
     result.metadata.update(_effective_metadata(cfg))
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
     path = out / f"heatmap_{label}_exact.csv"
     result.to_csv(path)
     region = {k.split("_fraction_")[-1]: v for k, v in result.metadata.items()

@@ -17,14 +17,13 @@ Conventions (hbar = 1 throughout):
   with s = +1 for left-handed and s = -1 for right-handed molecules, i.e.
   the two enantiomers see the same pulses but an opposite-sign loop phase.
 
-``hamiltonian_stack`` is the one assembly of this matrix: every
-Hamiltonian matrix the package checks is built there from sampled (Omega,
-Omega_q).  The systematic amplitude error alpha and the detuning delta turn
-H into (1 + alpha) H + delta (|3><3| - |1><1|); only the propagators take
-them, and they form no matrix: they write the entries of each exponential
-from the samples (``_half_step_exponentials``).  The tests check those
-against the matrix exponential of the perturbed stack, which they assemble
-from ``hamiltonian_stack``.
+The package never assembles this matrix: it is described by its real
+couplings (Omega, -s * Omega_q), the second signed by
+``Handedness.coupling_sign``.  The systematic amplitude error alpha and the
+detuning delta turn H into (1 + alpha) H + delta (|3><3| - |1><1|); only the
+propagators take them, and they write the entries of each exponential from
+the couplings (``_half_step_exponentials``).  The tests check those against
+the matrix exponential of the perturbed matrix, which only they assemble.
 
 Propagation uses the fourth-order commutator-free Magnus step CF4 (Blanes &
 Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput.
@@ -60,8 +59,7 @@ The 3x3 arithmetic runs component-major, on (3,3,N) arrays whose trailing
 axis runs over the steps (and (3,3,M,2N) arrays, M error points, in the
 batched path): one 3x3 product of N pairs is then 27 elementwise products
 of length-N vectors.  ``np.matmul`` on an (N,3,3) stack instead makes one
-small-matrix call per step, about 300 ns each.  ``hamiltonian_stack``
-returns a transposed view of a (3,3,N) array.  ``propagate`` advances its
+small-matrix call per step, about 300 ns each.  ``propagate`` advances its
 state through the step propagators with Python complex arithmetic, which is
 cheaper than one numpy call per 3x3 mat-vec step.
 """
@@ -125,27 +123,6 @@ class QuantumState:
         if copy:
             return np.array(self.amplitudes, dtype=dtype)
         return np.asarray(self.amplitudes, dtype=dtype)
-
-
-def hamiltonian_stack(omega, omega_q, sign: int) -> np.ndarray:
-    """(N,3,3) stack of the cyclic Hamiltonian H from pulse samples.
-
-    H is the matrix of the module docstring with Omega = omega[k] and
-    Omega_q = omega_q[k]; `sign` is ``Handedness.coupling_sign`` (-s).  This
-    is the only place the matrix entries are written; the propagators never
-    form it (see ``_half_step_exponentials``), but the tests and
-    ``validate_schedule`` check against it.  The stack is a
-    transposed view of a component-major (3,3,N) array, which
-    ``_component_major`` takes without a copy.
-    """
-    omega = np.asarray(omega, dtype=float)
-    omega_q = np.asarray(omega_q, dtype=float)
-    out = np.zeros((3, 3, len(omega)), dtype=complex)
-    out[0, 1] = out[1, 0] = omega
-    out[1, 2] = out[2, 1] = omega
-    out[0, 2] = sign * 1j * omega_q
-    out[2, 0] = -sign * 1j * omega_q
-    return np.moveaxis(out, -1, 0)
 
 
 DEFAULT_STEPS = 400
@@ -216,11 +193,6 @@ class Trajectory:
     def norm_deviation(self) -> float:
         """Worst deviation of the state norm from 1 along the trajectory."""
         return float(np.max(np.abs(np.sum(self.populations, axis=1) - 1.0)))
-
-
-def _component_major(stack: np.ndarray) -> np.ndarray:
-    """Contiguous (3,3,N) copy of an (N,3,3) stack; no copy if it is already a view of one."""
-    return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
 
 
 def _mul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -344,8 +316,8 @@ def _cf4_products(omega: np.ndarray, omega_q: np.ndarray, sign: int, dts: np.nda
 
     `omega` and `omega_q` are the 2N pulse samples at ``gauss_nodes`` and
     `sign` is ``Handedness.coupling_sign``; error point m is the Hamiltonian
-    (1 + alphas[m]) H + deltas[m] (|3><3| - |1><1|), with H the
-    ``hamiltonian_stack(omega, omega_q, sign)`` matrix.  That is affine in
+    (1 + alphas[m]) H + deltas[m] (|3><3| - |1><1|), with H the cyclic
+    Hamiltonian of the module docstring at these samples.  That is affine in
     the samples and the CF4 weights sum to 1, so the samples are combined
     once, as real arrays, for all points.  Points run in chunks of about
     ``_CHUNK_BYTES`` of exponentials, each through

@@ -16,6 +16,11 @@ dI/dt + (1/i)[I, H] = 0 for the pulses:
     Omega_q = phi_dot * cot(phi) * (sin(theta) + cos(theta))
                                  / (sin(theta) - cos(theta))  -  theta_dot
 
+I and the left-handed H share the form [[0, a, -ib], [a, 0, c], [ib, c, 0]],
+so the condition is three real equations, one per upper entry, and
+``validate_schedule`` checks those (``_invariant_residual``) without
+assembling a matrix.
+
 Both handednesses obey the same constraints, so one pulse pair serves both;
 only the sign of the loop coupling differs.  With the boundary conditions
 phi(0) = 0, phi(T) = pi/2, theta(T) = pi/2 the zero-eigenvalue channel carries
@@ -72,8 +77,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._csvrows import write_table
-from .dynamics import (Handedness, _checked_duration, _component_major, _mul3,
-                       hamiltonian_stack)
+from .dynamics import Handedness, _checked_duration
 from .errors import ClampViolation, SingularTheta
 
 DEFAULT_CLAMP = 100.0   # cap on |Omega_q| in units of 1/T
@@ -86,58 +90,6 @@ PULSE_HEADER = "t,omega,omega_q,gamma"
 def default_clamp(duration: float) -> float:
     """Default cap on |Omega_q|, DEFAULT_CLAMP/T, in absolute angular-frequency units."""
     return DEFAULT_CLAMP / duration
-
-
-# ---------------------------------------------------------------------------
-# invariant matrices
-# ---------------------------------------------------------------------------
-
-def _matrix_axes_last(out: np.ndarray, handedness: Handedness) -> np.ndarray:
-    """(..., 3, 3) view of a component-major (3, 3, ...) left-handed matrix array.
-
-    For RIGHT the view is mirrored, P M P with P the swap of levels 1 and 3.
-    """
-    if handedness is Handedness.RIGHT:
-        out = out[::-1, ::-1]
-    return np.moveaxis(out, (0, 1), (-2, -1))
-
-
-def invariant_matrix(handedness: Handedness, phi, theta) -> np.ndarray:
-    """Invariant I(phi, theta); broadcasts over array-valued angles.
-
-    The right-handed invariant is the left one with levels 1 and 3 swapped,
-    P I P: the same values, permuted.  The (..., 3, 3) result is a view of a
-    component-major (3, 3, ...) array, as is ``invariant_matrix_dot``'s.
-    """
-    phi = np.asarray(phi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast_shapes(phi.shape, theta.shape)
-    sp, cp = np.sin(phi), np.cos(phi)
-    st, ct = np.sin(theta), np.cos(theta)
-    out = np.zeros((3, 3) + shape, dtype=complex)
-    out[0, 1] = out[1, 0] = sp * st
-    out[1, 2] = out[2, 1] = sp * ct
-    out[0, 2] = -1j * cp
-    out[2, 0] = 1j * cp
-    return _matrix_axes_last(out, handedness)
-
-
-def invariant_matrix_dot(handedness: Handedness, phi, theta, phi_dot, theta_dot) -> np.ndarray:
-    """Entrywise time derivative of ``invariant_matrix`` along (phi(t), theta(t))."""
-    phi, theta = np.asarray(phi, float), np.asarray(theta, float)
-    pd, td = np.asarray(phi_dot, float), np.asarray(theta_dot, float)
-    shape = np.broadcast_shapes(phi.shape, theta.shape, pd.shape, td.shape)
-    sp, cp = np.sin(phi), np.cos(phi)
-    st, ct = np.sin(theta), np.cos(theta)
-    d_ss = pd * cp * st + td * sp * ct     # d/dt sin(phi) sin(theta)
-    d_sc = pd * cp * ct - td * sp * st     # d/dt sin(phi) cos(theta)
-    d_c = -pd * sp                         # d/dt cos(phi)
-    out = np.zeros((3, 3) + shape, dtype=complex)
-    out[0, 1] = out[1, 0] = d_ss
-    out[1, 2] = out[2, 1] = d_sc
-    out[0, 2] = -1j * d_c
-    out[2, 0] = 1j * d_c
-    return _matrix_axes_last(out, handedness)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +367,8 @@ def schedule_hamiltonian(schedule: InvariantSchedule, handedness: Handedness,
     """Vectorized H(t) for ``propagate``: (N,) times -> its real couplings (W, Q).
 
     W = Omega and Q = ``coupling_sign`` * Omega_q, two (N,) arrays of the
-    clamped pulses; ``hamiltonian_stack(W, Q, 1)`` is the matrix they stand for.
+    clamped pulses; they stand for the matrix H = [[0, W, iQ], [W, 0, W],
+    [-iQ, W, 0]].
     """
     sign = handedness.coupling_sign
 
@@ -461,19 +414,32 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def _invariant_residual(handedness: Handedness, omega, omega_q, phi, theta,
-                        phi_dot, theta_dot) -> np.ndarray:
-    """(3,3,N) component-major dI/dt + (1/i)[I, H] at N samples of pulses and angles.
+def _invariant_residual(omega, omega_q, phi, theta, phi_dot, theta_dot) -> np.ndarray:
+    """(3,N) real components (r1, r2, r3) of the left-handed dI/dt + (1/i)[I, H].
 
-    The Hamiltonian, invariant and invariant-derivative stacks are taken as
-    contiguous (3,3,N) arrays and multiplied by ``dynamics._mul3``, 27
-    products of length-N vectors per 3x3 product, where ``@`` on (N,3,3)
-    stacks makes one small-matrix call per sample.
+    I and H both have the form [[0, a, -ib], [a, 0, c], [ib, c, 0]], with
+    (a, b, c) = (sin(phi)sin(theta), cos(phi), sin(phi)cos(theta)) for I and
+    (Omega, Omega_q, Omega) for H.  The residual then has a zero diagonal,
+    its lower entries mirror the upper ones, and the upper ones are r1, -i*r2
+    and r3:
+
+        r1 = a' - (b*Omega - Omega_q*c)
+        r2 = b' + (a*Omega - Omega*c)
+        r3 = c' - (a*Omega_q - Omega*b)
+
+    Each off-diagonal entry of IH and HI is one product, and each diagonal
+    entry of IH - HI cancels exactly, so these round as the entries of the
+    complex matrix residual do, bit for bit.
     """
-    ham = _component_major(hamiltonian_stack(omega, omega_q, handedness.coupling_sign))
-    inv = _component_major(invariant_matrix(handedness, phi, theta))
-    inv_dot = _component_major(invariant_matrix_dot(handedness, phi, theta, phi_dot, theta_dot))
-    return inv_dot - 1j * (_mul3(inv, ham) - _mul3(ham, inv))
+    sp, cp = np.sin(phi), np.cos(phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    a, b, c = sp * st, cp, sp * ct
+    a_dot = phi_dot * cp * st + theta_dot * sp * ct
+    b_dot = -phi_dot * sp
+    c_dot = phi_dot * cp * ct - theta_dot * sp * st
+    return np.array([a_dot - (b * omega - omega_q * c),
+                     b_dot + (a * omega - omega * c),
+                     c_dot - (a * omega_q - omega * b)])
 
 
 def _worst(values) -> float:
@@ -491,11 +457,9 @@ def validate_schedule(schedule: InvariantSchedule,
     Each check samples VALIDATION_SAMPLES times.  Failures are reported, not
     raised; each check carries its worst residual, and a NaN residual fails
     its check.  The invariant condition is checked for the left-handed system,
-    in component-major (3,3,N) arithmetic (``_invariant_residual``): the
-    right-handed residual is its level-swap mirror, bit for bit.  The
-    right-handed H and I are the left ones with levels 1 and 3 swapped, and
-    their diagonals are zero, so each entry of a 3x3 product has at most two
-    nonzero terms, and the mirrored sum, in reversed order, rounds alike.
+    from the three real components of its residual (``_invariant_residual``):
+    the right-handed residual is its level-swap mirror, bit for bit, because
+    the right-handed H and I are the left ones with levels 1 and 3 swapped.
     """
     T = schedule.duration
     if clamp is None:
@@ -544,8 +508,7 @@ def validate_schedule(schedule: InvariantSchedule,
         return ValidationReport(schedule=schedule.describe(), checks=tuple(checks))
     phi, theta = schedule.phi_of(t_in), schedule.theta_of(t_in)
     pd, td = schedule.phi_dot_of(t_in), schedule.theta_dot_of(t_in)
-    residual = _invariant_residual(Handedness.LEFT, omega, omega_q, phi, theta, pd, td)
-    worst_res = float(np.max(np.abs(residual)))
+    worst_res = _worst(np.abs(_invariant_residual(omega, omega_q, phi, theta, pd, td)))
     checks.append(CheckResult("dynamical invariant", worst_res <= 1e-8, worst_res,
                               1e-8, "dI/dt + (1/i)[I,H] on unclamped interior"))
 

@@ -40,13 +40,12 @@ import numpy as np
 from ._csvrows import write_table
 from ._version import __version__
 from .dynamics import DEFAULT_STEPS, Handedness, QuantumState, make_grid, propagate
-from .invariants import DEFAULT_CLAMP, InvariantSchedule, default_clamp, schedule_hamiltonian
+from .invariants import InvariantSchedule, default_clamp, schedule_hamiltonian
 from .quadrature import ABS_TOL
 from .robustness import exact_fidelities, q_alpha, q_delta, second_order_fidelity
 
 TRACE_POINTS = 201          # rows per population trace at most, endpoints included
 HIGH_FIDELITY_LEVEL = 0.99  # the heatmap's F >= level region
-DEFAULT_CLAMP_META = f"default({DEFAULT_CLAMP:g}/T)"
 
 
 @dataclass(frozen=True)
@@ -152,6 +151,8 @@ def fidelity_curve(label: str, schedule: InvariantSchedule, axis: ErrorAxis,
     """
     if mode not in ("exact", "perturbative", "both"):
         raise ValueError(f"unknown mode {mode!r}")
+    if clamp is None:
+        clamp = default_clamp(schedule.duration)
     amplitudes = axis.values
     columns = [axis.column]
     data = [amplitudes]
@@ -179,7 +180,7 @@ def fidelity_curve(label: str, schedule: InvariantSchedule, axis: ErrorAxis,
         "mode": mode,
         "handedness": "both",
         "steps": steps,
-        "clamp": clamp if clamp is not None else DEFAULT_CLAMP_META,
+        "clamp": clamp,
         "quad_abs_tol": ABS_TOL,
         "schemes": _scheme_meta(label, schedule),
     })
@@ -217,6 +218,8 @@ def fidelity_heatmap(schedule: InvariantSchedule, alpha_axis: ErrorAxis,
     """
     if alpha_axis.kind != "systematic" or delta_axis.kind != "detuning":
         raise ValueError("heatmap axes must be (systematic, detuning)")
+    if clamp is None:
+        clamp = default_clamp(schedule.duration)
     alphas, deltas = alpha_axis.values, delta_axis.values
     cell_alphas = np.repeat(alphas, len(deltas))
     cell_deltas = np.tile(deltas, len(alphas))
@@ -231,7 +234,7 @@ def fidelity_heatmap(schedule: InvariantSchedule, alpha_axis: ErrorAxis,
         "delta_axis": f"[{delta_axis.minimum:g},{delta_axis.maximum:g}]x{delta_axis.points}",
         "handedness": "both",
         "steps": steps,
-        "clamp": clamp if clamp is not None else DEFAULT_CLAMP_META,
+        "clamp": clamp,
     })
     region = f"region_F>={HIGH_FIDELITY_LEVEL:g}"
     fraction, contiguous = high_fidelity_region(

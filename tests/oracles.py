@@ -1,5 +1,11 @@
 """Reference implementations that the tests compare the library against.
 
+* ``hamiltonian_stack``, ``invariant_matrix`` and ``invariant_matrix_dot``:
+  plain (N,3,3) builders of the cyclic Hamiltonian, the invariant I(phi,
+  theta) and its time derivative, which the library describes only through
+  real components;
+* ``invariant_residual``: dI/dt + (1/i)[I, H] by matrix products, the
+  reference for ``validate_schedule``'s three real components;
 * ``perturbed_hamiltonian``: the Hamiltonian stack with the error terms of
   the sweeps, (1 + alpha) H + delta (|3><3| - |1><1|), whose exponentials
   the propagators write without forming the matrix;
@@ -16,8 +22,74 @@ from typing import Callable
 
 import numpy as np
 
-from chiralpulse import Handedness, InvariantSchedule, hamiltonian_stack
+from chiralpulse import Handedness, InvariantSchedule
 from chiralpulse.quadrature import complex_quad
+
+SWAP_1_3 = np.eye(3)[::-1]      # P, the swap of levels 1 and 3
+
+
+def hamiltonian_stack(omega, omega_q, sign: int) -> np.ndarray:
+    """(N,3,3) stack of the cyclic Hamiltonian from pulse samples.
+
+    H = [[0, Omega, -s*i*Omega_q], [Omega, 0, Omega], [s*i*Omega_q, Omega, 0]]
+    with Omega = omega[k], Omega_q = omega_q[k] and `sign` =
+    ``Handedness.coupling_sign`` = -s.
+    """
+    omega = np.asarray(omega, dtype=float)
+    omega_q = np.asarray(omega_q, dtype=float)
+    h = np.zeros((len(omega), 3, 3), dtype=complex)
+    h[:, 0, 1] = h[:, 1, 0] = omega
+    h[:, 1, 2] = h[:, 2, 1] = omega
+    h[:, 0, 2] = sign * 1j * omega_q
+    h[:, 2, 0] = -sign * 1j * omega_q
+    return h
+
+
+def _mirrored(m: np.ndarray, handedness: Handedness) -> np.ndarray:
+    """`m` for LEFT; P m P for RIGHT."""
+    return SWAP_1_3 @ m @ SWAP_1_3 if handedness is Handedness.RIGHT else m
+
+
+def invariant_matrix(handedness: Handedness, phi, theta) -> np.ndarray:
+    """(..., 3, 3) invariant I(phi, theta), broadcast over the angles.
+
+    The right-handed invariant is the left one with levels 1 and 3 swapped.
+    """
+    phi = np.asarray(phi, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    sp, cp = np.sin(phi), np.cos(phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    m = np.zeros(np.broadcast_shapes(phi.shape, theta.shape) + (3, 3), dtype=complex)
+    m[..., 0, 1] = m[..., 1, 0] = sp * st
+    m[..., 1, 2] = m[..., 2, 1] = sp * ct
+    m[..., 0, 2] = -1j * cp
+    m[..., 2, 0] = 1j * cp
+    return _mirrored(m, handedness)
+
+
+def invariant_matrix_dot(handedness: Handedness, phi, theta, phi_dot, theta_dot) -> np.ndarray:
+    """Entrywise time derivative of ``invariant_matrix`` along (phi(t), theta(t))."""
+    phi, theta = np.asarray(phi, float), np.asarray(theta, float)
+    pd, td = np.asarray(phi_dot, float), np.asarray(theta_dot, float)
+    sp, cp = np.sin(phi), np.cos(phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    shape = np.broadcast_shapes(phi.shape, theta.shape, pd.shape, td.shape)
+    m = np.zeros(shape + (3, 3), dtype=complex)
+    m[..., 0, 1] = m[..., 1, 0] = pd * cp * st + td * sp * ct     # d/dt sin(phi) sin(theta)
+    m[..., 1, 2] = m[..., 2, 1] = pd * cp * ct - td * sp * st     # d/dt sin(phi) cos(theta)
+    d_c = -pd * sp                                                # d/dt cos(phi)
+    m[..., 0, 2] = -1j * d_c
+    m[..., 2, 0] = 1j * d_c
+    return _mirrored(m, handedness)
+
+
+def invariant_residual(handedness: Handedness, omega, omega_q, phi, theta,
+                       phi_dot, theta_dot) -> np.ndarray:
+    """(N,3,3) dI/dt + (1/i)[I, H] at N samples of pulses and angles, by ``@``."""
+    ham = hamiltonian_stack(omega, omega_q, handedness.coupling_sign)
+    inv = invariant_matrix(handedness, phi, theta)
+    inv_dot = invariant_matrix_dot(handedness, phi, theta, phi_dot, theta_dot)
+    return inv_dot - 1j * (inv @ ham - ham @ inv)
 
 
 def perturbed_hamiltonian(omega, omega_q, sign: int, alpha: float = 0.0,

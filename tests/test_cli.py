@@ -154,6 +154,22 @@ def test_scan_rejects_a_repeated_scheme(tmp_path, capsys, monkeypatch, schemes):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["scan", "--schemes", "sps,SPS"],
+    ["scan", "--schemes", "sps,foo"],
+    ["heatmap", "--scheme", "sps", "--clamp", "0.5", "--alpha-points", "2",
+     "--delta-points", "2"],                             # ClampViolation
+    ["design", "--scheme", "sps", "--clamp", "0.5"],
+    ["simulate", "--scheme", "sps", "--clamp", "0.5"],
+])
+def test_rejected_run_creates_no_out_directory(tmp_path, capsys, args):
+    # every command computes before it creates --out
+    out = tmp_path / "new_dir"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_heatmap_small(tmp_path, capsys):
     code = run_cli(["heatmap", "--scheme", "ansatz", "--n", "1.10",
                     "--alpha-min", "-0.05", "--alpha-max", "0.05", "--alpha-points", "3",

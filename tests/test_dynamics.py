@@ -11,7 +11,6 @@ from chiralpulse import (
     Handedness,
     NonFiniteHamiltonian,
     QuantumState,
-    hamiltonian_stack,
     make_grid,
     propagate,
     schedule_hamiltonian,
@@ -27,7 +26,7 @@ from chiralpulse.dynamics import (
     gauss_nodes,
 )
 from chiralpulse.errors import ClampViolation
-from oracles import perturbed_hamiltonian
+from oracles import hamiltonian_stack, perturbed_hamiltonian
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 

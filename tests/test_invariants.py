@@ -9,8 +9,6 @@ from chiralpulse import (
     QuantumState,
     SingularTheta,
     ansatz_schedule,
-    invariant_matrix,
-    invariant_matrix_dot,
     make_grid,
     make_schedule,
     propagate,
@@ -19,7 +17,7 @@ from chiralpulse import (
     sps_schedule,
     validate_schedule,
 )
-from chiralpulse.dynamics import DEFAULT_STEPS, hamiltonian_stack
+from chiralpulse.dynamics import DEFAULT_STEPS
 from chiralpulse.invariants import (
     CLAMP_WINDOW_FRACTION,
     PULSE_HEADER,
@@ -30,7 +28,8 @@ from chiralpulse.invariants import (
     _raw_pulses,
     default_clamp,
 )
-from oracles import invariant_eigensystem, lr_phase
+from oracles import (SWAP_1_3, invariant_eigensystem, invariant_matrix, invariant_residual,
+                     lr_phase)
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 
@@ -303,20 +302,10 @@ def test_pulse_csv_formats_adversarial_values_like_per_row(tmp_path, duration):
 # ---------------------------------------------------------------------------
 
 def residual_max(schedule, handedness, times):
-    from chiralpulse.invariants import _raw_pulses
-    omega, omega_q = _raw_pulses(schedule, times)
-    sgn = handedness.coupling_sign
-    ham = np.zeros((len(times), 3, 3), complex)
-    ham[:, 0, 1] = ham[:, 1, 0] = omega
-    ham[:, 1, 2] = ham[:, 2, 1] = omega
-    ham[:, 0, 2] = sgn * 1j * omega_q
-    ham[:, 2, 0] = -sgn * 1j * omega_q
-    phi, theta = schedule.phi_of(times), schedule.theta_of(times)
-    inv = invariant_matrix(handedness, phi, theta)
-    inv_dot = invariant_matrix_dot(handedness, phi, theta,
-                                   schedule.phi_dot_of(times),
-                                   schedule.theta_dot_of(times))
-    return float(np.max(np.abs(inv_dot - 1j * (inv @ ham - ham @ inv))))
+    residual = invariant_residual(handedness, *_raw_pulses(schedule, times),
+                                  schedule.phi_of(times), schedule.theta_of(times),
+                                  schedule.phi_dot_of(times), schedule.theta_dot_of(times))
+    return float(np.max(np.abs(residual)))
 
 
 def test_dynamical_invariant_condition():
@@ -464,45 +453,61 @@ def _invariant_check_samples(schedule):
 
 def test_right_handed_invariant_residual_mirrors_the_left():
     # validate_schedule checks the left-handed system only; the right-handed
-    # residual must be its level-swap mirror, entry for entry
+    # residual must be its level-swap mirror P R P, entry for entry
     schedules = [sps_schedule(T) for T in (1.0, 0.7)] + [
         ansatz_schedule(n, T) for n in (0.0, 0.65, 1.07, 1.1, 1.12, 2.0, -0.4)
         for T in (0.5, 1.0, 1.9)]
     for schedule in schedules:
         samples = _invariant_check_samples(schedule)
-        left = _invariant_residual(L, *samples)
-        right = _invariant_residual(R, *samples)
-        np.testing.assert_array_equal(right, left[::-1, ::-1], err_msg=schedule.label)
+        left = invariant_residual(L, *samples)
+        right = invariant_residual(R, *samples)
+        np.testing.assert_array_equal(right, SWAP_1_3 @ left @ SWAP_1_3,
+                                      err_msg=schedule.label)
 
 
-def _matmul_invariant_check(schedule):
-    """The invariant check on (N,3,3) stacks with ``@``: per-handedness residuals."""
-    samples = _invariant_check_samples(schedule)
-    omega, omega_q, *angles = samples
-    residuals = {}
-    for hand in Handedness:
-        ham = np.ascontiguousarray(hamiltonian_stack(omega, omega_q, hand.coupling_sign))
-        inv = np.ascontiguousarray(invariant_matrix(hand, *angles[:2]))
-        inv_dot = np.ascontiguousarray(invariant_matrix_dot(hand, *angles))
-        residuals[hand] = inv_dot - 1j * (inv @ ham - ham @ inv)
-    return samples, residuals
+_RNG = np.random.default_rng(18)
+_RANDOM_SCHEDULES = [ansatz_schedule(_RNG.uniform(-0.5, 2.5), _RNG.uniform(0.3, 3.0))
+                     for _ in range(5)] + [sps_schedule(_RNG.uniform(0.3, 3.0))]
 
 
 @pytest.mark.parametrize("schedule", [sps_schedule(1.0)] + [
-    ansatz_schedule(n, 1.0) for n in (0.0, 0.65, 1.1, 2.0)],
-    ids=["sps", "ansatz0", "ansatz0.65", "ansatz1.1", "ansatz2"])
+    ansatz_schedule(n, 1.0) for n in (0.0, 0.65, 1.1, 2.0)] + _RANDOM_SCHEDULES,
+    ids=["sps", "ansatz0", "ansatz0.65", "ansatz1.1", "ansatz2"]
+    + [f"random{k}" for k in range(len(_RANDOM_SCHEDULES))])
 def test_component_major_invariant_residual_matches_matmul(schedule):
-    samples, reference = _matmul_invariant_check(schedule)
-    worst = 0.0
-    for hand, expected in reference.items():
-        residual = np.moveaxis(_invariant_residual(hand, *samples), -1, 0)
-        assert residual.shape == expected.shape
-        np.testing.assert_allclose(residual, expected, rtol=0, atol=1e-15)
-        worst = max(worst, float(np.max(np.abs(expected))))
+    # the three real components are the upper entries of the @ residual, bit
+    # for bit; its diagonal is zero and its lower entries mirror the upper ones
+    samples = _invariant_check_samples(schedule)
+    components = _invariant_residual(*samples)
+    magnitude = np.abs(invariant_residual(L, *samples))
+    assert components.shape == (3, len(samples[0]))
+    for r, (i, j) in zip(components, ((0, 1), (0, 2), (1, 2))):
+        assert np.array_equal(np.abs(r), magnitude[:, i, j]), (i, j)
+        assert np.array_equal(magnitude[:, j, i], magnitude[:, i, j]), (i, j)
+    assert not np.any(np.diagonal(magnitude, axis1=1, axis2=2))
     # validation.txt is the same, byte for byte, as with the @ residual
     report = validate_schedule(schedule)
     last = report.checks[-1]
     assert last.name == "dynamical invariant"
+    worst = float(np.max(magnitude))
     expected_check = CheckResult(last.name, worst <= 1e-8, worst, 1e-8, last.note)
     expected_report = ValidationReport(report.schedule, report.checks[:-1] + (expected_check,))
     assert report.to_text() == expected_report.to_text()
+
+
+def test_validate_schedule_fails_a_violated_invariant_condition():
+    # pulses 1% off the invariant constraint fail the invariant check alone,
+    # with a large finite residual
+    s = ansatz_schedule(1.1, 1.0)
+    bad = InvariantSchedule(
+        kind=s.kind, n=s.n, duration=s.duration, phi_of=s.phi_of, phi_dot_of=s.phi_dot_of,
+        theta_of=s.theta_of, theta_dot_of=s.theta_dot_of,
+        coupling_factor_of=lambda t: 1.01 * s.coupling_factor_of(t),
+        eta_plus_of=s.eta_plus_of,
+    )
+    report = validate_schedule(bad)
+    failed = {c.name: c.worst for c in report.checks if not c.passed}
+    assert list(failed) == ["dynamical invariant"], report.to_text()
+    assert np.isfinite(failed["dynamical invariant"])
+    assert failed["dynamical invariant"] > 1e-3
+    assert not report.all_passed

@@ -5,6 +5,7 @@ from chiralpulse import (
     ErrorAxis,
     Handedness,
     ansatz_schedule,
+    default_clamp,
     exact_fidelities,
     fidelity_curve,
     fidelity_heatmap,
@@ -122,6 +123,7 @@ def test_fidelity_curve_perturbative_handedness_free():
                             ErrorAxis("detuning", -0.5, 0.5, 5), "perturbative")
     assert result.columns == ("delta", "F_osd_pert")
     assert np.all(result.column("F_osd_pert") <= 1.0)
+    assert result.metadata["clamp"] == default_clamp(1.0)
 
 
 def test_heatmap_small_grid():
@@ -129,6 +131,7 @@ def test_heatmap_small_grid():
     result = fidelity_heatmap(schedule, ErrorAxis("systematic", -0.1, 0.1, 7),
                               ErrorAxis("detuning", -0.5, 0.5, 7))
     assert result.metadata["scheme"].startswith("ansatz1.1:")
+    assert result.metadata["clamp"] == default_clamp(1.0)
     rows = result.data
     center = rows[(rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)]
     assert center[0, 2] > 1.0 - 1e-4
