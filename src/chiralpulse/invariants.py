@@ -21,6 +21,14 @@ so the condition is three real equations, one per upper entry, and
 ``validate_schedule`` checks those (``_invariant_residual``) without
 assembling a matrix.
 
+Both pulses and every check read the same few values: the sines and cosines
+of phi, 3*phi and theta at the sample times.  A schedule therefore exposes
+one ``sample(t)``, which evaluates them once and returns phi, theta, their
+derivatives, the coupling factor and sin/cos of phi together
+(``ScheduleSample``).  ``pulses_from_invariant`` makes one such call per grid
+and takes its singularity gap from the same sin(theta) - cos(theta) that
+Omega divides by.
+
 Both handednesses obey the same constraints, so one pulse pair serves both;
 only the sign of the loop coupling differs.  With the boundary conditions
 phi(0) = 0, phi(T) = pi/2, theta(T) = pi/2 the zero-eigenvalue channel carries
@@ -32,7 +40,8 @@ The accumulated phase of the +/-1 eigenvalue channels is
                   (sin(theta) + cos(theta)) / (cos(theta) - sin(theta)) dt',
 
 with eta_minus = -eta_plus and eta_zero = 0.  Each schedule carries this
-phase in closed form (``InvariantSchedule.eta_plus_of``); the tests check it
+phase in closed form (``InvariantSchedule.eta_plus_of``, a callable of its
+own, since only the sensitivity integrands need it); the tests check it
 against a quadrature of the integral.
 
 Two schedule families are provided:
@@ -72,7 +81,7 @@ Two schedule families are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -96,15 +105,34 @@ def default_clamp(duration: float) -> float:
 # schedules
 # ---------------------------------------------------------------------------
 
+class ScheduleSample(NamedTuple):
+    """Every quantity of a schedule at one set of times, from one trig pass.
+
+    ``factor`` is the coupling factor
+    (sin(theta)+cos(theta)) / ((sin(theta)-cos(theta)) * sin(phi)), in a
+    numerically stable closed form; it is the single quantity from which both
+    the loop pulse (Omega_q = phi_dot*cos(phi)*factor - theta_dot) and the
+    phase rate (eta_plus_dot = -phi_dot*factor) derive.  ``sin_phi`` and
+    ``cos_phi`` are sin and cos of ``phi``, for the consumers that need them.
+    """
+
+    phi: np.ndarray
+    phi_dot: np.ndarray
+    theta: np.ndarray
+    theta_dot: np.ndarray
+    factor: np.ndarray
+    sin_phi: np.ndarray
+    cos_phi: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class InvariantSchedule:
     """Time-parameterized (phi, theta) pair with analytic derivatives.
 
-    ``coupling_factor_of`` evaluates
-    (sin(theta)+cos(theta)) / ((sin(theta)-cos(theta)) * sin(phi))
-    in a numerically stable closed form; it is the single quantity from which
-    both the loop pulse (Omega_q = phi_dot*cos(phi)*factor - theta_dot) and
-    the phase rate (eta_plus_dot = -phi_dot*factor) derive.
+    ``sample(t)`` returns the ``ScheduleSample`` at the times `t` (an array
+    or a scalar), evaluating each sine, cosine and arctangent once; the
+    pulses, the validation checks and the sensitivity integrands all read
+    their quantities from it.
 
     ``eta_plus_of`` is the closed-form channel phase, anchored at t = 0, or
     at t = T for sps, whose t = 0 endpoint diverges.
@@ -113,11 +141,7 @@ class InvariantSchedule:
     kind: str                   # "sps" or "ansatz"
     n: Optional[float]
     duration: float
-    phi_of: Callable
-    phi_dot_of: Callable
-    theta_of: Callable
-    theta_dot_of: Callable
-    coupling_factor_of: Callable
+    sample: Callable[..., ScheduleSample]
     eta_plus_of: Callable
 
     @property
@@ -145,34 +169,23 @@ def sps_schedule(duration: float) -> InvariantSchedule:
     T = _checked_duration(duration)
     rate = np.pi / (2.0 * T)
 
-    def phi_of(t):
-        return rate * np.asarray(t, dtype=float)
-
-    def phi_dot_of(t):
-        return np.full_like(np.asarray(t, dtype=float), rate)
-
-    def theta_of(t):
-        return np.full_like(np.asarray(t, dtype=float), np.pi / 2)
-
-    def theta_dot_of(t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def coupling_factor_of(t):
+    def sample(t):
+        phi = rate * np.asarray(t, dtype=float)
+        sin_phi = np.sin(phi)
         with np.errstate(divide="ignore"):
-            return 1.0 / np.sin(phi_of(t))
+            factor = 1.0 / sin_phi
+        return ScheduleSample(phi=phi, phi_dot=np.full_like(phi, rate),
+                              theta=np.full_like(phi, np.pi / 2),
+                              theta_dot=np.zeros_like(phi), factor=factor,
+                              sin_phi=sin_phi, cos_phi=np.cos(phi))
 
     def eta_plus_of(t):
         # antiderivative of -phi_dot*csc(phi), anchored so eta(T) = 0
         with np.errstate(divide="ignore"):
-            return -np.log(np.tan(0.5 * phi_of(t)))
+            return -np.log(np.tan(0.5 * (rate * np.asarray(t, dtype=float))))
 
-    return InvariantSchedule(
-        kind="sps", n=None, duration=T,
-        phi_of=phi_of, phi_dot_of=phi_dot_of,
-        theta_of=theta_of, theta_dot_of=theta_dot_of,
-        coupling_factor_of=coupling_factor_of,
-        eta_plus_of=eta_plus_of,
-    )
+    return InvariantSchedule(kind="sps", n=None, duration=T, sample=sample,
+                             eta_plus_of=eta_plus_of)
 
 
 def ansatz_schedule(n: float, duration: float) -> InvariantSchedule:
@@ -184,6 +197,8 @@ def ansatz_schedule(n: float, duration: float) -> InvariantSchedule:
     arctan2(1, (X-1)/(X+1)) + (pi where X < -1).  theta(T) = pi/2 holds
     exactly for every n, and sin(theta) - cos(theta) = sqrt(2)/sqrt(X^2+1)
     never vanishes, so the synthesized pulses are finite on the whole window.
+    The coupling factor is 3n cos(3 phi) + 1, and
+    theta_dot = -phi_dot X' / (X^2 + 1) with X' = dX/dphi.
     """
     T = _checked_duration(duration)
     if not np.isfinite(n):
@@ -191,43 +206,24 @@ def ansatz_schedule(n: float, duration: float) -> InvariantSchedule:
     n = float(n)
     rate = np.pi / (2.0 * T)
 
-    def phi_of(t):
-        return rate * np.asarray(t, dtype=float)
-
-    def phi_dot_of(t):
-        return np.full_like(np.asarray(t, dtype=float), rate)
-
-    def _x(p):
-        return np.sin(p) * (3.0 * n * np.cos(3.0 * p) + 1.0)
-
-    def _x_prime(p):
-        return (np.cos(p) * (3.0 * n * np.cos(3.0 * p) + 1.0)
-                - 9.0 * n * np.sin(p) * np.sin(3.0 * p))
-
-    def theta_of(t):
-        x = _x(phi_of(t))
-        return np.arctan2(1.0, (x - 1.0) / (x + 1.0)) + np.where(x < -1.0, np.pi, 0.0)
-
-    def theta_dot_of(t):
-        p = phi_of(t)
-        x = _x(p)
-        return -rate * _x_prime(p) / (x * x + 1.0)
-
-    def coupling_factor_of(t):
-        p = phi_of(t)
-        return 3.0 * n * np.cos(3.0 * p) + 1.0
+    def sample(t):
+        phi = rate * np.asarray(t, dtype=float)
+        sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+        triple = 3.0 * phi
+        factor = 3.0 * n * np.cos(triple) + 1.0
+        x = sin_phi * factor
+        x_prime = cos_phi * factor - 9.0 * n * sin_phi * np.sin(triple)
+        theta = np.arctan2(1.0, (x - 1.0) / (x + 1.0)) + np.where(x < -1.0, np.pi, 0.0)
+        return ScheduleSample(phi=phi, phi_dot=np.full_like(phi, rate), theta=theta,
+                              theta_dot=-rate * x_prime / (x * x + 1.0), factor=factor,
+                              sin_phi=sin_phi, cos_phi=cos_phi)
 
     def eta_plus_of(t):
-        p = phi_of(t)
-        return -(n * np.sin(3.0 * p) + p)
+        phi = rate * np.asarray(t, dtype=float)
+        return -(n * np.sin(3.0 * phi) + phi)
 
-    return InvariantSchedule(
-        kind="ansatz", n=n, duration=T,
-        phi_of=phi_of, phi_dot_of=phi_dot_of,
-        theta_of=theta_of, theta_dot_of=theta_dot_of,
-        coupling_factor_of=coupling_factor_of,
-        eta_plus_of=eta_plus_of,
-    )
+    return InvariantSchedule(kind="ansatz", n=n, duration=T, sample=sample,
+                             eta_plus_of=eta_plus_of)
 
 
 def make_schedule(kind: str, duration: float, n: float | None = None) -> InvariantSchedule:
@@ -250,15 +246,15 @@ def make_schedule(kind: str, duration: float, n: float | None = None) -> Invaria
 # pulse synthesis
 # ---------------------------------------------------------------------------
 
-def _raw_pulses(schedule: InvariantSchedule, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unclamped (Omega, Omega_q) at `times`; Omega_q may be infinite at endpoints."""
-    t = np.asarray(times, dtype=float)
-    theta = schedule.theta_of(t)
-    pd = schedule.phi_dot_of(t)
-    omega = pd / (np.sin(theta) - np.cos(theta))
+def _raw_pulses(sample: ScheduleSample,
+                denominator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unclamped (Omega, Omega_q) from a sample and its sin(theta) - cos(theta).
+
+    Omega_q may be infinite at the endpoints.
+    """
+    omega = sample.phi_dot / denominator
     with np.errstate(invalid="ignore", over="ignore"):
-        omega_q = (pd * np.cos(schedule.phi_of(t)) * schedule.coupling_factor_of(t)
-                   - schedule.theta_dot_of(t))
+        omega_q = sample.phi_dot * sample.cos_phi * sample.factor - sample.theta_dot
     return omega, omega_q
 
 
@@ -277,19 +273,6 @@ def _clamp_omega_q(omega_q: np.ndarray, times: np.ndarray, duration: float,
         )
     return np.clip(np.nan_to_num(omega_q, nan=clamp, posinf=np.inf, neginf=-np.inf),
                    -clamp, clamp)
-
-
-def _check_singularity(schedule: InvariantSchedule, times: np.ndarray) -> None:
-    t = np.asarray(times, dtype=float)
-    interior = t[t > 0]
-    theta = schedule.theta_of(interior)
-    gap = np.abs(np.sin(theta) - np.cos(theta))
-    if np.any(gap < SINGULAR_TOL):
-        k = int(np.argmin(gap))
-        raise SingularTheta(
-            f"sin(theta) - cos(theta) = {gap[k]:.3e} at t = {interior[k]:.6g}; "
-            "the pulse constraint is singular there"
-        )
 
 
 @dataclass(frozen=True)
@@ -345,15 +328,25 @@ def pulses_from_invariant(schedule: InvariantSchedule, grid: np.ndarray,
     |Omega_q| is capped at `clamp` (default ``default_clamp``); the cap may
     only be active within the first/last 1% of the duration, otherwise
     ``ClampViolation`` is raised.  ``SingularTheta`` is raised if theta
-    touches the singular set sin(theta) = cos(theta) on (0, T].
+    touches the singular set sin(theta) = cos(theta) on (0, T].  The schedule
+    is sampled once (``InvariantSchedule.sample``).
     """
     grid = np.asarray(grid, dtype=float)
     if clamp is None:
         clamp = default_clamp(schedule.duration)
     if clamp <= 0:
         raise ValueError(f"clamp must be positive, got {clamp}")
-    _check_singularity(schedule, grid)
-    omega, omega_q = _raw_pulses(schedule, grid)
+    sample = schedule.sample(grid)
+    denominator = np.sin(sample.theta) - np.cos(sample.theta)
+    positive = grid > 0
+    gap = np.abs(denominator[positive])
+    if np.any(gap < SINGULAR_TOL):
+        k = int(np.argmin(gap))
+        raise SingularTheta(
+            f"sin(theta) - cos(theta) = {gap[k]:.3e} at t = {grid[positive][k]:.6g}; "
+            "the pulse constraint is singular there"
+        )
+    omega, omega_q = _raw_pulses(sample, denominator)
     omega_q = _clamp_omega_q(omega_q, grid, schedule.duration, clamp)
     return PulseSchedule(
         times=grid, omega=omega, omega_q=omega_q,
@@ -414,8 +407,11 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def _invariant_residual(omega, omega_q, phi, theta, phi_dot, theta_dot) -> np.ndarray:
+def _invariant_residual(omega, omega_q, sp, cp, st, ct, phi_dot, theta_dot) -> np.ndarray:
     """(3,N) real components (r1, r2, r3) of the left-handed dI/dt + (1/i)[I, H].
+
+    `sp`, `cp`, `st` and `ct` are sin(phi), cos(phi), sin(theta) and
+    cos(theta) at the samples of the pulses.
 
     I and H both have the form [[0, a, -ib], [a, 0, c], [ib, c, 0]], with
     (a, b, c) = (sin(phi)sin(theta), cos(phi), sin(phi)cos(theta)) for I and
@@ -431,8 +427,6 @@ def _invariant_residual(omega, omega_q, phi, theta, phi_dot, theta_dot) -> np.nd
     entry of IH - HI cancels exactly, so these round as the entries of the
     complex matrix residual do, bit for bit.
     """
-    sp, cp = np.sin(phi), np.cos(phi)
-    st, ct = np.sin(theta), np.cos(theta)
     a, b, c = sp * st, cp, sp * ct
     a_dot = phi_dot * cp * st + theta_dot * sp * ct
     b_dot = -phi_dot * sp
@@ -450,66 +444,77 @@ def _worst(values) -> float:
     return float(np.max(values))
 
 
+def _endpoint_checks(schedule: InvariantSchedule) -> tuple[CheckResult, CheckResult]:
+    """Boundary conditions and the theta singularity gap, from one sample of [0, T]."""
+    T = schedule.duration
+    s = schedule.sample(np.linspace(0.0, T, VALIDATION_SAMPLES + 1))
+    worst = _worst([float(np.abs(s.phi[0])), float(np.abs(s.phi[-1] - np.pi / 2)),
+                    float(np.abs(s.theta[-1] - np.pi / 2))])
+    theta = s.theta[1:]
+    gap = float(np.min(np.abs(np.sin(theta) - np.cos(theta))))
+    return (CheckResult("boundary conditions", worst <= 1e-12, worst, 1e-12,
+                        "phi(0)=0, phi(T)=pi/2, theta(T)=pi/2"),
+            CheckResult("theta singularity gap", gap >= SINGULAR_TOL, gap, SINGULAR_TOL,
+                        "min |sin(theta)-cos(theta)| on (0,T]"))
+
+
+def _derivative_check(schedule: InvariantSchedule) -> CheckResult:
+    """Analytic phi_dot and theta_dot against central finite differences, relative."""
+    T = schedule.duration
+    t_mid = np.linspace(0.05 * T, 0.95 * T, VALIDATION_SAMPLES)
+    h = 1e-6 * T
+    below, above = schedule.sample(t_mid - h), schedule.sample(t_mid + h)
+    differences = ((above.phi - below.phi) / (2 * h), (above.theta - below.theta) / (2 * h))
+    # with all three samples live, each call grew the heap past glibc's trim
+    # threshold and faulted 80-200 pages back in (ru_minflt)
+    del below, above
+    mid = schedule.sample(t_mid)
+    relative = []
+    for fd, an in zip(differences, (mid.phi_dot, mid.theta_dot)):
+        scale = max(float(np.max(np.abs(an))), 1.0 / T)
+        relative.append(float(np.max(np.abs(fd - an))) / scale)
+    worst = _worst(relative)
+    return CheckResult("derivative consistency", worst <= 1e-6, worst, 1e-6,
+                       "finite difference vs analytic, relative")
+
+
+def _invariant_check(schedule: InvariantSchedule, clamp: float) -> CheckResult:
+    """Left-handed dI/dt + (1/i)[I, H] on the interior, where the pulses are unclamped.
+
+    Samples whose Omega_q is infinite or above `clamp` are skipped; a NaN one
+    is kept, and fails the check.
+    """
+    T = schedule.duration
+    window = CLAMP_WINDOW_FRACTION * T
+    s = schedule.sample(np.linspace(window, T - window, VALIDATION_SAMPLES))
+    sin_theta, cos_theta = np.sin(s.theta), np.cos(s.theta)
+    omega, omega_q = _raw_pulses(s, sin_theta - cos_theta)
+    keep = ~(np.abs(omega_q) > clamp)     # NaN compares false
+    if not keep.any():
+        return CheckResult("dynamical invariant", False, np.inf, 1e-8,
+                           "no finite unclamped pulses on the interior")
+    kept = [x[keep] for x in (omega, omega_q, s.sin_phi, s.cos_phi, sin_theta, cos_theta,
+                              s.phi_dot, s.theta_dot)]
+    worst = _worst(np.abs(_invariant_residual(*kept)))
+    return CheckResult("dynamical invariant", worst <= 1e-8, worst, 1e-8,
+                       "dI/dt + (1/i)[I,H] on unclamped interior")
+
+
 def validate_schedule(schedule: InvariantSchedule,
                       clamp: float | None = None) -> ValidationReport:
     """Run boundary, singularity, derivative, and invariant-consistency checks.
 
-    Each check samples VALIDATION_SAMPLES times.  Failures are reported, not
-    raised; each check carries its worst residual, and a NaN residual fails
-    its check.  The invariant condition is checked for the left-handed system,
-    from the three real components of its residual (``_invariant_residual``):
-    the right-handed residual is its level-swap mirror, bit for bit, because
-    the right-handed H and I are the left ones with levels 1 and 3 swapped.
+    Each check samples VALIDATION_SAMPLES times, one ``sample`` call per set
+    of times; the boundary values are the ends of the sample of [0, T].
+    Failures are reported, not raised; each check carries its worst residual,
+    and a NaN residual fails its check.  The invariant condition is checked
+    for the left-handed system, from the three real components of its
+    residual (``_invariant_residual``): the right-handed residual is its
+    level-swap mirror, bit for bit, because the right-handed H and I are the
+    left ones with levels 1 and 3 swapped.
     """
-    T = schedule.duration
     if clamp is None:
-        clamp = default_clamp(T)
-    checks = []
-
-    # boundary conditions
-    phi0 = float(np.abs(schedule.phi_of(0.0)))
-    phiT = float(np.abs(schedule.phi_of(T) - np.pi / 2))
-    thetaT = float(np.abs(schedule.theta_of(T) - np.pi / 2))
-    worst = _worst([phi0, phiT, thetaT])
-    checks.append(CheckResult("boundary conditions", worst <= 1e-12, worst, 1e-12,
-                              "phi(0)=0, phi(T)=pi/2, theta(T)=pi/2"))
-
-    # theta singularity avoidance on (0, T]
-    t_interior = np.linspace(0.0, T, VALIDATION_SAMPLES + 1)[1:]
-    theta = schedule.theta_of(t_interior)
-    gap = float(np.min(np.abs(np.sin(theta) - np.cos(theta))))
-    checks.append(CheckResult("theta singularity gap", gap >= SINGULAR_TOL, gap,
-                              SINGULAR_TOL, "min |sin(theta)-cos(theta)| on (0,T]"))
-
-    # analytic derivatives vs central finite differences (relative)
-    t_mid = np.linspace(0.05 * T, 0.95 * T, VALIDATION_SAMPLES)
-    h = 1e-6 * T
-    relative = []
-    for f, fdot in ((schedule.phi_of, schedule.phi_dot_of),
-                    (schedule.theta_of, schedule.theta_dot_of)):
-        fd = (np.asarray(f(t_mid + h)) - np.asarray(f(t_mid - h))) / (2 * h)
-        an = np.asarray(fdot(t_mid))
-        scale = max(float(np.max(np.abs(an))), 1.0 / T)
-        relative.append(float(np.max(np.abs(fd - an))) / scale)
-    worst_rel = _worst(relative)
-    checks.append(CheckResult("derivative consistency", worst_rel <= 1e-6, worst_rel,
-                              1e-6, "finite difference vs analytic, relative"))
-
-    # dynamical-invariant condition on the unclamped interior
-    window = CLAMP_WINDOW_FRACTION * T
-    t_in = np.linspace(window, T - window, VALIDATION_SAMPLES)
-    omega, omega_q = _raw_pulses(schedule, t_in)
-    finite = (np.isfinite(omega) & np.isfinite(omega_q)
-              & (np.abs(omega_q) <= clamp))
-    t_in, omega, omega_q = t_in[finite], omega[finite], omega_q[finite]
-    if len(t_in) == 0:
-        checks.append(CheckResult("dynamical invariant", False, np.inf, 1e-8,
-                                  "no finite unclamped pulses on the interior"))
-        return ValidationReport(schedule=schedule.describe(), checks=tuple(checks))
-    phi, theta = schedule.phi_of(t_in), schedule.theta_of(t_in)
-    pd, td = schedule.phi_dot_of(t_in), schedule.theta_dot_of(t_in)
-    worst_res = _worst(np.abs(_invariant_residual(omega, omega_q, phi, theta, pd, td)))
-    checks.append(CheckResult("dynamical invariant", worst_res <= 1e-8, worst_res,
-                              1e-8, "dI/dt + (1/i)[I,H] on unclamped interior"))
-
-    return ValidationReport(schedule=schedule.describe(), checks=tuple(checks))
+        clamp = default_clamp(schedule.duration)
+    checks = (*_endpoint_checks(schedule), _derivative_check(schedule),
+              _invariant_check(schedule, clamp))
+    return ValidationReport(schedule=schedule.describe(), checks=checks)

@@ -62,14 +62,12 @@ def _sensitivity_amplitude(schedule: InvariantSchedule, which: str) -> complex:
 
     def integrand(t):
         phase = np.exp(1j * schedule.eta_plus_of(t))
-        phi = schedule.phi_of(t)
+        s = schedule.sample(t)
         if which == "alpha":
-            envelope = (schedule.theta_dot_of(t) * np.sin(phi)
-                        + 1j * schedule.phi_dot_of(t))
+            envelope = s.theta_dot * s.sin_phi + 1j * s.phi_dot
         else:
-            theta = schedule.theta_of(t)
-            envelope = (np.cos(2 * theta) * np.sin(2 * phi)
-                        + 2j * np.sin(2 * theta) * np.sin(phi))
+            envelope = (np.cos(2 * s.theta) * np.sin(2 * s.phi)
+                        + 2j * np.sin(2 * s.theta) * s.sin_phi)
         return envelope * phase
 
     return complex_quad(integrand, 0.0, T)

@@ -13,8 +13,13 @@
   I(phi, theta), checked against ``invariant_matrix`` and used to follow the
   transported channels through exact propagation;
 * ``lr_phase``: the +channel phase by quadrature of its defining integral,
-  computed from theta_of independently of the schedule's closed-form
-  ``eta_plus_of``.
+  computed from the sampled theta independently of the schedule's
+  closed-form ``eta_plus_of``;
+* ``reference_schedule``: the schedule families as six per-quantity
+  closures, each evaluating its own sines and cosines, with the pulses
+  (``reference_pulses``), the validation report (``reference_validation``)
+  and the sensitivities (``reference_q``) computed from them; the library's
+  one-pass ``InvariantSchedule.sample`` must match them bit for bit.
 """
 
 from dataclasses import dataclass
@@ -22,7 +27,10 @@ from typing import Callable
 
 import numpy as np
 
-from chiralpulse import Handedness, InvariantSchedule
+from chiralpulse import Handedness, InvariantSchedule, PulseSchedule, ValidationReport
+from chiralpulse.errors import SingularTheta
+from chiralpulse.invariants import (CLAMP_WINDOW_FRACTION, SINGULAR_TOL, VALIDATION_SAMPLES,
+                                    CheckResult, _clamp_omega_q, default_clamp)
 from chiralpulse.quadrature import complex_quad
 
 SWAP_1_3 = np.eye(3)[::-1]      # P, the swap of levels 1 and 3
@@ -149,10 +157,9 @@ def lr_phase(schedule: InvariantSchedule) -> LRPhase:
     anchor = schedule.duration if schedule.kind == "sps" else 0.0
 
     def integrand(t):
-        theta = schedule.theta_of(t)
-        st, ct = np.sin(theta), np.cos(theta)
-        return (schedule.phi_dot_of(t) * (st + ct)
-                / ((ct - st) * np.sin(schedule.phi_of(t))))
+        s = schedule.sample(t)
+        st, ct = np.sin(s.theta), np.cos(s.theta)
+        return s.phi_dot * (st + ct) / ((ct - st) * s.sin_phi)
 
     def eta_plus(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -163,3 +170,169 @@ def lr_phase(schedule: InvariantSchedule) -> LRPhase:
         return np.zeros_like(np.asarray(t, dtype=float))
 
     return LRPhase(eta_plus=eta_plus, eta_zero=eta_zero, anchor_time=anchor)
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceSchedule:
+    """A schedule family as six per-quantity closures of t."""
+
+    kind: str
+    n: float | None
+    duration: float
+    phi_of: Callable
+    phi_dot_of: Callable
+    theta_of: Callable
+    theta_dot_of: Callable
+    coupling_factor_of: Callable
+    eta_plus_of: Callable
+
+
+def reference_schedule(kind: str, duration: float, n: float | None = None) -> ReferenceSchedule:
+    """The closures of ``sps_schedule`` ("sps") or ``ansatz_schedule`` ("ansatz", n)."""
+    T = float(duration)
+    rate = np.pi / (2.0 * T)
+
+    def phi_of(t):
+        return rate * np.asarray(t, dtype=float)
+
+    def phi_dot_of(t):
+        return np.full_like(np.asarray(t, dtype=float), rate)
+
+    if kind == "sps":
+        def theta_of(t):
+            return np.full_like(np.asarray(t, dtype=float), np.pi / 2)
+
+        def theta_dot_of(t):
+            return np.zeros_like(np.asarray(t, dtype=float))
+
+        def coupling_factor_of(t):
+            with np.errstate(divide="ignore"):
+                return 1.0 / np.sin(phi_of(t))
+
+        def eta_plus_of(t):
+            with np.errstate(divide="ignore"):
+                return -np.log(np.tan(0.5 * phi_of(t)))
+
+        return ReferenceSchedule(kind, None, T, phi_of, phi_dot_of, theta_of, theta_dot_of,
+                                 coupling_factor_of, eta_plus_of)
+
+    n = float(n)
+
+    def _x(p):
+        return np.sin(p) * (3.0 * n * np.cos(3.0 * p) + 1.0)
+
+    def _x_prime(p):
+        return (np.cos(p) * (3.0 * n * np.cos(3.0 * p) + 1.0)
+                - 9.0 * n * np.sin(p) * np.sin(3.0 * p))
+
+    def theta_of(t):
+        x = _x(phi_of(t))
+        return np.arctan2(1.0, (x - 1.0) / (x + 1.0)) + np.where(x < -1.0, np.pi, 0.0)
+
+    def theta_dot_of(t):
+        p = phi_of(t)
+        x = _x(p)
+        return -rate * _x_prime(p) / (x * x + 1.0)
+
+    def coupling_factor_of(t):
+        return 3.0 * n * np.cos(3.0 * phi_of(t)) + 1.0
+
+    def eta_plus_of(t):
+        p = phi_of(t)
+        return -(n * np.sin(3.0 * p) + p)
+
+    return ReferenceSchedule(kind, n, T, phi_of, phi_dot_of, theta_of, theta_dot_of,
+                             coupling_factor_of, eta_plus_of)
+
+
+def _reference_raw_pulses(ref: ReferenceSchedule, t):
+    theta = ref.theta_of(t)
+    pd = ref.phi_dot_of(t)
+    omega = pd / (np.sin(theta) - np.cos(theta))
+    with np.errstate(invalid="ignore", over="ignore"):
+        omega_q = pd * np.cos(ref.phi_of(t)) * ref.coupling_factor_of(t) - ref.theta_dot_of(t)
+    return omega, omega_q
+
+
+def reference_pulses(ref: ReferenceSchedule, grid, clamp: float) -> PulseSchedule:
+    """Clamped pulses on `grid`, after a separate singularity pass over its t > 0."""
+    grid = np.asarray(grid, dtype=float)
+    interior = grid[grid > 0]
+    theta = ref.theta_of(interior)
+    gap = np.abs(np.sin(theta) - np.cos(theta))
+    if np.any(gap < SINGULAR_TOL):
+        raise SingularTheta(f"sin(theta) - cos(theta) = {gap.min():.3e}")
+    omega, omega_q = _reference_raw_pulses(ref, grid)
+    omega_q = _clamp_omega_q(omega_q, grid, ref.duration, clamp)
+    return PulseSchedule(times=grid, omega=omega, omega_q=omega_q, duration=ref.duration,
+                         clamp_value=clamp, kind=ref.kind, n=ref.n)
+
+
+def reference_validation(ref: ReferenceSchedule, clamp: float | None = None) -> str:
+    """``validate_schedule``'s report text, each quantity evaluated by its closure.
+
+    The invariant residual is the matrix one (``invariant_residual``).  Samples
+    whose Omega or Omega_q is not finite, or whose Omega_q exceeds the clamp,
+    are skipped; on a real schedule none is NaN, so this keeps the samples
+    that the library's check keeps.
+    """
+    T = ref.duration
+    clamp = default_clamp(T) if clamp is None else clamp
+    phi0 = float(np.abs(ref.phi_of(0.0)))
+    phiT = float(np.abs(ref.phi_of(T) - np.pi / 2))
+    thetaT = float(np.abs(ref.theta_of(T) - np.pi / 2))
+    worst = float(np.max([phi0, phiT, thetaT]))
+    checks = [CheckResult("boundary conditions", worst <= 1e-12, worst, 1e-12,
+                          "phi(0)=0, phi(T)=pi/2, theta(T)=pi/2")]
+    theta = ref.theta_of(np.linspace(0.0, T, VALIDATION_SAMPLES + 1)[1:])
+    gap = float(np.min(np.abs(np.sin(theta) - np.cos(theta))))
+    checks.append(CheckResult("theta singularity gap", gap >= SINGULAR_TOL, gap,
+                              SINGULAR_TOL, "min |sin(theta)-cos(theta)| on (0,T]"))
+    t_mid = np.linspace(0.05 * T, 0.95 * T, VALIDATION_SAMPLES)
+    h = 1e-6 * T
+    relative = []
+    for f, fdot in ((ref.phi_of, ref.phi_dot_of), (ref.theta_of, ref.theta_dot_of)):
+        fd = (f(t_mid + h) - f(t_mid - h)) / (2 * h)
+        an = fdot(t_mid)
+        scale = max(float(np.max(np.abs(an))), 1.0 / T)
+        relative.append(float(np.max(np.abs(fd - an))) / scale)
+    worst = float(np.max(relative))
+    checks.append(CheckResult("derivative consistency", worst <= 1e-6, worst, 1e-6,
+                              "finite difference vs analytic, relative"))
+    window = CLAMP_WINDOW_FRACTION * T
+    t_in = np.linspace(window, T - window, VALIDATION_SAMPLES)
+    omega, omega_q = _reference_raw_pulses(ref, t_in)
+    keep = np.isfinite(omega) & np.isfinite(omega_q) & (np.abs(omega_q) <= clamp)
+    t_in, omega, omega_q = t_in[keep], omega[keep], omega_q[keep]
+    residual = invariant_residual(Handedness.LEFT, omega, omega_q, ref.phi_of(t_in),
+                                  ref.theta_of(t_in), ref.phi_dot_of(t_in),
+                                  ref.theta_dot_of(t_in))
+    worst = float(np.max(np.abs(residual)))
+    checks.append(CheckResult("dynamical invariant", worst <= 1e-8, worst, 1e-8,
+                              "dI/dt + (1/i)[I,H] on unclamped interior"))
+    describe = {"kind": ref.kind, "T": T} | ({} if ref.n is None else {"n": ref.n})
+    return ValidationReport(schedule=describe, checks=tuple(checks)).to_text()
+
+
+def reference_q(ref: ReferenceSchedule, which: str) -> float:
+    """q_alpha ("alpha") or q_delta ("delta"), the integrand built from the closures."""
+    if ref.kind == "sps":
+        if which == "alpha":
+            amplitude = 1j * complex_quad(lambda u: np.exp(1j * u) / np.cosh(u), 0.0, 40.0)
+        else:
+            amplitude = (-4.0 * ref.duration / np.pi) * complex_quad(
+                lambda u: np.tanh(u) * np.exp(1j * u) / np.cosh(u) ** 2, 0.0, 40.0)
+        return float(np.abs(amplitude) ** 2)
+
+    def integrand(t):
+        phase = np.exp(1j * ref.eta_plus_of(t))
+        phi = ref.phi_of(t)
+        if which == "alpha":
+            envelope = ref.theta_dot_of(t) * np.sin(phi) + 1j * ref.phi_dot_of(t)
+        else:
+            theta = ref.theta_of(t)
+            envelope = (np.cos(2 * theta) * np.sin(2 * phi)
+                        + 2j * np.sin(2 * theta) * np.sin(phi))
+        return envelope * phase
+
+    return float(np.abs(complex_quad(integrand, 0.0, ref.duration)) ** 2)

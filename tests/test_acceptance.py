@@ -233,11 +233,11 @@ def test_criterion_7_dynamical_invariant_residuals():
     schedules = [sps_schedule(1.0)] + [ansatz_schedule(n, 1.0)
                                        for n in (0.8, 1.07, 1.12)]
     for schedule in schedules:
-        omega, omega_q = _raw_pulses(schedule, times)
-        phi, theta = schedule.phi_of(times), schedule.theta_of(times)
-        pd, td = schedule.phi_dot_of(times), schedule.theta_dot_of(times)
+        s = schedule.sample(times)
+        omega, omega_q = _raw_pulses(s, np.sin(s.theta) - np.cos(s.theta))
         for hand in (L, R):
-            residual = invariant_residual(hand, omega, omega_q, phi, theta, pd, td)
+            residual = invariant_residual(hand, omega, omega_q, s.phi, s.theta,
+                                          s.phi_dot, s.theta_dot)
             worst = max(worst, float(np.max(np.abs(residual))))
     report("7 dynamical invariant", worst <= 1e-8, f"max residual={worst:.2e}")
     assert worst <= 1e-8
@@ -309,7 +309,7 @@ def test_criterion_9_lr_phase_closed_form():
         phase = lr_phase(schedule)
         t = np.linspace(0.01, 1.0, 100)
         quadrature = phase.eta_plus(t)
-        phi = schedule.phi_of(t)
+        phi = schedule.sample(t).phi
         adopted = -(n * np.sin(3 * phi) + phi)
         mirrored = -(n * np.sin(3 * phi) - phi)
         worst_adopted = max(worst_adopted, float(np.max(np.abs(quadrature - adopted))))

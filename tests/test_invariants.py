@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -93,36 +95,37 @@ def test_eigen_identity_and_orthonormality_random():
 
 def test_sps_schedule_values():
     s = sps_schedule(1.0)
-    assert s.phi_of(0.0) == 0.0
-    assert s.phi_of(1.0) == pytest.approx(np.pi / 2, abs=1e-15)
-    assert s.theta_of(1.0) == pytest.approx(np.pi / 2, abs=1e-15)
-    assert sps_schedule(2.0).phi_of(1.0) == pytest.approx(np.pi / 4, abs=1e-15)
+    assert s.sample(0.0).phi == 0.0
+    assert s.sample(1.0).phi == pytest.approx(np.pi / 2, abs=1e-15)
+    assert s.sample(1.0).theta == pytest.approx(np.pi / 2, abs=1e-15)
+    assert sps_schedule(2.0).sample(1.0).phi == pytest.approx(np.pi / 4, abs=1e-15)
 
 
 def test_ansatz_boundary_conditions_across_n():
     for n in np.linspace(0.0, 2.0, 21):
         s = ansatz_schedule(n, 1.0)
-        assert abs(s.phi_of(0.0)) < 1e-12
-        assert abs(s.phi_of(1.0) - np.pi / 2) < 1e-12
-        assert abs(s.theta_of(1.0) - np.pi / 2) < 1e-12
+        assert abs(s.sample(0.0).phi) < 1e-12
+        assert abs(s.sample(1.0).phi - np.pi / 2) < 1e-12
+        assert abs(s.sample(1.0).theta - np.pi / 2) < 1e-12
 
 
 def test_ansatz_theta_starts_at_three_quarter_pi():
     for n in (0.3, 0.8, 1.07, 1.12):
         s = ansatz_schedule(n, 1.0)
-        assert s.theta_of(1e-12) == pytest.approx(3 * np.pi / 4, abs=1e-9)
+        assert s.sample(1e-12).theta == pytest.approx(3 * np.pi / 4, abs=1e-9)
 
 
 def test_ansatz_theta_continuous():
     for n in (0.0, 0.8, 1.07, 1.5, 3.0, 10.0):
         s = ansatz_schedule(n, 1.0)
         t = np.linspace(0, 1, 20001)
-        theta = s.theta_of(t)
+        sampled = s.sample(t)
+        theta = sampled.theta
         assert np.max(np.abs(np.diff(theta))) < 0.01
         # the pulse denominator never vanishes: sin - cos = sqrt(2)/sqrt(X^2+1);
         # atol covers the rounding of theta (~4e-16 near 5*pi/4), which at
         # n = 10 is 1.2e-14 of the smallest value, 0.055
-        phi = s.phi_of(t)
+        phi = sampled.phi
         x = np.sin(phi) * (3 * n * np.cos(3 * phi) + 1)
         np.testing.assert_allclose(np.sin(theta) - np.cos(theta),
                                    np.sqrt(2) / np.sqrt(x * x + 1),
@@ -133,10 +136,11 @@ def test_schedule_derivatives_match_finite_differences():
     for s in (sps_schedule(1.3), ansatz_schedule(1.07, 1.3)):
         t = np.linspace(0.05, 1.25, 500)
         h = 1e-7
-        fd_phi = (s.phi_of(t + h) - s.phi_of(t - h)) / (2 * h)
-        fd_theta = (s.theta_of(t + h) - s.theta_of(t - h)) / (2 * h)
-        np.testing.assert_allclose(fd_phi, s.phi_dot_of(t), rtol=1e-6, atol=1e-8)
-        np.testing.assert_allclose(fd_theta, s.theta_dot_of(t), rtol=1e-6, atol=1e-6)
+        mid, below, above = s.sample(t), s.sample(t - h), s.sample(t + h)
+        fd_phi = (above.phi - below.phi) / (2 * h)
+        fd_theta = (above.theta - below.theta) / (2 * h)
+        np.testing.assert_allclose(fd_phi, mid.phi_dot, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(fd_theta, mid.theta_dot, rtol=1e-6, atol=1e-6)
 
 
 def test_make_schedule_aliases():
@@ -213,17 +217,18 @@ def test_clamp_violation_outside_window():
         pulses_from_invariant(sps_schedule(1.0), make_grid(1.0, 1000), clamp=1.0)
 
 
+def _singular_sample(t):
+    """The sps phi ramp with theta fixed at pi/4, where sin(theta) = cos(theta)."""
+    s = sps_schedule(1.0).sample(t)
+    return s._replace(theta=np.full_like(s.phi, np.pi / 4), theta_dot=np.zeros_like(s.phi),
+                      factor=np.full_like(s.phi, np.inf))
+
+
 def test_singular_theta_detected():
-    s = sps_schedule(1.0)
-    bad = InvariantSchedule(
-        kind="ansatz", n=0.0, duration=1.0,
-        phi_of=s.phi_of, phi_dot_of=s.phi_dot_of,
-        theta_of=lambda t: np.full_like(np.asarray(t, float), np.pi / 4),
-        theta_dot_of=lambda t: np.zeros_like(np.asarray(t, float)),
-        coupling_factor_of=lambda t: np.full_like(np.asarray(t, float), np.inf),
-        eta_plus_of=lambda t: np.zeros_like(np.asarray(t, float)),
-    )
-    with pytest.raises(SingularTheta):
+    bad = InvariantSchedule(kind="ansatz", n=0.0, duration=1.0, sample=_singular_sample,
+                            eta_plus_of=lambda t: np.zeros_like(np.asarray(t, float)))
+    with pytest.raises(SingularTheta, match=r"sin\(theta\) - cos\(theta\) = 1\.110e-16 "
+                       r"at t = 0\.01; the pulse constraint is singular there"):
         pulses_from_invariant(bad, make_grid(1.0, 100))
 
 
@@ -302,9 +307,9 @@ def test_pulse_csv_formats_adversarial_values_like_per_row(tmp_path, duration):
 # ---------------------------------------------------------------------------
 
 def residual_max(schedule, handedness, times):
-    residual = invariant_residual(handedness, *_raw_pulses(schedule, times),
-                                  schedule.phi_of(times), schedule.theta_of(times),
-                                  schedule.phi_dot_of(times), schedule.theta_dot_of(times))
+    s = schedule.sample(times)
+    residual = invariant_residual(handedness, *_raw_pulses(s, np.sin(s.theta) - np.cos(s.theta)),
+                                  s.phi, s.theta, s.phi_dot, s.theta_dot)
     return float(np.max(np.abs(residual)))
 
 
@@ -324,8 +329,8 @@ def test_transport_of_zero_channel():
         for hand in (L, R):
             traj = propagate(schedule_hamiltonian(schedule, hand, clamp=5000.0),
                              QuantumState.basis(2), grid)
-            _, v0 = invariant_eigensystem(hand, schedule.phi_of(grid),
-                                          schedule.theta_of(grid))[0]
+            s = schedule.sample(grid)
+            _, v0 = invariant_eigensystem(hand, s.phi, s.theta)[0]
             overlap = np.abs(np.einsum("kj,kj->k", v0.conj(), traj.states))
             assert np.min(overlap) > 1.0 - 1e-6
 
@@ -336,16 +341,17 @@ def test_plus_channel_phase_matches_closed_form():
     n = 1.07
     schedule = ansatz_schedule(n, 1.0)
     grid = make_grid(1.0, DEFAULT_STEPS)
-    _, vplus0 = invariant_eigensystem(L, 0.0, schedule.theta_of(0.0))[1]
+    _, vplus0 = invariant_eigensystem(L, 0.0, schedule.sample(0.0).theta)[1]
     traj = propagate(schedule_hamiltonian(schedule, L), QuantumState(vplus0), grid)
     for k in (DEFAULT_STEPS // 4, DEFAULT_STEPS // 2, 3 * DEFAULT_STEPS // 4):
         t = grid[k]
-        _, vplus = invariant_eigensystem(L, schedule.phi_of(t), schedule.theta_of(t))[1]
+        s = schedule.sample(t)
+        _, vplus = invariant_eigensystem(L, s.phi, s.theta)[1]
         overlap = np.vdot(vplus, traj.states[k])
         assert abs(overlap) > 1.0 - 1e-6
         measured = np.angle(overlap)
         closed = schedule.eta_plus_of(t)
-        wrong_sign = -(n * np.sin(3 * schedule.phi_of(t)) - schedule.phi_of(t))
+        wrong_sign = -(n * np.sin(3 * s.phi) - s.phi)
         assert abs(np.angle(np.exp(1j * (measured - closed)))) < 1e-4
         assert abs(np.angle(np.exp(1j * (measured - wrong_sign)))) > 0.05
 
@@ -401,15 +407,8 @@ def test_validate_schedule_passes_for_both_families():
 
 
 def test_validate_schedule_flags_singular_theta():
-    s = sps_schedule(1.0)
-    bad = InvariantSchedule(
-        kind="sps", n=None, duration=1.0,
-        phi_of=s.phi_of, phi_dot_of=s.phi_dot_of,
-        theta_of=lambda t: np.full_like(np.asarray(t, float), np.pi / 4),
-        theta_dot_of=lambda t: np.zeros_like(np.asarray(t, float)),
-        coupling_factor_of=lambda t: np.full_like(np.asarray(t, float), np.inf),
-        eta_plus_of=lambda t: np.zeros_like(np.asarray(t, float)),
-    )
+    bad = InvariantSchedule(kind="sps", n=None, duration=1.0, sample=_singular_sample,
+                            eta_plus_of=lambda t: np.zeros_like(np.asarray(t, float)))
     report = validate_schedule(bad)
     assert not report.all_passed
     failed = {c.name for c in report.checks if not c.passed}
@@ -421,17 +420,14 @@ def test_validate_schedule_fails_a_nan_derivative():
     # its running value when the new one is NaN
     s = ansatz_schedule(1.1, 1.0)
 
-    def theta_dot_of(t):
-        values = np.array(s.theta_dot_of(t), dtype=float)
-        if values.size >= 1000:
-            values[999] = np.nan    # one sample of each 2000-sample check
-        return values
+    def sample(t):
+        good = s.sample(t)
+        theta_dot = np.array(good.theta_dot, dtype=float)
+        if theta_dot.size >= 1000:
+            theta_dot[999] = np.nan     # one sample of each 2000-sample check
+        return good._replace(theta_dot=theta_dot)
 
-    bad = InvariantSchedule(
-        kind=s.kind, n=s.n, duration=s.duration, phi_of=s.phi_of, phi_dot_of=s.phi_dot_of,
-        theta_of=s.theta_of, theta_dot_of=theta_dot_of,
-        coupling_factor_of=s.coupling_factor_of, eta_plus_of=s.eta_plus_of,
-    )
+    bad = dataclasses.replace(s, sample=sample)
     report = validate_schedule(bad)
     failed = {c.name: c.worst for c in report.checks if not c.passed}
     assert set(failed) == {"derivative consistency", "dynamical invariant"}, report.to_text()
@@ -439,16 +435,34 @@ def test_validate_schedule_fails_a_nan_derivative():
     assert not report.all_passed
 
 
+def test_validate_schedule_fails_a_nan_derivative_on_a_time_interval():
+    # a NaN Omega_q is neither infinite nor over the clamp, so the invariant
+    # check keeps its samples, and fails, instead of skipping them as clamped
+    s = ansatz_schedule(1.1, 1.0)
+
+    def sample(t):
+        good = s.sample(t)
+        t = np.asarray(t, dtype=float)
+        return good._replace(theta_dot=np.where((t > 0.4) & (t < 0.6), np.nan, good.theta_dot))
+
+    report = validate_schedule(dataclasses.replace(s, sample=sample))
+    failed = {c.name: c.worst for c in report.checks if not c.passed}
+    assert set(failed) == {"derivative consistency", "dynamical invariant"}, report.to_text()
+    assert all(np.isnan(worst) for worst in failed.values())
+
+
 def _invariant_check_samples(schedule):
-    """(omega, omega_q, phi, theta, phi_dot, theta_dot) where validation checks the invariant."""
+    """(omega, omega_q, sample) where validation checks the invariant, the sample kept as there."""
     T = schedule.duration
     window = CLAMP_WINDOW_FRACTION * T
-    t_in = np.linspace(window, T - window, VALIDATION_SAMPLES)
-    omega, omega_q = _raw_pulses(schedule, t_in)
+    s = schedule.sample(np.linspace(window, T - window, VALIDATION_SAMPLES))
+    omega, omega_q = _raw_pulses(s, np.sin(s.theta) - np.cos(s.theta))
     keep = np.isfinite(omega) & np.isfinite(omega_q) & (np.abs(omega_q) <= default_clamp(T))
-    t_in, omega, omega_q = t_in[keep], omega[keep], omega_q[keep]
-    return (omega, omega_q, schedule.phi_of(t_in), schedule.theta_of(t_in),
-            schedule.phi_dot_of(t_in), schedule.theta_dot_of(t_in))
+    return omega[keep], omega_q[keep], type(s)(*(field[keep] for field in s))
+
+
+def _oracle_arguments(omega, omega_q, s):
+    return omega, omega_q, s.phi, s.theta, s.phi_dot, s.theta_dot
 
 
 def test_right_handed_invariant_residual_mirrors_the_left():
@@ -458,7 +472,7 @@ def test_right_handed_invariant_residual_mirrors_the_left():
         ansatz_schedule(n, T) for n in (0.0, 0.65, 1.07, 1.1, 1.12, 2.0, -0.4)
         for T in (0.5, 1.0, 1.9)]
     for schedule in schedules:
-        samples = _invariant_check_samples(schedule)
+        samples = _oracle_arguments(*_invariant_check_samples(schedule))
         left = invariant_residual(L, *samples)
         right = invariant_residual(R, *samples)
         np.testing.assert_array_equal(right, SWAP_1_3 @ left @ SWAP_1_3,
@@ -477,10 +491,11 @@ _RANDOM_SCHEDULES = [ansatz_schedule(_RNG.uniform(-0.5, 2.5), _RNG.uniform(0.3, 
 def test_component_major_invariant_residual_matches_matmul(schedule):
     # the three real components are the upper entries of the @ residual, bit
     # for bit; its diagonal is zero and its lower entries mirror the upper ones
-    samples = _invariant_check_samples(schedule)
-    components = _invariant_residual(*samples)
-    magnitude = np.abs(invariant_residual(L, *samples))
-    assert components.shape == (3, len(samples[0]))
+    omega, omega_q, s = _invariant_check_samples(schedule)
+    components = _invariant_residual(omega, omega_q, s.sin_phi, s.cos_phi, np.sin(s.theta),
+                                     np.cos(s.theta), s.phi_dot, s.theta_dot)
+    magnitude = np.abs(invariant_residual(L, *_oracle_arguments(omega, omega_q, s)))
+    assert components.shape == (3, len(omega))
     for r, (i, j) in zip(components, ((0, 1), (0, 2), (1, 2))):
         assert np.array_equal(np.abs(r), magnitude[:, i, j]), (i, j)
         assert np.array_equal(magnitude[:, j, i], magnitude[:, i, j]), (i, j)
@@ -499,12 +514,12 @@ def test_validate_schedule_fails_a_violated_invariant_condition():
     # pulses 1% off the invariant constraint fail the invariant check alone,
     # with a large finite residual
     s = ansatz_schedule(1.1, 1.0)
-    bad = InvariantSchedule(
-        kind=s.kind, n=s.n, duration=s.duration, phi_of=s.phi_of, phi_dot_of=s.phi_dot_of,
-        theta_of=s.theta_of, theta_dot_of=s.theta_dot_of,
-        coupling_factor_of=lambda t: 1.01 * s.coupling_factor_of(t),
-        eta_plus_of=s.eta_plus_of,
-    )
+
+    def sample(t):
+        good = s.sample(t)
+        return good._replace(factor=1.01 * good.factor)
+
+    bad = dataclasses.replace(s, sample=sample)
     report = validate_schedule(bad)
     failed = {c.name: c.worst for c in report.checks if not c.passed}
     assert list(failed) == ["dynamical invariant"], report.to_text()

@@ -33,10 +33,10 @@ def quadpack_q(schedule, which):
         return (4.0 * schedule.duration / np.pi) ** 2 * abs(amplitude) ** 2
 
     def integrand(t):
-        phi, theta = schedule.phi_of(t), schedule.theta_of(t)
+        s = schedule.sample(t)
+        phi, theta = s.phi, s.theta
         if which == "alpha":
-            envelope = (schedule.theta_dot_of(t) * np.sin(phi)
-                        + 1j * schedule.phi_dot_of(t))
+            envelope = s.theta_dot * np.sin(phi) + 1j * s.phi_dot
         else:
             envelope = (np.cos(2 * theta) * np.sin(2 * phi)
                         + 2j * np.sin(2 * theta) * np.sin(phi))
