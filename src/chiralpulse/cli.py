@@ -12,9 +12,11 @@ directory or file behind.
 `scan` calls ``fidelity_curve`` once per scheme of `--schemes`, each writing
 one file, so a scheme listed twice is rejected before anything is computed;
 `heatmap` calls ``fidelity_heatmap`` and `optimize` checks its optimum with
-``exact_fidelities``.  `scan` and `heatmap` fill their right-handed columns
-from the left-handed propagation (the two systems are mirrors, see
-``sweeps``); `simulate` propagates each handedness.
+``exact_fidelities``.  The two handednesses are mirrors (see ``sweeps``), so
+every command propagates the left-handed system only: `scan` and `heatmap`
+copy its fidelities into their right-handed columns, and `simulate` writes
+its right-handed trace as the left one with p1 and p3 swapped, from one
+``population_trace`` call.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("design", parents=[common],
                    help="synthesize pulses and write pulses.csv + validation.txt")
     sub.add_parser("simulate", parents=[common],
-                   help="propagate both handednesses and write population traces")
+                   help="write both handednesses' population traces and a verdict line")
 
     scan = sub.add_parser("scan", parents=[common],
                           help="fidelity vs one error amplitude, one CSV per scheme")
@@ -282,19 +284,14 @@ def cmd_design(cfg: dict) -> int:
 
 def cmd_simulate(cfg: dict) -> int:
     schedule = _scheme_from_config(cfg)
-    traces = {handedness: population_trace(schedule, handedness, steps=cfg["steps"],
-                                           clamp=_absolute_clamp(cfg))
-              for handedness in Handedness}
+    traces = population_trace(schedule, steps=cfg["steps"], clamp=_absolute_clamp(cfg))
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    finals = {}
     for handedness, trace in traces.items():
         trace.metadata.update(_effective_metadata(cfg))
-        path = out / f"populations_{schedule.slug}_{handedness.value}.csv"
-        trace.to_csv(path)
-        finals[handedness] = trace.data[-1, 1:]
-    left_p3 = finals[Handedness.LEFT][2]
-    right_p1 = finals[Handedness.RIGHT][0]
+        trace.to_csv(out / f"populations_{schedule.slug}_{handedness.value}.csv")
+    left_p3 = traces[Handedness.LEFT].column("p3")[-1]
+    right_p1 = traces[Handedness.RIGHT].column("p1")[-1]
     print(f"final populations: left -> |3> at P3={left_p3:.6f}, "
           f"right -> |1> at P1={right_p1:.6f}")
     print("discrimination verdict: L->|3>, R->|1>"

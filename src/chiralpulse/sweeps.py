@@ -1,9 +1,10 @@
 """Parameter sweeps writing reproducible CSV data files.
 
 Three sweep families cover the standard outputs of the design workflow:
-population traces over time, fidelity against a single error axis, and the
-2-D (alpha, delta) fidelity map.  The sensitivity against the ansatz weight n
-is scanned by ``robustness.optimize_n``, which needs only its minimum.
+population traces over time (both handednesses from one propagation),
+fidelity against a single error axis, and the 2-D (alpha, delta) fidelity
+map.  The sensitivity against the ansatz weight n is scanned by
+``robustness.optimize_n``, which needs only its minimum.
 
 Each sweep takes one scheme and plain arguments: ``fidelity_curve`` a label,
 a schedule, one ``ErrorAxis`` and a mode; ``fidelity_heatmap`` a schedule and
@@ -28,6 +29,11 @@ pair (alpha, |delta|) once, so a detuning axis symmetric about 0 costs about
 half its points (the default 101x101 heatmap propagates 7373 cells, not
 10201).  Axis values that are not exact negatives of each other are simply
 propagated twice; no value changes.
+
+The population traces use the same mirror at alpha = delta = 0: P H_L(t) P =
+H_R(t) and P|2> = |2>, so psi_R(t) = P psi_L(t), and ``population_trace``
+propagates the left-handed system once and swaps p1 and p3 for the
+right-handed trace.
 """
 
 from __future__ import annotations
@@ -118,27 +124,37 @@ def _scheme_meta(label: str, schedule: InvariantSchedule) -> str:
 # sweep operations
 # ---------------------------------------------------------------------------
 
-def population_trace(schedule: InvariantSchedule, handedness: Handedness,
-                     steps: int = DEFAULT_STEPS,
-                     clamp: float | None = None) -> SweepResult:
-    """Level populations against t/T from the initial state |2>, at TRACE_POINTS times."""
+def population_trace(schedule: InvariantSchedule, steps: int = DEFAULT_STEPS,
+                     clamp: float | None = None) -> dict[Handedness, SweepResult]:
+    """Level populations against t/T from the initial state |2>, at TRACE_POINTS times.
+
+    Returns one trace per handedness from one left-handed propagation.  With
+    P the swap of levels 1 and 3, H_R(t) = P H_L(t) P, and P leaves |2>
+    unchanged, so psi_R(t) = P psi_L(t): the right-handed trace is the left
+    one with its columns p1 and p3 swapped.  An independent right-handed
+    propagation agrees to rounding (about 1e-14).
+    """
     T = schedule.duration
     if clamp is None:
         clamp = default_clamp(T)
     grid = make_grid(T, steps)
-    pops = propagate(schedule_hamiltonian(schedule, handedness, clamp),
+    pops = propagate(schedule_hamiltonian(schedule, Handedness.LEFT, clamp),
                      QuantumState.basis(2), grid).populations
     keep = np.unique(np.round(np.linspace(0, steps, TRACE_POINTS)).astype(int))
-    data = np.column_stack([grid[keep] / T, pops[keep, 0], pops[keep, 1], pops[keep, 2]])
-    meta = _base_metadata({
-        "sweep": "population_trace",
-        "scheme": _scheme_meta(schedule.label, schedule),
-        "handedness": handedness.value,
-        "steps": steps,
-        "clamp": clamp,
-        "output_points": len(keep),
-    })
-    return SweepResult(columns=("t_over_T", "p1", "p2", "p3"), data=data, metadata=meta)
+    left = np.column_stack([grid[keep] / T, pops[keep, 0], pops[keep, 1], pops[keep, 2]])
+    traces = {}
+    for hand, data in ((Handedness.LEFT, left), (Handedness.RIGHT, left[:, [0, 3, 2, 1]])):
+        meta = _base_metadata({
+            "sweep": "population_trace",
+            "scheme": _scheme_meta(schedule.label, schedule),
+            "handedness": hand.value,
+            "steps": steps,
+            "clamp": clamp,
+            "output_points": len(keep),
+        })
+        traces[hand] = SweepResult(columns=("t_over_T", "p1", "p2", "p3"), data=data,
+                                   metadata=meta)
+    return traces
 
 
 def fidelity_curve(label: str, schedule: InvariantSchedule, axis: ErrorAxis,

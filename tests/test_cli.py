@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import chiralpulse
+from chiralpulse import invariants, sweeps
 from chiralpulse.cli import build_parser, main, read_config_file
+from chiralpulse.dynamics import propagate
+from chiralpulse.invariants import pulses_from_invariant
 
 
 def run_cli(args):
@@ -80,6 +83,27 @@ def test_simulate_ansatz_n(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "discriminated=True" in out
+
+
+def test_simulate_samples_and_propagates_once(tmp_path, capsys, monkeypatch):
+    # the right-handed trace mirrors the left-handed propagation, so one
+    # simulate samples the pulses at the 800 Gauss nodes once and propagates once
+    samples, propagations = [], []
+
+    def counting_pulses(schedule, times, *args, **kwargs):
+        samples.append(len(times))
+        return pulses_from_invariant(schedule, times, *args, **kwargs)
+
+    def counting_propagate(*args, **kwargs):
+        propagations.append(1)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "pulses_from_invariant", counting_pulses)
+    monkeypatch.setattr(sweeps, "propagate", counting_propagate)
+    assert run_cli(["simulate", "--scheme", "osd", "--out", str(tmp_path)]) == 0
+    assert "discriminated=True" in capsys.readouterr().out
+    assert samples == [800]
+    assert propagations == [1]
 
 
 def test_simulate_zero_duration_rejected(tmp_path, capsys):

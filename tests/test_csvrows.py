@@ -105,7 +105,7 @@ def test_csv_writers_end_lines_in_a_bare_line_feed(tmp_path, monkeypatch):
     monkeypatch.setattr(builtins, "open", crlf_open)
     schedule = sps_schedule(1.0)
     pulses_from_invariant(schedule, make_grid(1.0, 4000)).to_csv(tmp_path / "pulses.csv")
-    population_trace(schedule, Handedness.LEFT).to_csv(tmp_path / "trace.csv")
+    population_trace(schedule)[Handedness.LEFT].to_csv(tmp_path / "trace.csv")
     for name in ("pulses.csv", "trace.csv"):
         data = (tmp_path / name).read_bytes()
         assert b"\r" not in data and data.endswith(b"\n")

@@ -74,12 +74,15 @@ def test_perturbative_fidelity_zero_error():
 
 def test_exact_fidelity_no_error_full_transfer():
     # the trace's final population comes from the same half-step exponentials,
-    # multiplied in another order
+    # multiplied in another order; the right-handed trace is the left-handed
+    # propagation with p1 and p3 swapped, so for R it also checks that mirror
+    # against a right-handed exact fidelity
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0), ansatz_schedule(2.0, 0.3)):
+        traces = population_trace(schedule)
         for hand in (L, R):
             fidelity = exact_fidelities(schedule, 0.0, 0.0, hand)[0]
             assert fidelity > 1.0 - 1e-4
-            final = population_trace(schedule, hand).data[-1, hand.target_level]
+            final = traces[hand].data[-1, hand.target_level]
             assert final == pytest.approx(fidelity, rel=0, abs=1e-14)
 
 

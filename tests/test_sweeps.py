@@ -4,6 +4,7 @@ import pytest
 from chiralpulse import (
     ErrorAxis,
     Handedness,
+    QuantumState,
     ansatz_schedule,
     default_clamp,
     exact_fidelities,
@@ -13,14 +14,16 @@ from chiralpulse import (
     make_grid,
     make_schedule,
     population_trace,
+    propagate,
     pulses_from_invariant,
     q_alpha,
     q_delta,
+    schedule_hamiltonian,
     sps_schedule,
 )
 from chiralpulse import dynamics, robustness
 from chiralpulse.dynamics import _CHUNK_BYTES, DEFAULT_STEPS, gauss_nodes
-from chiralpulse.sweeps import SweepResult
+from chiralpulse.sweeps import TRACE_POINTS, SweepResult
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 
@@ -40,7 +43,7 @@ def test_error_axis_validation():
 
 
 def test_population_trace_sps_left():
-    trace = population_trace(sps_schedule(1.0), L)
+    trace = population_trace(sps_schedule(1.0))[L]
     assert trace.columns == ("t_over_T", "p1", "p2", "p3")
     assert len(trace.data) >= 200
     assert trace.data[0, 2] == pytest.approx(1.0, abs=1e-12)       # starts in |2>
@@ -51,15 +54,37 @@ def test_population_trace_sps_left():
 
 
 def test_population_trace_sps_right():
-    trace = population_trace(sps_schedule(1.0), R)
+    trace = population_trace(sps_schedule(1.0))[R]
     assert trace.data[0, 2] == pytest.approx(1.0, abs=1e-12)
     assert trace.data[-1, 1] > 1.0 - 1e-4                          # ends in |1>
 
 
 def test_population_trace_row_sums_for_ansatz():
-    trace = population_trace(ansatz_schedule(1.12, 1.0), R, steps=2000)
+    trace = population_trace(ansatz_schedule(1.12, 1.0), steps=2000)[R]
     sums = trace.data[:, 1:].sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("kind, n", [("sps", None), ("oss", None), ("osd", None),
+                                     ("ansatz", 1.1)])
+def test_right_trace_is_the_mirror_of_a_right_handed_propagation(kind, n):
+    # P H_L(t) P = H_R(t) and P|2> = |2>, so the right-handed trace is the left
+    # one with p1 and p3 swapped; an independent propagation agrees to rounding
+    for T in (0.68, 1.0, 1.525):
+        schedule = make_schedule(kind, T, n)
+        clamp = default_clamp(T)
+        for steps in (37, 400, 2000):
+            traces = population_trace(schedule, steps, clamp)
+            left, right = traces[L], traces[R]
+            assert np.array_equal(right.data, left.data[:, [0, 3, 2, 1]])
+            assert right.metadata == {**left.metadata, "handedness": "right"}
+            assert list(right.metadata) == list(left.metadata)
+            grid = make_grid(T, steps)
+            pops = propagate(schedule_hamiltonian(schedule, R, clamp),
+                             QuantumState.basis(2), grid).populations
+            keep = np.unique(np.round(np.linspace(0, steps, TRACE_POINTS)).astype(int))
+            assert np.array_equal(right.column("t_over_T"), grid[keep] / T)
+            np.testing.assert_allclose(right.data[:, 1:], pops[keep], rtol=0, atol=1e-13)
 
 
 def test_fidelity_curve_zero_error_is_unity():
@@ -323,7 +348,7 @@ def test_sweep_csv_matches_per_row_formatting(tmp_path):
                             [3.0, -7.0, 123456789012345.0, 0.1 + 0.2],
                             [np.pi, -2.0 / 3.0, 1.0 / 7.0, 9.999999999999999e22]])
     for k, result in enumerate([
-            population_trace(sps_schedule(1.0), L),
+            *population_trace(sps_schedule(1.0)).values(),
             fidelity_curve("sps", sps_schedule(1.0), axis, "both"),
             fidelity_curve("oss", ansatz_schedule(1.07, 1.0), axis, "both"),
             SweepResult(columns=("a", "b", "c", "d"), data=adversarial, metadata={"x": 1}),
