@@ -42,7 +42,6 @@ from .robustness import (
     q_delta,
 )
 from .sweeps import (
-    ErrorAxis,
     SweepResult,
     fidelity_curve,
     fidelity_heatmap,
@@ -65,6 +64,6 @@ __all__ = [
     # robustness
     "OptimumResult", "exact_fidelities", "optimize_n", "q_alpha", "q_delta",
     # sweeps
-    "ErrorAxis", "SweepResult", "fidelity_curve",
-    "fidelity_heatmap", "high_fidelity_region", "population_trace",
+    "SweepResult", "fidelity_curve", "fidelity_heatmap",
+    "high_fidelity_region", "population_trace",
 ]

@@ -12,11 +12,12 @@ directory or file behind.
 `scan` calls ``fidelity_curve`` once per scheme of `--schemes`, each writing
 one file, so a scheme listed twice is rejected before anything is computed;
 `heatmap` calls ``fidelity_heatmap`` and `optimize` checks its optimum with
-``exact_fidelities``.  The two handednesses are mirrors (see ``sweeps``), so
-every command propagates the left-handed system only: `scan` and `heatmap`
-copy its fidelities into their right-handed columns, and `simulate` writes
-its right-handed trace as the left one with p1 and p3 swapped, from one
-``population_trace`` call.
+``exact_fidelities``.  `scan` and `heatmap` build every error axis in
+``_error_axis``, which holds all the axis checks.  The two handednesses are
+mirrors (see ``sweeps``), so every command propagates the left-handed system
+only: `scan` and `heatmap` copy its fidelities into their right-handed
+columns, and `simulate` writes its right-handed trace as the left one with
+p1 and p3 swapped, from one ``population_trace`` call.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .invariants import (
     validate_schedule,
 )
 from .robustness import exact_fidelities, optimize_n
-from .sweeps import ErrorAxis, fidelity_curve, fidelity_heatmap, population_trace
+from .sweeps import fidelity_curve, fidelity_heatmap, population_trace
 
 SCHEME_CHOICES = ("sps", "ansatz", "oss", "osd")
 
@@ -217,17 +218,6 @@ def _validate_config(command: str, cfg: dict) -> None:
     if cfg["scheme"] == "ansatz" and command != "scan":
         if cfg["n"] is None or not np.isfinite(cfg["n"]):
             raise ValueError("scheme 'ansatz' requires a finite --n")
-    if command == "scan":
-        if cfg["points"] < 2:
-            raise ValueError("points must be >= 2")
-        if cfg["min"] is not None and cfg["max"] is not None and not cfg["min"] < cfg["max"]:
-            raise ValueError("scan minimum must be below maximum")
-    if command == "heatmap":
-        for axis in ("alpha", "delta"):
-            if cfg[f"{axis}_points"] < 2:
-                raise ValueError(f"{axis}_points must be >= 2")
-            if not cfg[f"{axis}_min"] < cfg[f"{axis}_max"]:
-                raise ValueError(f"{axis} range is empty")
     if command == "optimize":
         if not cfg["n_min"] < cfg["n_max"]:
             raise ValueError("n_min must be below n_max")
@@ -259,6 +249,24 @@ def _parse_scheme_token(token: str, duration: float):
 def _absolute_clamp(cfg: dict) -> float:
     # the flag is quoted in units of 1/T
     return cfg["clamp"] / cfg["T"]
+
+
+def _error_axis(column: str, lo: float, hi: float, points: int) -> np.ndarray:
+    """``np.linspace(lo, hi, points)``, whose ends are the bounds exactly, once checked.
+
+    `column` (alpha or delta) names the axis in the messages.
+    """
+    if points < 2:
+        raise ValueError(f"{column} axis needs at least 2 points, got {points}")
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite axis is rejected next
+        values = np.linspace(lo, hi, points)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{column} axis [{lo:g}, {hi:g}] is not finite: "
+                         "its bounds and their span must be finite")
+    if not lo < hi:
+        raise ValueError(f"{column} axis [{lo:g}, {hi:g}] is empty: "
+                         "its minimum must be below its maximum")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +317,15 @@ def cmd_scan(cfg: dict) -> int:
     kind = cfg["error"]
     lo = cfg["min"] if cfg["min"] is not None else (-0.3 if kind == "systematic" else -1.0 / cfg["T"])
     hi = cfg["max"] if cfg["max"] is not None else (0.3 if kind == "systematic" else 1.0 / cfg["T"])
-    axis = ErrorAxis(kind=kind, minimum=lo, maximum=hi, points=cfg["points"])
+    amplitudes = _error_axis("alpha" if kind == "systematic" else "delta", lo, hi, cfg["points"])
     tokens = str(cfg["schemes"]).split(",")
     schemes = dict(_parse_scheme_token(token, cfg["T"]) for token in tokens)
     if len(schemes) < len(tokens):
         raise ValueError(f"schemes {cfg['schemes']} lists a scheme twice; "
                          "each scheme writes one file")
     # every scheme is computed before any file is written
-    results = [(label, fidelity_curve(label, schedule, axis, cfg["mode"], cfg["steps"],
-                                      _absolute_clamp(cfg)))
+    results = [(label, fidelity_curve(label, schedule, kind, amplitudes, cfg["mode"],
+                                      cfg["steps"], _absolute_clamp(cfg)))
                for label, schedule in schemes.items()]
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -333,15 +341,13 @@ def cmd_scan(cfg: dict) -> int:
 
 
 def cmd_heatmap(cfg: dict) -> int:
+    alphas = _error_axis("alpha", cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_points"])
+    # the detuning flags are quoted in units of 1/T, like --clamp
+    deltas = _error_axis("delta", cfg["delta_min"] / cfg["T"], cfg["delta_max"] / cfg["T"],
+                         cfg["delta_points"])
     schedule = _scheme_from_config(cfg)
     label = schedule.slug
-    result = fidelity_heatmap(
-        schedule,
-        ErrorAxis("systematic", cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_points"]),
-        # the detuning flags are quoted in units of 1/T, like --clamp
-        ErrorAxis("detuning", cfg["delta_min"] / cfg["T"], cfg["delta_max"] / cfg["T"],
-                  cfg["delta_points"]),
-        cfg["steps"], _absolute_clamp(cfg))
+    result = fidelity_heatmap(schedule, alphas, deltas, cfg["steps"], _absolute_clamp(cfg))
     result.metadata.update(_effective_metadata(cfg))
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -361,8 +367,7 @@ def cmd_optimize(cfg: dict) -> int:
                         tolerance=cfg["tol"], duration=cfg["T"])
     schedule = ansatz_schedule(result.n_star, cfg["T"])
     alpha, delta = (0.1, 0.0) if result.kind == "systematic" else (0.0, 0.1 / cfg["T"])
-    cross = exact_fidelities(schedule, alpha, delta, Handedness.LEFT,
-                             cfg["steps"], _absolute_clamp(cfg))[0]
+    cross = exact_fidelities(schedule, alpha, delta, cfg["steps"], _absolute_clamp(cfg))[0]
     print(f"optimal n for {result.kind} sensitivity: n* = {result.n_star:.4f}, "
           f"q_min = {result.q_min:.6g}")
     _summary("optimize", {

@@ -29,10 +29,17 @@ the integrals stop at u = 40 (the dropped tail is O(e^-40) ~ 4e-18):
     q_delta(sps) = (16 T^2/pi^2) | int_0^inf sech(u)^2 tanh(u) e^{iu} du |^2
                                                                   ~= 0.28371 T^2
 
+These are the q of the unclamped sps schedule, whose cot pulse they
+integrate down to t = 0; the dynamics propagate the clamped one.  At the
+default clamp, the exact curvature of F (central differences of
+``exact_fidelities`` at eps = 1e-2, 1600 steps) is 2.26% below q_alpha and
+0.87% above q_delta.  No ansatz clamp is active, and there q is the exact
+curvature to within the differencing error.
+
 ``second_order_fidelity`` evaluates the closed forms from a given q, so a
 sweep computes q once per scheme; ``exact_fidelities`` propagates the
-perturbed Hamiltonian instead, at any number of error points (alpha, delta),
-and ``optimize_n`` minimizes q over the ansatz weight n.
+perturbed Hamiltonian instead, one fidelity per error point (alpha, delta)
+for both handednesses, and ``optimize_n`` minimizes q over the ansatz weight n.
 """
 
 from __future__ import annotations
@@ -89,15 +96,17 @@ def second_order_fidelity(kind: str, amplitude, q: float):
     return 1.0 - scale * q
 
 
-def exact_fidelities(schedule: InvariantSchedule, alphas, deltas, handedness: Handedness,
+def exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
                      steps: int = DEFAULT_STEPS, clamp: float | None = None) -> np.ndarray:
-    """Target-level populations from |2> under the perturbed Hamiltonian, one per error point.
+    """Transfer fidelities under the perturbed Hamiltonian, one per error point.
 
     `alphas` and `deltas` are broadcast against each other into the error
-    points (alpha, delta).  The target stays |3> (left) or |1> (right): the
-    error perturbs the dynamics, not the goal.  The pulses are sampled once,
-    clamped (default ``default_clamp``), at the ``gauss_nodes`` of the uniform
-    `steps`-interval grid.  Only the final state from |2> is needed, so each
+    points (alpha, delta).  The fidelity is the left-handed |3> population
+    from |2> (the error perturbs the dynamics, not the goal); the
+    right-handed |1> population is the same number (see the ``sweeps`` module
+    docstring).  The pulses are sampled once, clamped (default
+    ``default_clamp``), at the ``gauss_nodes`` of the uniform `steps`-interval
+    grid.  Only the final state from |2> is needed, so each
     point's 2N half-step exponentials are multiplied into one matrix
     (``dynamics._cf4_products``) and its |2> column read off.  The points are
     batched, but every operation is elementwise over them, so a point's value
@@ -123,9 +132,9 @@ def exact_fidelities(schedule: InvariantSchedule, alphas, deltas, handedness: Ha
     pairs.real, pairs.imag = alphas, np.abs(deltas)
     pairs, inverse = np.unique(pairs, return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value is rejected next
-        total = _cf4_products(pulses.omega, pulses.omega_q, handedness.coupling_sign,
+        total = _cf4_products(pulses.omega, pulses.omega_q, Handedness.LEFT.coupling_sign,
                               np.diff(grid), pairs.real, pairs.imag)
-        values = (np.abs(total[handedness.target_level - 1, 1]) ** 2)[inverse]
+        values = (np.abs(total[Handedness.LEFT.target_level - 1, 1]) ** 2)[inverse]
     bad = ~np.isfinite(values)
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
@@ -167,16 +176,18 @@ def optimize_n(kind: str, n_range: tuple[float, float] = (0.5, 1.5),
     """Minimize q_alpha(n) or q_delta(n) over the phase-ansatz family.
 
     A COARSE_POINTS grid scan brackets the minimum; golden-section search
-    refines it to |delta n| < tolerance.  ``ValueError`` is raised when a
-    coarse q is not finite, and ``NoInteriorMinimum`` when the coarse minimum
-    sits on the range boundary.
+    refines it to |delta n| < tolerance.  ``ValueError`` is raised when the
+    range is empty or its width is not finite, or when a coarse q is not
+    finite, and ``NoInteriorMinimum`` when the coarse minimum sits on the
+    range boundary.
     """
     measure = {"systematic": q_alpha, "detuning": q_delta}.get(kind)
     if measure is None:
         raise ValueError(f"unknown sensitivity kind {kind!r}")
     lo, hi = float(n_range[0]), float(n_range[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"invalid n range {n_range}")
+    if not (lo < hi and np.isfinite(hi - lo)):     # a finite width has finite bounds
+        raise ValueError(f"invalid n range {n_range}: it must be non-empty "
+                         "with a finite width")
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
 

@@ -6,9 +6,10 @@ fidelity against a single error axis, and the 2-D (alpha, delta) fidelity
 map.  The sensitivity against the ansatz weight n is scanned by
 ``robustness.optimize_n``, which needs only its minimum.
 
-Each sweep takes one scheme and plain arguments: ``fidelity_curve`` a label,
-a schedule, one ``ErrorAxis`` and a mode; ``fidelity_heatmap`` a schedule and
-its systematic and detuning axes.
+Each sweep takes one scheme and its error amplitudes as arrays:
+``fidelity_curve`` a label, a schedule, an error kind, its amplitudes and a
+mode; ``fidelity_heatmap`` a schedule, its alphas and its deltas.  The
+metadata records each array as `[first,last]xlength`.
 
 Every output is deterministic: no timestamps, fixed float formatting (15
 significant digits), and one calling thread.  The exact fidelities of a
@@ -18,8 +19,9 @@ points, so each value is the same, bit for bit, as that point computed
 alone, whatever the batch.  CSV files start with a commented metadata block
 (`# key = value`) sufficient to reproduce the run.
 
-Exact fidelities are propagated for the left-handed system only; the same
-value fills the right-handed column.  With P the swap of levels 1 and 3 and
+Exact fidelities are propagated for the left-handed system only (the one
+fidelity ``exact_fidelities`` returns per error point); the same value
+fills the right-handed column.  With P the swap of levels 1 and 3 and
 S = diag(1, -1, 1), P H_L(alpha, delta) P = H_R(alpha, -delta) and
 H_L(alpha, -delta) = -S conj(H_L(alpha, delta)) S, so F_R(alpha, delta) =
 F_L(alpha, -delta) = F_L(alpha, delta).  The second relation holds exactly in
@@ -52,34 +54,6 @@ from .robustness import exact_fidelities, q_alpha, q_delta, second_order_fidelit
 
 TRACE_POINTS = 201          # rows per population trace at most, endpoints included
 HIGH_FIDELITY_LEVEL = 0.99  # the heatmap's F >= level region
-
-
-@dataclass(frozen=True)
-class ErrorAxis:
-    """One swept error amplitude: kind, closed range, and point count."""
-
-    kind: str
-    minimum: float
-    maximum: float
-    points: int
-
-    def __post_init__(self):
-        if self.kind not in ("systematic", "detuning"):
-            raise ValueError(f"axis kind must be systematic or detuning, got {self.kind!r}")
-        if self.points < 2:
-            raise ValueError(f"axis needs at least 2 points, got {self.points}")
-        if not (math.isfinite(self.minimum) and math.isfinite(self.maximum)):
-            raise ValueError(f"axis bounds must be finite, got [{self.minimum}, {self.maximum}]")
-        if not self.minimum < self.maximum:
-            raise ValueError("axis minimum must be below maximum")
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.linspace(self.minimum, self.maximum, self.points)
-
-    @property
-    def column(self) -> str:
-        return "alpha" if self.kind == "systematic" else "delta"
 
 
 @dataclass(frozen=True)
@@ -157,42 +131,50 @@ def population_trace(schedule: InvariantSchedule, steps: int = DEFAULT_STEPS,
     return traces
 
 
-def fidelity_curve(label: str, schedule: InvariantSchedule, axis: ErrorAxis,
+def _axis_meta(values: np.ndarray) -> str:
+    return f"[{values[0]:g},{values[-1]:g}]x{len(values)}"
+
+
+def fidelity_curve(label: str, schedule: InvariantSchedule, kind: str, amplitudes,
                    mode: str = "exact", steps: int = DEFAULT_STEPS,
                    clamp: float | None = None) -> SweepResult:
-    """Fidelity of one scheme, tagged `label` in the columns, against one error axis.
+    """Fidelity of one scheme, tagged `label` in the columns, at each error amplitude.
 
+    `kind` is "systematic" (the amplitudes are alphas) or "detuning" (deltas).
     `mode` "exact" writes the exact left- and right-handed columns, "perturbative"
     the second-order column, and "both" all three plus the agreement metadata.
     """
+    column = {"systematic": "alpha", "detuning": "delta"}.get(kind)
+    if column is None:
+        raise ValueError(f"unknown error kind {kind!r}")
     if mode not in ("exact", "perturbative", "both"):
         raise ValueError(f"unknown mode {mode!r}")
     if clamp is None:
         clamp = default_clamp(schedule.duration)
-    amplitudes = axis.values
-    columns = [axis.column]
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    columns = [column]
     data = [amplitudes]
     if mode != "perturbative":
-        alphas, deltas = (amplitudes, 0.0) if axis.kind == "systematic" else (0.0, amplitudes)
-        exact = exact_fidelities(schedule, alphas, deltas, Handedness.LEFT, steps, clamp)
+        alphas, deltas = (amplitudes, 0.0) if kind == "systematic" else (0.0, amplitudes)
+        exact = exact_fidelities(schedule, alphas, deltas, steps, clamp)
         columns += [f"F_{label}_exact_{hand.value}" for hand in Handedness]
         data += [exact] * 2
     if mode != "exact":
-        measure = q_alpha if axis.kind == "systematic" else q_delta
+        measure = q_alpha if kind == "systematic" else q_delta
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite q is rejected next
             sens = measure(schedule)
         if not math.isfinite(sens):
-            raise ValueError(f"fidelity_curve: q_{axis.kind} of {label} is {sens}; "
+            raise ValueError(f"fidelity_curve: q_{kind} of {label} is {sens}; "
                              "the sensitivity overflows at this duration")
         # an overflow gives inf, which SweepResult rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            pert = second_order_fidelity(axis.kind, amplitudes, sens)
+            pert = second_order_fidelity(kind, amplitudes, sens)
         columns.append(f"F_{label}_pert")
         data.append(pert)
     data = np.column_stack(data)
     meta = _base_metadata({
         "sweep": "fidelity_curve",
-        "error_axis": f"{axis.kind}[{axis.minimum:g},{axis.maximum:g}]x{axis.points}",
+        "error_axis": kind + _axis_meta(amplitudes),
         "mode": mode,
         "handedness": "both",
         "steps": steps,
@@ -201,53 +183,50 @@ def fidelity_curve(label: str, schedule: InvariantSchedule, axis: ErrorAxis,
         "schemes": _scheme_meta(label, schedule),
     })
     if mode == "both":
-        meta.update(_agreement_stats(axis, schedule.duration, exact, pert))
+        # validity window: |alpha| <= 0.1, or |delta|*T <= 0.5 for the detuning axis
+        window = 0.1 if kind == "systematic" else 0.5 / schedule.duration
+        meta.update(_agreement_stats(column, window, amplitudes, exact, pert))
     return SweepResult(columns=tuple(columns), data=data, metadata=meta)
 
 
-def _agreement_stats(axis: ErrorAxis, duration: float, exact: np.ndarray,
-                     pert: np.ndarray) -> dict:
+def _agreement_stats(column: str, window: float, amplitudes: np.ndarray,
+                     exact: np.ndarray, pert: np.ndarray) -> dict:
     """Exact/perturbative gap inside the quadratic validity window, flagged outside."""
-    # validity window: |alpha| <= 0.1, or |delta|*T <= 0.5 for the detuning axis
-    window = 0.1 if axis.kind == "systematic" else 0.5 / duration
-    inside = np.abs(axis.values) <= window
+    inside = np.abs(amplitudes) <= window
     gap = np.abs(exact - pert)
     worst_inside = float(np.max(gap[inside], initial=0.0))
     flagged = int(np.sum((gap > 0.01) & ~inside))
     return {
-        "agreement_window": f"|{axis.column}|<={window:g}",
+        "agreement_window": f"|{column}|<={window:g}",
         "agreement_worst_inside": f"{worst_inside:.3e}",
         # a flagged point counts once per exact column
         "agreement_flagged_outside": flagged * len(Handedness),
     }
 
 
-def fidelity_heatmap(schedule: InvariantSchedule, alpha_axis: ErrorAxis,
-                     delta_axis: ErrorAxis, steps: int = DEFAULT_STEPS,
-                     clamp: float | None = None) -> SweepResult:
-    """Exact fidelity on an (alpha, delta) grid with the combined error Hamiltonian.
+def fidelity_heatmap(schedule: InvariantSchedule, alphas, deltas,
+                     steps: int = DEFAULT_STEPS, clamp: float | None = None) -> SweepResult:
+    """Exact fidelity on the (alpha, delta) grid of two amplitude arrays.
 
-    Long-format rows (alpha, delta, F_exact_left, F_exact_right; the two are
-    equal, see the module docstring); the metadata reports the fraction of grid
-    cells with F >= HIGH_FIDELITY_LEVEL and whether that region is contiguous
+    The error Hamiltonian combines both errors.  Long-format rows (alpha,
+    delta, F_exact_left, F_exact_right; the two are equal, see the module
+    docstring), alpha-major; the metadata reports the fraction of grid cells
+    with F >= HIGH_FIDELITY_LEVEL and whether that region is contiguous
     around the zero-error point.
     """
-    if alpha_axis.kind != "systematic" or delta_axis.kind != "detuning":
-        raise ValueError("heatmap axes must be (systematic, detuning)")
     if clamp is None:
         clamp = default_clamp(schedule.duration)
-    alphas, deltas = alpha_axis.values, delta_axis.values
+    alphas, deltas = np.asarray(alphas, dtype=float), np.asarray(deltas, dtype=float)
     cell_alphas = np.repeat(alphas, len(deltas))
     cell_deltas = np.tile(deltas, len(alphas))
-    fidelities = exact_fidelities(schedule, cell_alphas, cell_deltas, Handedness.LEFT,
-                                  steps, clamp)
+    fidelities = exact_fidelities(schedule, cell_alphas, cell_deltas, steps, clamp)
     data = np.column_stack([cell_alphas, cell_deltas, fidelities, fidelities])
     columns = ["alpha", "delta"] + [f"F_exact_{h.value}" for h in Handedness]
     meta = _base_metadata({
         "sweep": "fidelity_heatmap",
         "scheme": _scheme_meta(schedule.slug, schedule),
-        "alpha_axis": f"[{alpha_axis.minimum:g},{alpha_axis.maximum:g}]x{alpha_axis.points}",
-        "delta_axis": f"[{delta_axis.minimum:g},{delta_axis.maximum:g}]x{delta_axis.points}",
+        "alpha_axis": _axis_meta(alphas),
+        "delta_axis": _axis_meta(deltas),
         "handedness": "both",
         "steps": steps,
         "clamp": clamp,
@@ -287,7 +266,7 @@ def high_fidelity_region(fidelities: np.ndarray, alphas: np.ndarray,
 
 
 __all__ = [
-    "ErrorAxis", "SweepResult",
+    "SweepResult",
     "population_trace", "fidelity_curve", "fidelity_heatmap",
     "high_fidelity_region",
 ]

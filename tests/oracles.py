@@ -9,6 +9,9 @@
 * ``perturbed_hamiltonian``: the Hamiltonian stack with the error terms of
   the sweeps, (1 + alpha) H + delta (|3><3| - |1><1|), whose exponentials
   the propagators write without forming the matrix;
+* ``right_exact_fidelities``: the right-handed |1> populations of a
+  right-handed propagation, point by point with its signed delta, the
+  reference for the one (left-handed) fidelity of ``exact_fidelities``;
 * ``invariant_eigensystem``: closed-form eigenpairs of the invariant
   I(phi, theta), checked against ``invariant_matrix`` and used to follow the
   transported channels through exact propagation;
@@ -27,7 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from chiralpulse import Handedness, InvariantSchedule, PulseSchedule, ValidationReport
+from chiralpulse import (Handedness, InvariantSchedule, PulseSchedule, ValidationReport,
+                         make_grid, pulses_from_invariant)
+from chiralpulse.dynamics import DEFAULT_STEPS, _cf4_products, gauss_nodes
 from chiralpulse.errors import SingularTheta
 from chiralpulse.invariants import (CLAMP_WINDOW_FRACTION, SINGULAR_TOL, VALIDATION_SAMPLES,
                                     CheckResult, _clamp_omega_q, default_clamp)
@@ -111,6 +116,22 @@ def perturbed_hamiltonian(omega, omega_q, sign: int, alpha: float = 0.0,
     h[:, 0, 0] -= delta
     h[:, 2, 2] += delta
     return h
+
+
+def right_exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
+                           steps: int = DEFAULT_STEPS, clamp: float | None = None) -> np.ndarray:
+    """|1> populations from |2> of the right-handed system, one per error point.
+
+    The pulses, grid and kernel are those of ``exact_fidelities``, but the
+    Hamiltonian has the right-handed coupling sign (+1) and every point is
+    propagated at its own signed delta, with no fold onto |delta|.
+    """
+    grid = make_grid(schedule.duration, steps)
+    pulses = pulses_from_invariant(schedule, gauss_nodes(grid), clamp)
+    alphas, deltas = (np.ravel(x) for x in np.broadcast_arrays(
+        np.asarray(alphas, dtype=float), np.asarray(deltas, dtype=float)))
+    total = _cf4_products(pulses.omega, pulses.omega_q, +1, np.diff(grid), alphas, deltas)
+    return np.abs(total[0, 1]) ** 2         # level |1>, from the |2> column
 
 
 def invariant_eigensystem(handedness: Handedness, phi, theta):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from chiralpulse import (
-    ErrorAxis,
     Handedness,
     QuantumState,
     ansatz_schedule,
@@ -31,7 +30,8 @@ from chiralpulse import (
 from chiralpulse.dynamics import DEFAULT_STEPS
 from chiralpulse.invariants import _raw_pulses
 from chiralpulse.robustness import second_order_fidelity
-from oracles import invariant_eigensystem, invariant_matrix, invariant_residual, lr_phase
+from oracles import (invariant_eigensystem, invariant_matrix, invariant_residual, lr_phase,
+                     right_exact_fidelities)
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 
@@ -116,7 +116,7 @@ def test_criterion_3_detuning_minimum_verified_by_exact_propagation():
     result = optimize_n("detuning", (0.5, 1.5), tolerance=1e-3)
     schedule = ansatz_schedule(result.n_star, 1.0)
     eps = 0.004
-    loss = 1.0 - exact_fidelities(schedule, 0.0, eps, L)[0]
+    loss = 1.0 - exact_fidelities(schedule, 0.0, eps)[0]
     q_exact = 4.0 * loss / eps ** 2
     report("3 detuning minimum cross-check", abs(q_exact - result.q_min) < 5e-4,
            f"perturbative={result.q_min:.6f} exact={q_exact:.6f}")
@@ -128,9 +128,10 @@ def test_criterion_3_detuning_minimum_verified_by_exact_propagation():
 # ---------------------------------------------------------------------------
 
 def _ordering_margin(kind, lo, hi, better_label, better_schedule):
-    axis = ErrorAxis(kind, lo, hi, 51)
-    sps = fidelity_curve("sps", sps_schedule(1.0), axis, clamp=COMPARISON_CLAMP)
-    better = fidelity_curve(better_label, better_schedule, axis, clamp=COMPARISON_CLAMP)
+    amplitudes = np.linspace(lo, hi, 51)
+    sps = fidelity_curve("sps", sps_schedule(1.0), kind, amplitudes, clamp=COMPARISON_CLAMP)
+    better = fidelity_curve(better_label, better_schedule, kind, amplitudes,
+                            clamp=COMPARISON_CLAMP)
     margin = (better.column(f"F_{better_label}_exact_left")
               - sps.column("F_sps_exact_left"))
     return float(np.min(margin))
@@ -157,7 +158,7 @@ def _consistency_gaps(schedule, kind):
     gaps = []
     for eps in (0.01, 0.02, 0.04):
         alpha, delta = (eps, 0.0) if kind == "systematic" else (0.0, eps)
-        exact = exact_fidelities(schedule, alpha, delta, L)[0]
+        exact = exact_fidelities(schedule, alpha, delta)[0]
         gaps.append(abs(exact - second_order_fidelity(kind, eps, q)))
     return gaps
 
@@ -208,8 +209,7 @@ def test_criterion_5_remainder_bounded_by_cubic():
 
 def test_criterion_6_heatmap():
     result = fidelity_heatmap(ansatz_schedule(1.10, 1.0),
-                              ErrorAxis("systematic", -0.1, 0.1, 41),
-                              ErrorAxis("detuning", -0.5, 0.5, 41))
+                              np.linspace(-0.1, 0.1, 41), np.linspace(-0.5, 0.5, 41))
     rows = result.data
     center = rows[(rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)][0, 2]
     fraction = float(result.metadata["region_F>=0.99_fraction_left"])
@@ -284,8 +284,8 @@ def test_criterion_8_handedness_symmetry():
             alpha, delta = 0.0, rng.uniform(-0.8, 0.8)
         else:
             alpha, delta = rng.uniform(-0.1, 0.1), rng.uniform(-0.5, 0.5)
-        fl = exact_fidelities(schedule, alpha, delta, L)[0]
-        fr = exact_fidelities(schedule, alpha, delta, R)[0]
+        fl = exact_fidelities(schedule, alpha, delta)[0]
+        fr = right_exact_fidelities(schedule, alpha, delta)[0]
         worst = max(worst, abs(fl - fr))
     report("8 handedness symmetry", worst <= 1e-6, f"max |F_L - F_R|={worst:.2e}")
     assert worst <= 1e-6

@@ -185,6 +185,10 @@ def test_scan_rejects_a_repeated_scheme(tmp_path, capsys, monkeypatch, schemes):
      "--delta-points", "2"],                             # ClampViolation
     ["design", "--scheme", "sps", "--clamp", "0.5"],
     ["simulate", "--scheme", "sps", "--clamp", "0.5"],
+    ["scan", "--points", "1"],
+    ["scan", "--min", "0.5", "--points", "3"],           # above the default maximum 0.3
+    ["scan", "--error", "detuning", "--min=-inf"],
+    ["heatmap", "--alpha-min", "0.3", "--alpha-points", "2", "--delta-points", "2"],
 ])
 def test_rejected_run_creates_no_out_directory(tmp_path, capsys, args):
     # every command computes before it creates --out
@@ -192,6 +196,33 @@ def test_rejected_run_creates_no_out_directory(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["scan", "--points", "1"], "alpha axis needs at least 2 points, got 1"),
+    (["scan", "--min", "0.5"],
+     "alpha axis [0.5, 0.3] is empty: its minimum must be below its maximum"),
+    (["heatmap", "--delta-min=-1e308", "--delta-max", "1e308"],
+     "delta axis [-1e+308, 1e+308] is not finite: its bounds and their span must be finite"),
+    (["scan", "--error", "detuning", "--max", "inf"],
+     "delta axis [-1, inf] is not finite: its bounds and their span must be finite"),
+], ids=["one_point", "min_above_default_max", "overflowing_span", "infinite_bound"])
+def test_axis_rejection_names_the_bounds(tmp_path, capsys, args, message):
+    assert run_cli(args + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unknown_error_kind_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["scan", "--error", "resonance", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'resonance'" in capsys.readouterr().err
+    # a config file bypasses the flag's choices; the sweep rejects the kind
+    config = tmp_path / "bad.cfg"
+    config.write_text("error = resonance\n")
+    assert run_cli(["scan", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: unknown error kind 'resonance'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_heatmap_small(tmp_path, capsys):
@@ -236,6 +267,17 @@ def test_optimize_tolerance_below_float_spacing_terminates(capsys):
     assert "n_star=1.13" in capsys.readouterr().out
 
 
+# finite bounds whose span hi - lo overflows: np.linspace's step is inf and
+# its first value nan
+OVERFLOWING_SPANS = [
+    ["scan", "--error", "detuning", "--mode", "exact", "--min=-1e308", "--max", "1e308",
+     "--points", "3"],
+    ["heatmap", "--delta-min=-1e308", "--delta-max", "1e308", "--alpha-points", "2",
+     "--delta-points", "3"],
+    ["optimize", "--n-min=-1e308", "--n-max", "1e308"],
+]
+
+
 @pytest.mark.parametrize("args", [
     ["simulate", "--T", "1e-300"],
     ["scan", "--error", "detuning", "--schemes", "sps", "--mode", "perturbative",
@@ -250,6 +292,7 @@ def test_optimize_tolerance_below_float_spacing_terminates(capsys):
     ["scan", "--mode", "exact", "--error", "detuning", "--schemes", "oss",
      "--min", "0", "--max", "1e200", "--points", "3"],   # delta^2 overflows
     ["scan", "--mode", "perturbative", "--schemes", "sps,oss,osd,ansatz"],  # no --n
+    *OVERFLOWING_SPANS,
 ])
 def test_non_finite_sweep_data_rejected(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path)]) == 2
@@ -284,6 +327,7 @@ def test_optimize_with_overflowing_sensitivities_exits_2(capsys):
 @pytest.mark.parametrize("args", [
     ["optimize", "--T", "1e-300"],                       # step propagators overflow
     ["optimize", "--kind", "detuning", "--T", "1e300"],  # q_delta overflows
+    *OVERFLOWING_SPANS,
 ])
 def test_overflow_errors_print_only_the_error_line(tmp_path, args):
     # numpy's overflow warnings at the spots whose non-finite result is

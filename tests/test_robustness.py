@@ -14,6 +14,7 @@ from chiralpulse import (
     default_clamp,
     exact_fidelities,
     make_grid,
+    make_schedule,
     optimize_n,
     population_trace,
     pulses_from_invariant,
@@ -23,10 +24,13 @@ from chiralpulse import (
 )
 from chiralpulse.dynamics import DEFAULT_STEPS, _cf4_products
 from chiralpulse.robustness import golden_section, second_order_fidelity
-from oracles import perturbed_hamiltonian
+from oracles import perturbed_hamiltonian, right_exact_fidelities
 
 L, R = Handedness.LEFT, Handedness.RIGHT
 DETUNING = np.diag([-1.0, 0.0, 1.0])   # |3><3| - |1><1|
+# exact_fidelities returns the left-handed value; the right-handed one comes
+# from an independent right-handed propagation
+FIDELITY_OF = {L: exact_fidelities, R: right_exact_fidelities}
 
 
 def test_q_alpha_known_values():
@@ -76,11 +80,11 @@ def test_exact_fidelity_no_error_full_transfer():
     # the trace's final population comes from the same half-step exponentials,
     # multiplied in another order; the right-handed trace is the left-handed
     # propagation with p1 and p3 swapped, so for R it also checks that mirror
-    # against a right-handed exact fidelity
+    # against a right-handed propagation (the oracle)
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0), ansatz_schedule(2.0, 0.3)):
         traces = population_trace(schedule)
         for hand in (L, R):
-            fidelity = exact_fidelities(schedule, 0.0, 0.0, hand)[0]
+            fidelity = FIDELITY_OF[hand](schedule, 0.0, 0.0)[0]
             assert fidelity > 1.0 - 1e-4
             final = traces[hand].data[-1, hand.target_level]
             assert final == pytest.approx(fidelity, rel=0, abs=1e-14)
@@ -123,7 +127,7 @@ def test_exact_fidelity_matches_stepwise_propagation():
                                                 alpha, delta) for p in samples)
                 total = _cf4_reference(h1, h2, dts)
                 expected = abs(total[hand.target_level - 1, 1]) ** 2
-                assert exact_fidelities(schedule, alpha, delta, hand)[0] == pytest.approx(
+                assert FIDELITY_OF[hand](schedule, alpha, delta)[0] == pytest.approx(
                     expected, rel=0, abs=1e-12)
 
 
@@ -145,14 +149,14 @@ def test_fidelity_from_pulses_matches_expm_sequential_product(steps):
                 h = (1.0 + alpha) * h + delta * DETUNING
                 total = _cf4_reference(h[0::2], h[1::2], dts)
                 expected = abs(total[hand.target_level - 1, 1]) ** 2
-                value = exact_fidelities(schedule, alpha, delta, hand, steps)[0]
+                value = FIDELITY_OF[hand](schedule, alpha, delta, steps)[0]
                 assert value == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_exact_fidelities_reject_non_finite_amplitudes():
     for alpha, delta in ((np.nan, 0.0), (0.0, [0.1, np.inf])):
         with pytest.raises(ValueError, match="error amplitudes must be finite"):
-            exact_fidelities(sps_schedule(1.0), alpha, delta, L)
+            exact_fidelities(sps_schedule(1.0), alpha, delta)
 
 
 def _dop853_fidelity(schedule, alpha, delta, hand):
@@ -182,15 +186,15 @@ def test_default_steps_accuracy_against_dop853(scheme, alpha, delta, bound):
     # the default 400 CF4 steps are 10-40x more accurate than the 4000-step
     # midpoint rule they replace (3.3e-7, 9.6e-8 and 8.4e-8 on these cases)
     schedule = sps_schedule(1.0) if scheme == "sps" else ansatz_schedule(1.10, 1.0)
-    assert abs(exact_fidelities(schedule, alpha, delta, L)[0]
+    assert abs(exact_fidelities(schedule, alpha, delta)[0]
                - _dop853_fidelity(schedule, alpha, delta, L)) < bound
 
 
 def test_exact_fidelity_handedness_symmetry():
     schedule = ansatz_schedule(1.07, 1.0)
     for alpha, delta in ((0.05, 0.0), (0.0, 0.4), (0.08, -0.3)):
-        fl = exact_fidelities(schedule, alpha, delta, L)[0]
-        fr = exact_fidelities(schedule, alpha, delta, R)[0]
+        fl = exact_fidelities(schedule, alpha, delta)[0]
+        fr = right_exact_fidelities(schedule, alpha, delta)[0]
         assert abs(fl - fr) < 1e-6
 
 
@@ -223,12 +227,34 @@ def test_mirror_symmetries_of_random_pulses(pulses, alpha, delta):
     assert abs(populations[L.target_level - 1, 0] - f_right) <= 1e-13
 
 
+def test_sps_q_is_the_closed_form_of_the_unclamped_schedule():
+    # q is the curvature of F at zero error, F = 1 - alpha^2 q_alpha or
+    # 1 - (delta^2 / 4) q_delta.  The sps closed forms integrate the unclamped
+    # cot pulse; the clamped schedule's exact curvature (central differences
+    # at eps = 1e-2, 1600 steps) is 2.26% below q_alpha and 0.87% above
+    # q_delta at the default clamp.  No ansatz clamp is active, so the osd and
+    # oss gaps are the differencing error, at most 1.1e-3
+    eps = 1e-2
+    amplitudes = [-eps, 0.0, eps]
+    for label in ("sps", "oss", "osd"):
+        schedule = make_schedule(label, 1.0)
+        fa = exact_fidelities(schedule, amplitudes, 0.0, 1600)
+        fd = exact_fidelities(schedule, 0.0, amplitudes, 1600)
+        gap_alpha = -(fa[0] - 2 * fa[1] + fa[2]) / (2 * eps ** 2) / q_alpha(schedule) - 1
+        gap_delta = -2 * (fd[0] - 2 * fd[1] + fd[2]) / eps ** 2 / q_delta(schedule) - 1
+        if label == "sps":
+            assert -0.024 <= gap_alpha <= -0.021
+            assert 0.008 <= gap_delta <= 0.0095
+        else:
+            assert abs(gap_alpha) < 2e-3 and abs(gap_delta) < 2e-3
+
+
 def test_quadratic_leading_order_recovers_q_alpha():
     # parabola fit of 1 - F_exact against alpha over |alpha| <= 0.02
     schedule = ansatz_schedule(1.07, 1.0)
     qa = q_alpha(schedule)
     alphas = np.linspace(-0.02, 0.02, 9)
-    losses = np.array([1.0 - exact_fidelities(schedule, a, 0.0, L)[0] for a in alphas])
+    losses = np.array([1.0 - exact_fidelities(schedule, a, 0.0)[0] for a in alphas])
     coeff = np.polyfit(alphas, losses, 2)[0]
     assert coeff == pytest.approx(qa, rel=0.05)
 
@@ -239,7 +265,7 @@ def test_perturbative_remainder_is_third_order_bounded():
     qa = q_alpha(schedule)
     constants = []
     for eps in (0.01, 0.02, 0.04):
-        diff = abs(exact_fidelities(schedule, eps, 0.0, L)[0] - (1.0 - eps ** 2 * qa))
+        diff = abs(exact_fidelities(schedule, eps, 0.0)[0] - (1.0 - eps ** 2 * qa))
         constants.append(diff / eps ** 3)
     assert max(constants) < 0.2, f"remainder constants {constants}"
 
@@ -288,6 +314,9 @@ def test_optimize_n_rejects_bad_arguments():
             optimize_n(kind)
     with pytest.raises(ValueError):
         optimize_n("systematic", (1.5, 0.5))
+    for n_range in ((-1e308, 1e308), (0.5, np.inf), (np.nan, 1.5)):   # hi - lo not finite
+        with pytest.raises(ValueError, match="invalid n range"):
+            optimize_n("systematic", n_range)
     with pytest.raises(ValueError):
         optimize_n("systematic", tolerance=-1.0)
 

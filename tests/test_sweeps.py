@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from chiralpulse import (
-    ErrorAxis,
     Handedness,
     QuantumState,
     ansatz_schedule,
@@ -24,22 +23,9 @@ from chiralpulse import (
 from chiralpulse import dynamics, robustness
 from chiralpulse.dynamics import _CHUNK_BYTES, DEFAULT_STEPS, gauss_nodes
 from chiralpulse.sweeps import TRACE_POINTS, SweepResult
+from oracles import right_exact_fidelities
 
 L, R = Handedness.LEFT, Handedness.RIGHT
-
-
-def test_error_axis_validation():
-    with pytest.raises(ValueError):
-        ErrorAxis("systematic", 0.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        ErrorAxis("systematic", 1.0, 0.0, 11)
-    with pytest.raises(ValueError):
-        ErrorAxis("resonance", 0.0, 1.0, 11)
-    with pytest.raises(ValueError):
-        ErrorAxis("detuning", -np.inf, 1.0, 11)
-    axis = ErrorAxis("detuning", -1.0, 1.0, 5)
-    assert axis.column == "delta"
-    np.testing.assert_allclose(axis.values, [-1, -0.5, 0, 0.5, 1])
 
 
 def test_population_trace_sps_left():
@@ -88,9 +74,9 @@ def test_right_trace_is_the_mirror_of_a_right_handed_propagation(kind, n):
 
 
 def test_fidelity_curve_zero_error_is_unity():
-    axis = ErrorAxis("systematic", -0.1, 0.1, 5)
+    axis = ("systematic", np.linspace(-0.1, 0.1, 5))
     for label, schedule in (("sps", sps_schedule(1.0)), ("oss", ansatz_schedule(1.07, 1.0))):
-        result = fidelity_curve(label, schedule, axis)
+        result = fidelity_curve(label, schedule, *axis)
         at_zero = result.data[2]
         assert result.data[2, 0] == 0.0
         assert np.all(at_zero[1:] > 1.0 - 1e-4)
@@ -99,24 +85,24 @@ def test_fidelity_curve_zero_error_is_unity():
 def test_fidelity_curve_scheme_ordering_systematic():
     # compare schemes with the truncation bias suppressed (high clamp), so the
     # margin reflects the schedules rather than the pulse cap
-    axis = ErrorAxis("systematic", -0.2, 0.2, 21)
-    sps = fidelity_curve("sps", sps_schedule(1.0), axis, clamp=5000.0)
-    oss = fidelity_curve("oss", ansatz_schedule(1.07, 1.0), axis, clamp=5000.0)
+    axis = ("systematic", np.linspace(-0.2, 0.2, 21))
+    sps = fidelity_curve("sps", sps_schedule(1.0), *axis, clamp=5000.0)
+    oss = fidelity_curve("oss", ansatz_schedule(1.07, 1.0), *axis, clamp=5000.0)
     margin = oss.column("F_oss_exact_left") - sps.column("F_sps_exact_left")
     assert np.min(margin) >= -1e-6
 
 
 def test_fidelity_curve_scheme_ordering_detuning():
-    axis = ErrorAxis("detuning", -1.0, 1.0, 21)
-    sps = fidelity_curve("sps", sps_schedule(1.0), axis, clamp=5000.0)
-    osd = fidelity_curve("osd", ansatz_schedule(1.12, 1.0), axis, clamp=5000.0)
+    axis = ("detuning", np.linspace(-1.0, 1.0, 21))
+    sps = fidelity_curve("sps", sps_schedule(1.0), *axis, clamp=5000.0)
+    osd = fidelity_curve("osd", ansatz_schedule(1.12, 1.0), *axis, clamp=5000.0)
     margin = osd.column("F_osd_exact_left") - sps.column("F_sps_exact_left")
     assert np.min(margin) >= -1e-6
 
 
 def test_fidelity_curve_both_mode_agreement():
     result = fidelity_curve("oss", ansatz_schedule(1.07, 1.0),
-                            ErrorAxis("systematic", -0.3, 0.3, 13), "both")
+                            "systematic", np.linspace(-0.3, 0.3, 13), "both")
     exact = result.column("F_oss_exact_left")
     pert = result.column("F_oss_pert")
     inside = np.abs(result.column("alpha")) <= 0.1
@@ -131,7 +117,7 @@ def test_agreement_stats_of_the_default_scan(label, flagged, worst):
     # 100/T at T = 1; a flagged point counts once per exact column, so the
     # counts are even
     result = fidelity_curve(label, make_schedule(label, 1.0),
-                            ErrorAxis("systematic", -0.3, 0.3, 101), "both", clamp=100.0)
+                            "systematic", np.linspace(-0.3, 0.3, 101), "both", clamp=100.0)
     assert result.metadata["agreement_window"] == "|alpha|<=0.1"
     assert result.metadata["agreement_worst_inside"] == worst
     assert result.metadata["agreement_flagged_outside"] == flagged
@@ -139,24 +125,31 @@ def test_agreement_stats_of_the_default_scan(label, flagged, worst):
 
 def test_fidelity_curve_rejects_an_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode 'magic'"):
-        fidelity_curve("sps", sps_schedule(1.0), ErrorAxis("systematic", -0.1, 0.1, 3),
+        fidelity_curve("sps", sps_schedule(1.0), "systematic", np.linspace(-0.1, 0.1, 3),
                        mode="magic")
+
+
+def test_fidelity_curve_rejects_an_unknown_error_kind():
+    with pytest.raises(ValueError, match="unknown error kind 'resonance'"):
+        fidelity_curve("sps", sps_schedule(1.0), "resonance", np.linspace(-0.1, 0.1, 3))
 
 
 def test_fidelity_curve_perturbative_handedness_free():
     result = fidelity_curve("osd", ansatz_schedule(1.12, 1.0),
-                            ErrorAxis("detuning", -0.5, 0.5, 5), "perturbative")
+                            "detuning", np.linspace(-0.5, 0.5, 5), "perturbative")
     assert result.columns == ("delta", "F_osd_pert")
+    assert result.metadata["error_axis"] == "detuning[-0.5,0.5]x5"
     assert np.all(result.column("F_osd_pert") <= 1.0)
     assert result.metadata["clamp"] == default_clamp(1.0)
 
 
 def test_heatmap_small_grid():
     schedule = ansatz_schedule(1.10, 1.0)
-    result = fidelity_heatmap(schedule, ErrorAxis("systematic", -0.1, 0.1, 7),
-                              ErrorAxis("detuning", -0.5, 0.5, 7))
+    result = fidelity_heatmap(schedule, np.linspace(-0.1, 0.1, 7), np.linspace(-0.5, 0.5, 7))
     assert result.metadata["scheme"].startswith("ansatz1.1:")
     assert result.metadata["clamp"] == default_clamp(1.0)
+    assert (result.metadata["alpha_axis"], result.metadata["delta_axis"]) == (
+        "[-0.1,0.1]x7", "[-0.5,0.5]x7")
     rows = result.data
     center = rows[(rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)]
     assert center[0, 2] > 1.0 - 1e-4
@@ -164,7 +157,8 @@ def test_heatmap_small_grid():
     # an independent right-handed propagation agrees to rounding
     right = result.column("F_exact_right")
     for k in (0, 10, 24, 40, 48):
-        assert abs(right[k] - exact_fidelities(schedule, rows[k, 0], rows[k, 1], R)[0]) < 1e-13
+        oracle = right_exact_fidelities(schedule, rows[k, 0], rows[k, 1])[0]
+        assert abs(right[k] - oracle) < 1e-13
     assert float(result.metadata["region_F>=0.99_fraction_left"]) > 0.0
     assert result.metadata["region_F>=0.99_contiguous_left"]
 
@@ -173,9 +167,8 @@ def test_heatmap_cells_equal_single_point_fidelities():
     # the heatmap batches its cells; each value is the same, bit for bit, as
     # that cell computed alone
     schedule = ansatz_schedule(1.10, 1.0)
-    result = fidelity_heatmap(schedule, ErrorAxis("systematic", -0.3, 0.3, 5),
-                              ErrorAxis("detuning", -1.0, 1.0, 5))
-    alone = [exact_fidelities(schedule, a, d, L)[0] for a, d in result.data[:, :2]]
+    result = fidelity_heatmap(schedule, np.linspace(-0.3, 0.3, 5), np.linspace(-1.0, 1.0, 5))
+    alone = [exact_fidelities(schedule, a, d)[0] for a, d in result.data[:, :2]]
     assert result.column("F_exact_left").tolist() == alone
 
 
@@ -183,10 +176,10 @@ def test_scan_points_equal_single_point_fidelities():
     schemes = (("sps", sps_schedule(1.0)), ("ansatz1.1", ansatz_schedule(1.10, 1.0)))
     for kind in ("systematic", "detuning"):
         for label, schedule in schemes:
-            result = fidelity_curve(label, schedule, ErrorAxis(kind, -0.3, 0.3, 7), "both")
+            result = fidelity_curve(label, schedule, kind, np.linspace(-0.3, 0.3, 7), "both")
             points = [(amp, 0.0) if kind == "systematic" else (0.0, amp)
                       for amp in result.data[:, 0]]
-            alone = [exact_fidelities(schedule, a, d, L)[0] for a, d in points]
+            alone = [exact_fidelities(schedule, a, d)[0] for a, d in points]
             assert result.column(f"F_{label}_exact_left").tolist() == alone
 
 
@@ -197,8 +190,8 @@ def test_fidelities_across_a_chunk_boundary_equal_single_points():
     chunk = _CHUNK_BYTES // (9 * 16 * 2 * DEFAULT_STEPS)
     alphas = np.linspace(-0.3, 0.3, chunk + 1)
     deltas = np.linspace(1.0, -1.0, chunk + 1)
-    batch = exact_fidelities(schedule, alphas, deltas, L)
-    alone = [exact_fidelities(schedule, a, d, L)[0] for a, d in zip(alphas, deltas)]
+    batch = exact_fidelities(schedule, alphas, deltas)
+    alone = [exact_fidelities(schedule, a, d)[0] for a, d in zip(alphas, deltas)]
     assert batch.tolist() == alone
 
 
@@ -229,22 +222,21 @@ def test_heatmap_folds_onto_distinct_alpha_abs_delta(monkeypatch):
     # exact negatives: 4 alphas x 3 distinct |delta|
     schedule = ansatz_schedule(1.10, 1.0)
     calls = _count_kernel_points(monkeypatch)
-    result = fidelity_heatmap(schedule, ErrorAxis("systematic", -0.3, 0.3, 4),
-                              ErrorAxis("detuning", -1.0, 1.0, 4))
+    result = fidelity_heatmap(schedule, np.linspace(-0.3, 0.3, 4), np.linspace(-1.0, 1.0, 4))
     assert calls == [12]
     rows = result.data[:, :2]
     left = result.column("F_exact_left").tolist()
     assert left == _unfolded(schedule, rows[:, 0], rows[:, 1])
-    assert left == [exact_fidelities(schedule, a, d, L)[0] for a, d in rows]
+    assert left == [exact_fidelities(schedule, a, d)[0] for a, d in rows]
 
 
 def test_folded_101_point_delta_axis_equals_unfolded(monkeypatch):
     schedule = ansatz_schedule(1.10, 1.0)
     alphas = np.array([-0.3, 0.0, 0.2])
-    deltas = ErrorAxis("detuning", -1.0, 1.0, 101).values
+    deltas = np.linspace(-1.0, 1.0, 101)
     cell_alphas, cell_deltas = np.repeat(alphas, 101), np.tile(deltas, 3)
     calls = _count_kernel_points(monkeypatch)
-    folded = exact_fidelities(schedule, cell_alphas, cell_deltas, L)
+    folded = exact_fidelities(schedule, cell_alphas, cell_deltas)
     assert calls == [3 * len(np.unique(np.abs(deltas)))]
     assert folded.tolist() == _unfolded(schedule, cell_alphas, cell_deltas)
 
@@ -254,7 +246,7 @@ def test_fold_merges_signed_zeros_and_repeated_points(monkeypatch):
     alphas = [0.1, 0.1, -0.0, 0.0, 0.0, 0.2, 0.2]
     deltas = [0.3, -0.3, -0.0, 0.0, -0.0, 0.7, 0.7]
     calls = _count_kernel_points(monkeypatch)
-    folded = exact_fidelities(schedule, alphas, deltas, L)
+    folded = exact_fidelities(schedule, alphas, deltas)
     assert calls == [3]
     assert folded.tolist() == _unfolded(schedule, alphas, deltas)
 
@@ -262,25 +254,17 @@ def test_fold_merges_signed_zeros_and_repeated_points(monkeypatch):
 def test_scans_propagate_each_distinct_point_once(monkeypatch):
     schemes = tuple((label, make_schedule(label, 1.0)) for label in ("sps", "oss", "osd"))
     calls = _count_kernel_points(monkeypatch)
-    detuning = [fidelity_curve(label, schedule, ErrorAxis("detuning", -1.0, 1.0, 5), "both")
+    detuning = [fidelity_curve(label, schedule, "detuning", np.linspace(-1.0, 1.0, 5), "both")
                 for label, schedule in schemes]
     assert calls == [3, 3, 3]
     calls.clear()
     for label, schedule in schemes:
-        fidelity_curve(label, schedule, ErrorAxis("systematic", -0.3, 0.3, 5), "both")
+        fidelity_curve(label, schedule, "systematic", np.linspace(-0.3, 0.3, 5), "both")
     assert calls == [5, 5, 5]
     for (label, schedule), result in zip(schemes, detuning):
         amps = result.data[:, 0]
         assert result.column(f"F_{label}_exact_left").tolist() == _unfolded(
             schedule, np.zeros(5), amps)
-
-
-def test_heatmap_rejects_swapped_axis_kinds():
-    alpha_axis = ErrorAxis("systematic", -0.1, 0.1, 3)
-    delta_axis = ErrorAxis("detuning", -0.5, 0.5, 3)
-    for axes in ((delta_axis, alpha_axis), (alpha_axis, alpha_axis)):
-        with pytest.raises(ValueError, match=r"heatmap axes must be \(systematic, detuning\)"):
-            fidelity_heatmap(sps_schedule(1.0), *axes)
 
 
 def test_high_fidelity_region_helper():
@@ -325,7 +309,7 @@ def test_sensitivity_curves_smooth_with_single_interior_minimum():
 
 
 def test_sweep_csv_determinism(tmp_path):
-    args = ("sps", sps_schedule(1.0), ErrorAxis("systematic", -0.1, 0.1, 5), "exact", 500)
+    args = ("sps", sps_schedule(1.0), "systematic", np.linspace(-0.1, 0.1, 5), "exact", 500)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     fidelity_curve(*args).to_csv(p1)
     fidelity_curve(*args).to_csv(p2)
@@ -343,14 +327,14 @@ def _per_row_sweep_csv(result):
 
 
 def test_sweep_csv_matches_per_row_formatting(tmp_path):
-    axis = ErrorAxis("detuning", -1.0, 1.0, 7)
+    axis = ("detuning", np.linspace(-1.0, 1.0, 7))
     adversarial = np.array([[-0.0, 5e-324, 1e-300, 1e16],
                             [3.0, -7.0, 123456789012345.0, 0.1 + 0.2],
                             [np.pi, -2.0 / 3.0, 1.0 / 7.0, 9.999999999999999e22]])
     for k, result in enumerate([
             *population_trace(sps_schedule(1.0)).values(),
-            fidelity_curve("sps", sps_schedule(1.0), axis, "both"),
-            fidelity_curve("oss", ansatz_schedule(1.07, 1.0), axis, "both"),
+            fidelity_curve("sps", sps_schedule(1.0), *axis, "both"),
+            fidelity_curve("oss", ansatz_schedule(1.07, 1.0), *axis, "both"),
             SweepResult(columns=("a", "b", "c", "d"), data=adversarial, metadata={"x": 1}),
             SweepResult(columns=("a", "b"), data=adversarial.T[:, :2])]):  # not C-contiguous
         path = tmp_path / f"{k}.csv"
