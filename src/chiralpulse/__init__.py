@@ -27,7 +27,6 @@ from .invariants import (
     PulseSchedule,
     ValidationReport,
     ansatz_schedule,
-    default_clamp,
     make_schedule,
     pulses_from_invariant,
     schedule_hamiltonian,
@@ -45,7 +44,6 @@ from .sweeps import (
     SweepResult,
     fidelity_curve,
     fidelity_heatmap,
-    high_fidelity_region,
     population_trace,
 )
 
@@ -58,12 +56,11 @@ __all__ = [
     "NonFiniteHamiltonian", "QuadratureFailure", "SingularTheta",
     # invariants
     "InvariantSchedule", "PulseSchedule", "ValidationReport",
-    "ansatz_schedule", "default_clamp", "make_schedule",
+    "ansatz_schedule", "make_schedule",
     "pulses_from_invariant", "schedule_hamiltonian", "sps_schedule",
     "validate_schedule",
     # robustness
     "OptimumResult", "exact_fidelities", "optimize_n", "q_alpha", "q_delta",
     # sweeps
-    "SweepResult", "fidelity_curve", "fidelity_heatmap",
-    "high_fidelity_region", "population_trace",
+    "SweepResult", "fidelity_curve", "fidelity_heatmap", "population_trace",
 ]

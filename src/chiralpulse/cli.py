@@ -2,7 +2,10 @@
 
 Configuration precedence is CLI flag > config file (`--config`, flat
 `key = value` lines, each value converted with its flag's type) > built-in
-default.  The effective configuration is echoed into every output file's
+default.  The built-in defaults live only here (``DEFAULT_STEPS``,
+``DEFAULT_CLAMP``, ``COMMON_DEFAULTS`` and ``COMMAND_DEFAULTS``): every
+library function takes its steps, clamp, mode and n range from its caller.
+The effective configuration is echoed into every output file's
 metadata block, and each run ends with a single machine-parsable
 `key=value` summary line on stdout.  `--workers` is accepted (>= 1) and
 ignored: sweeps run in one thread, and it is not echoed.  Each command
@@ -30,10 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .dynamics import DEFAULT_STEPS, Handedness, make_grid
+from .dynamics import Handedness, make_grid
 from .errors import ChiralPulseError
 from .invariants import (
-    DEFAULT_CLAMP,
     ansatz_schedule,
     make_schedule,
     pulses_from_invariant,
@@ -43,6 +45,8 @@ from .robustness import exact_fidelities, optimize_n
 from .sweeps import fidelity_curve, fidelity_heatmap, population_trace
 
 SCHEME_CHOICES = ("sps", "ansatz", "oss", "osd")
+DEFAULT_STEPS = 400     # CF4 steps on [0, T] of every propagating command
+DEFAULT_CLAMP = 100.0   # cap on |Omega_q| in units of 1/T
 
 COMMON_DEFAULTS = {
     "scheme": "sps",
@@ -363,8 +367,7 @@ def cmd_heatmap(cfg: dict) -> int:
 
 
 def cmd_optimize(cfg: dict) -> int:
-    result = optimize_n(cfg["kind"], (cfg["n_min"], cfg["n_max"]),
-                        tolerance=cfg["tol"], duration=cfg["T"])
+    result = optimize_n(cfg["kind"], (cfg["n_min"], cfg["n_max"]), cfg["tol"], cfg["T"])
     schedule = ansatz_schedule(result.n_star, cfg["T"])
     alpha, delta = (0.1, 0.0) if result.kind == "systematic" else (0.0, 0.1 / cfg["T"])
     cross = exact_fidelities(schedule, alpha, delta, cfg["steps"], _absolute_clamp(cfg))[0]

@@ -49,11 +49,11 @@ propagation paths use it:
   steps, returning every intermediate state.  A pair of real couplings can
   only describe a cyclic Hamiltonian, so no precondition needs checking;
 * exact fidelities need only the final state, for many error points
-  (alpha, delta) over one pulse sampling.  ``_cf4_products`` combines the
-  real pulse samples once, writes the exponentials of every point, and
-  multiplies each point's 2N factors by pairwise reduction
-  (``_tree_product``), a chunk of points at a time, into preallocated
-  buffers.
+  (alpha, delta) over one pulse sampling.  ``_cf4_products`` takes the
+  couplings that such a callable returns on the nodes, combines them once,
+  writes the exponentials of every point, and multiplies each point's 2N
+  factors by pairwise reduction (``_tree_product``), a chunk of points at a
+  time, into preallocated buffers.
 
 The 3x3 arithmetic runs component-major, on (3,3,N) arrays whose trailing
 axis runs over the steps (and (3,3,M,2N) arrays, M error points, in the
@@ -125,9 +125,6 @@ class QuantumState:
         return np.asarray(self.amplitudes, dtype=dtype)
 
 
-DEFAULT_STEPS = 400
-
-
 def _checked_duration(duration: float) -> float:
     """`duration` as a float, or ``ValueError`` unless it is positive and finite."""
     if not (np.isfinite(duration) and duration > 0):
@@ -135,7 +132,7 @@ def _checked_duration(duration: float) -> float:
     return float(duration)
 
 
-def make_grid(duration: float, steps: int = DEFAULT_STEPS) -> np.ndarray:
+def make_grid(duration: float, steps: int) -> np.ndarray:
     """Uniform time grid with `steps` intervals on [0, duration]."""
     duration = _checked_duration(duration)
     if steps < 1:
@@ -310,23 +307,23 @@ def _tree_product(u: np.ndarray, work: tuple) -> np.ndarray:
     return p[..., 0]
 
 
-def _cf4_products(omega: np.ndarray, omega_q: np.ndarray, sign: int, dts: np.ndarray,
+def _cf4_products(w: np.ndarray, q: np.ndarray, dts: np.ndarray,
                   alphas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """(3,3,M) CF4 propagators of the steps `dts` at M error points, one pulse sampling.
 
-    `omega` and `omega_q` are the 2N pulse samples at ``gauss_nodes`` and
-    `sign` is ``Handedness.coupling_sign``; error point m is the Hamiltonian
-    (1 + alphas[m]) H + deltas[m] (|3><3| - |1><1|), with H the cyclic
-    Hamiltonian of the module docstring at these samples.  That is affine in
-    the samples and the CF4 weights sum to 1, so the samples are combined
-    once, as real arrays, for all points.  Points run in chunks of about
-    ``_CHUNK_BYTES`` of exponentials, each through
+    `w` and `q` are the real couplings (W, Q) at the 2N ``gauss_nodes``, as
+    the callable of ``propagate`` returns them; error point m is the
+    Hamiltonian (1 + alphas[m]) H + deltas[m] (|3><3| - |1><1|), with H the
+    cyclic Hamiltonian of the module docstring at these samples.  That is
+    affine in the couplings and the CF4 weights sum to 1, so the couplings
+    are combined once, as real arrays, for all points.  Points run in chunks
+    of about ``_CHUNK_BYTES`` of exponentials, each through
     ``_half_step_exponentials`` and one ``_tree_product``.  Every operation
     is elementwise over the points, so a point's propagator does not depend
     on the other points or on the chunking.
     """
-    w = _combine(np.asarray(omega, dtype=float))
-    q = _combine(sign * np.asarray(omega_q, dtype=float))
+    w = _combine(np.asarray(w, dtype=float))
+    q = _combine(np.asarray(q, dtype=float))
     taus = _half_steps(dts)
     points, length = len(alphas), len(taus)
     chunk = max(1, min(points, _CHUNK_BYTES // (9 * 16 * length)))

@@ -89,16 +89,10 @@ from ._csvrows import write_table
 from .dynamics import Handedness, _checked_duration
 from .errors import ClampViolation, SingularTheta
 
-DEFAULT_CLAMP = 100.0   # cap on |Omega_q| in units of 1/T
 VALIDATION_SAMPLES = 2000
 SINGULAR_TOL = 1e-9
 CLAMP_WINDOW_FRACTION = 0.01
 PULSE_HEADER = "t,omega,omega_q,gamma"
-
-
-def default_clamp(duration: float) -> float:
-    """Default cap on |Omega_q|, DEFAULT_CLAMP/T, in absolute angular-frequency units."""
-    return DEFAULT_CLAMP / duration
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +204,15 @@ def ansatz_schedule(n: float, duration: float) -> InvariantSchedule:
         phi = rate * np.asarray(t, dtype=float)
         sin_phi, cos_phi = np.sin(phi), np.cos(phi)
         triple = 3.0 * phi
-        factor = 3.0 * n * np.cos(triple) + 1.0
-        x = sin_phi * factor
-        x_prime = cos_phi * factor - 9.0 * n * sin_phi * np.sin(triple)
-        theta = np.arctan2(1.0, (x - 1.0) / (x + 1.0)) + np.where(x < -1.0, np.pi, 0.0)
+        # a huge n overflows X^2 (or 3n); the singularity and clamp checks reject it
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = 3.0 * n * np.cos(triple) + 1.0
+            x = sin_phi * factor
+            x_prime = cos_phi * factor - 9.0 * n * sin_phi * np.sin(triple)
+            theta = np.arctan2(1.0, (x - 1.0) / (x + 1.0)) + np.where(x < -1.0, np.pi, 0.0)
+            theta_dot = -rate * x_prime / (x * x + 1.0)
         return ScheduleSample(phi=phi, phi_dot=np.full_like(phi, rate), theta=theta,
-                              theta_dot=-rate * x_prime / (x * x + 1.0), factor=factor,
+                              theta_dot=theta_dot, factor=factor,
                               sin_phi=sin_phi, cos_phi=cos_phi)
 
     def eta_plus_of(t):
@@ -322,18 +319,16 @@ class PulseSchedule:
 
 
 def pulses_from_invariant(schedule: InvariantSchedule, grid: np.ndarray,
-                          clamp: float | None = None) -> PulseSchedule:
+                          clamp: float) -> PulseSchedule:
     """Solve the invariant constraint for (Omega, Omega_q) on `grid`.
 
-    |Omega_q| is capped at `clamp` (default ``default_clamp``); the cap may
-    only be active within the first/last 1% of the duration, otherwise
+    |Omega_q| is capped at `clamp`, in absolute angular-frequency units; the
+    cap may only be active within the first/last 1% of the duration, otherwise
     ``ClampViolation`` is raised.  ``SingularTheta`` is raised if theta
     touches the singular set sin(theta) = cos(theta) on (0, T].  The schedule
     is sampled once (``InvariantSchedule.sample``).
     """
     grid = np.asarray(grid, dtype=float)
-    if clamp is None:
-        clamp = default_clamp(schedule.duration)
     if clamp <= 0:
         raise ValueError(f"clamp must be positive, got {clamp}")
     sample = schedule.sample(grid)
@@ -356,7 +351,7 @@ def pulses_from_invariant(schedule: InvariantSchedule, grid: np.ndarray,
 
 
 def schedule_hamiltonian(schedule: InvariantSchedule, handedness: Handedness,
-                         clamp: float | None = None) -> Callable:
+                         clamp: float) -> Callable:
     """Vectorized H(t) for ``propagate``: (N,) times -> its real couplings (W, Q).
 
     W = Omega and Q = ``coupling_sign`` * Omega_q, two (N,) arrays of the
@@ -500,8 +495,7 @@ def _invariant_check(schedule: InvariantSchedule, clamp: float) -> CheckResult:
                        "dI/dt + (1/i)[I,H] on unclamped interior")
 
 
-def validate_schedule(schedule: InvariantSchedule,
-                      clamp: float | None = None) -> ValidationReport:
+def validate_schedule(schedule: InvariantSchedule, clamp: float) -> ValidationReport:
     """Run boundary, singularity, derivative, and invariant-consistency checks.
 
     Each check samples VALIDATION_SAMPLES times, one ``sample`` call per set
@@ -513,8 +507,6 @@ def validate_schedule(schedule: InvariantSchedule,
     level-swap mirror, bit for bit, because the right-handed H and I are the
     left ones with levels 1 and 3 swapped.
     """
-    if clamp is None:
-        clamp = default_clamp(schedule.duration)
     checks = (*_endpoint_checks(schedule), _derivative_check(schedule),
               _invariant_check(schedule, clamp))
     return ValidationReport(schedule=schedule.describe(), checks=checks)

@@ -31,9 +31,9 @@ the integrals stop at u = 40 (the dropped tail is O(e^-40) ~ 4e-18):
 
 These are the q of the unclamped sps schedule, whose cot pulse they
 integrate down to t = 0; the dynamics propagate the clamped one.  At the
-default clamp, the exact curvature of F (central differences of
-``exact_fidelities`` at eps = 1e-2, 1600 steps) is 2.26% below q_alpha and
-0.87% above q_delta.  No ansatz clamp is active, and there q is the exact
+CLI's default clamp, 100/T, the exact curvature of F (central differences
+of ``exact_fidelities`` at eps = 1e-2, 1600 steps) is 2.26% below q_alpha
+and 0.87% above q_delta.  No ansatz clamp is active, and there q is the exact
 curvature to within the differencing error.
 
 ``second_order_fidelity`` evaluates the closed forms from a given q, so a
@@ -48,9 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DEFAULT_STEPS, Handedness, _cf4_products, gauss_nodes, make_grid
+from .dynamics import Handedness, _cf4_products, gauss_nodes, make_grid
 from .errors import NoInteriorMinimum
-from .invariants import InvariantSchedule, ansatz_schedule, pulses_from_invariant
+from .invariants import InvariantSchedule, ansatz_schedule, schedule_hamiltonian
 from .quadrature import complex_quad
 
 GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
@@ -97,18 +97,18 @@ def second_order_fidelity(kind: str, amplitude, q: float):
 
 
 def exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
-                     steps: int = DEFAULT_STEPS, clamp: float | None = None) -> np.ndarray:
+                     steps: int, clamp: float) -> np.ndarray:
     """Transfer fidelities under the perturbed Hamiltonian, one per error point.
 
     `alphas` and `deltas` are broadcast against each other into the error
     points (alpha, delta).  The fidelity is the left-handed |3> population
     from |2> (the error perturbs the dynamics, not the goal); the
     right-handed |1> population is the same number (see the ``sweeps`` module
-    docstring).  The pulses are sampled once, clamped (default
-    ``default_clamp``), at the ``gauss_nodes`` of the uniform `steps`-interval
-    grid.  Only the final state from |2> is needed, so each
-    point's 2N half-step exponentials are multiplied into one matrix
-    (``dynamics._cf4_products``) and its |2> column read off.  The points are
+    docstring).  The pulses are sampled once, capped at `clamp`, at the
+    ``gauss_nodes`` of the uniform `steps`-interval grid, by the sampler of
+    ``propagate`` (``schedule_hamiltonian``).  Only the final state from |2>
+    is needed, so each point's 2N half-step exponentials are multiplied into
+    one matrix (``dynamics._cf4_products``) and its |2> column read off.  The points are
     batched, but every operation is elementwise over them, so a point's value
     does not depend on which batch, or which sweep, it was computed in.
 
@@ -123,7 +123,7 @@ def exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
     r^2 = 2 W^2 + Q^2 + delta^2 in the step propagators.
     """
     grid = make_grid(schedule.duration, steps)
-    pulses = pulses_from_invariant(schedule, gauss_nodes(grid), clamp)
+    w, q = schedule_hamiltonian(schedule, Handedness.LEFT, clamp)(gauss_nodes(grid))
     alphas, deltas = (np.ravel(x) for x in np.broadcast_arrays(
         np.asarray(alphas, dtype=float), np.asarray(deltas, dtype=float)))
     if not (np.isfinite(alphas).all() and np.isfinite(deltas).all()):
@@ -132,8 +132,7 @@ def exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
     pairs.real, pairs.imag = alphas, np.abs(deltas)
     pairs, inverse = np.unique(pairs, return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value is rejected next
-        total = _cf4_products(pulses.omega, pulses.omega_q, Handedness.LEFT.coupling_sign,
-                              np.diff(grid), pairs.real, pairs.imag)
+        total = _cf4_products(w, q, np.diff(grid), pairs.real, pairs.imag)
         values = (np.abs(total[Handedness.LEFT.target_level - 1, 1]) ** 2)[inverse]
     bad = ~np.isfinite(values)
     if bad.any():
@@ -171,8 +170,8 @@ def golden_section(f, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def optimize_n(kind: str, n_range: tuple[float, float] = (0.5, 1.5),
-               tolerance: float = 1e-3, duration: float = 1.0) -> OptimumResult:
+def optimize_n(kind: str, n_range: tuple[float, float], tolerance: float,
+               duration: float) -> OptimumResult:
     """Minimize q_alpha(n) or q_delta(n) over the phase-ansatz family.
 
     A COARSE_POINTS grid scan brackets the minimum; golden-section search

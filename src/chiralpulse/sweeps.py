@@ -47,8 +47,8 @@ import numpy as np
 
 from ._csvrows import write_table
 from ._version import __version__
-from .dynamics import DEFAULT_STEPS, Handedness, QuantumState, make_grid, propagate
-from .invariants import InvariantSchedule, default_clamp, schedule_hamiltonian
+from .dynamics import Handedness, QuantumState, make_grid, propagate
+from .invariants import InvariantSchedule, schedule_hamiltonian
 from .quadrature import ABS_TOL
 from .robustness import exact_fidelities, q_alpha, q_delta, second_order_fidelity
 
@@ -98,8 +98,8 @@ def _scheme_meta(label: str, schedule: InvariantSchedule) -> str:
 # sweep operations
 # ---------------------------------------------------------------------------
 
-def population_trace(schedule: InvariantSchedule, steps: int = DEFAULT_STEPS,
-                     clamp: float | None = None) -> dict[Handedness, SweepResult]:
+def population_trace(schedule: InvariantSchedule, steps: int,
+                     clamp: float) -> dict[Handedness, SweepResult]:
     """Level populations against t/T from the initial state |2>, at TRACE_POINTS times.
 
     Returns one trace per handedness from one left-handed propagation.  With
@@ -109,8 +109,6 @@ def population_trace(schedule: InvariantSchedule, steps: int = DEFAULT_STEPS,
     propagation agrees to rounding (about 1e-14).
     """
     T = schedule.duration
-    if clamp is None:
-        clamp = default_clamp(T)
     grid = make_grid(T, steps)
     pops = propagate(schedule_hamiltonian(schedule, Handedness.LEFT, clamp),
                      QuantumState.basis(2), grid).populations
@@ -136,8 +134,7 @@ def _axis_meta(values: np.ndarray) -> str:
 
 
 def fidelity_curve(label: str, schedule: InvariantSchedule, kind: str, amplitudes,
-                   mode: str = "exact", steps: int = DEFAULT_STEPS,
-                   clamp: float | None = None) -> SweepResult:
+                   mode: str, steps: int, clamp: float) -> SweepResult:
     """Fidelity of one scheme, tagged `label` in the columns, at each error amplitude.
 
     `kind` is "systematic" (the amplitudes are alphas) or "detuning" (deltas).
@@ -149,8 +146,6 @@ def fidelity_curve(label: str, schedule: InvariantSchedule, kind: str, amplitude
         raise ValueError(f"unknown error kind {kind!r}")
     if mode not in ("exact", "perturbative", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    if clamp is None:
-        clamp = default_clamp(schedule.duration)
     amplitudes = np.asarray(amplitudes, dtype=float)
     columns = [column]
     data = [amplitudes]
@@ -205,7 +200,7 @@ def _agreement_stats(column: str, window: float, amplitudes: np.ndarray,
 
 
 def fidelity_heatmap(schedule: InvariantSchedule, alphas, deltas,
-                     steps: int = DEFAULT_STEPS, clamp: float | None = None) -> SweepResult:
+                     steps: int, clamp: float) -> SweepResult:
     """Exact fidelity on the (alpha, delta) grid of two amplitude arrays.
 
     The error Hamiltonian combines both errors.  Long-format rows (alpha,
@@ -214,8 +209,6 @@ def fidelity_heatmap(schedule: InvariantSchedule, alphas, deltas,
     with F >= HIGH_FIDELITY_LEVEL and whether that region is contiguous
     around the zero-error point.
     """
-    if clamp is None:
-        clamp = default_clamp(schedule.duration)
     alphas, deltas = np.asarray(alphas, dtype=float), np.asarray(deltas, dtype=float)
     cell_alphas = np.repeat(alphas, len(deltas))
     cell_deltas = np.tile(deltas, len(alphas))
@@ -232,7 +225,7 @@ def fidelity_heatmap(schedule: InvariantSchedule, alphas, deltas,
         "clamp": clamp,
     })
     region = f"region_F>={HIGH_FIDELITY_LEVEL:g}"
-    fraction, contiguous = high_fidelity_region(
+    fraction, contiguous = _high_fidelity_region(
         fidelities.reshape(len(alphas), len(deltas)), alphas, deltas)
     for hand in Handedness:
         meta[f"{region}_fraction_{hand.value}"] = f"{fraction:.6g}"
@@ -240,7 +233,7 @@ def fidelity_heatmap(schedule: InvariantSchedule, alphas, deltas,
     return SweepResult(columns=tuple(columns), data=data, metadata=meta)
 
 
-def high_fidelity_region(fidelities: np.ndarray, alphas: np.ndarray,
+def _high_fidelity_region(fidelities: np.ndarray, alphas: np.ndarray,
                          deltas: np.ndarray) -> tuple[float, bool]:
     """(area fraction, contiguous-around-origin) of the F >= HIGH_FIDELITY_LEVEL region."""
     mask = fidelities >= HIGH_FIDELITY_LEVEL
@@ -265,8 +258,4 @@ def high_fidelity_region(fidelities: np.ndarray, alphas: np.ndarray,
     return fraction, bool(np.array_equal(seen, mask))
 
 
-__all__ = [
-    "SweepResult",
-    "population_trace", "fidelity_curve", "fidelity_heatmap",
-    "high_fidelity_region",
-]
+__all__ = ["SweepResult", "population_trace", "fidelity_curve", "fidelity_heatmap"]

@@ -31,11 +31,11 @@ from typing import Callable
 import numpy as np
 
 from chiralpulse import (Handedness, InvariantSchedule, PulseSchedule, ValidationReport,
-                         make_grid, pulses_from_invariant)
-from chiralpulse.dynamics import DEFAULT_STEPS, _cf4_products, gauss_nodes
+                         make_grid, schedule_hamiltonian)
+from chiralpulse.dynamics import _cf4_products, gauss_nodes
 from chiralpulse.errors import SingularTheta
 from chiralpulse.invariants import (CLAMP_WINDOW_FRACTION, SINGULAR_TOL, VALIDATION_SAMPLES,
-                                    CheckResult, _clamp_omega_q, default_clamp)
+                                    CheckResult, _clamp_omega_q)
 from chiralpulse.quadrature import complex_quad
 
 SWAP_1_3 = np.eye(3)[::-1]      # P, the swap of levels 1 and 3
@@ -118,19 +118,19 @@ def perturbed_hamiltonian(omega, omega_q, sign: int, alpha: float = 0.0,
     return h
 
 
-def right_exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
-                           steps: int = DEFAULT_STEPS, clamp: float | None = None) -> np.ndarray:
+def right_exact_fidelities(schedule: InvariantSchedule, alphas, deltas, steps: int,
+                           clamp: float) -> np.ndarray:
     """|1> populations from |2> of the right-handed system, one per error point.
 
     The pulses, grid and kernel are those of ``exact_fidelities``, but the
-    Hamiltonian has the right-handed coupling sign (+1) and every point is
-    propagated at its own signed delta, with no fold onto |delta|.
+    couplings are the right-handed ones (``Handedness.RIGHT``) and every point
+    is propagated at its own signed delta, with no fold onto |delta|.
     """
     grid = make_grid(schedule.duration, steps)
-    pulses = pulses_from_invariant(schedule, gauss_nodes(grid), clamp)
+    w, q = schedule_hamiltonian(schedule, Handedness.RIGHT, clamp)(gauss_nodes(grid))
     alphas, deltas = (np.ravel(x) for x in np.broadcast_arrays(
         np.asarray(alphas, dtype=float), np.asarray(deltas, dtype=float)))
-    total = _cf4_products(pulses.omega, pulses.omega_q, +1, np.diff(grid), alphas, deltas)
+    total = _cf4_products(w, q, np.diff(grid), alphas, deltas)
     return np.abs(total[0, 1]) ** 2         # level |1>, from the |2> column
 
 
@@ -289,7 +289,7 @@ def reference_pulses(ref: ReferenceSchedule, grid, clamp: float) -> PulseSchedul
                          clamp_value=clamp, kind=ref.kind, n=ref.n)
 
 
-def reference_validation(ref: ReferenceSchedule, clamp: float | None = None) -> str:
+def reference_validation(ref: ReferenceSchedule, clamp: float) -> str:
     """``validate_schedule``'s report text, each quantity evaluated by its closure.
 
     The invariant residual is the matrix one (``invariant_residual``).  Samples
@@ -298,7 +298,6 @@ def reference_validation(ref: ReferenceSchedule, clamp: float | None = None) -> 
     that the library's check keeps.
     """
     T = ref.duration
-    clamp = default_clamp(T) if clamp is None else clamp
     phi0 = float(np.abs(ref.phi_of(0.0)))
     phiT = float(np.abs(ref.phi_of(T) - np.pi / 2))
     thetaT = float(np.abs(ref.theta_of(T) - np.pi / 2))

@@ -27,7 +27,7 @@ from chiralpulse import (
     schedule_hamiltonian,
     sps_schedule,
 )
-from chiralpulse.dynamics import DEFAULT_STEPS
+from chiralpulse.cli import DEFAULT_CLAMP, DEFAULT_STEPS
 from chiralpulse.invariants import _raw_pulses
 from chiralpulse.robustness import second_order_fidelity
 from oracles import (invariant_eigensystem, invariant_matrix, invariant_residual, lr_phase,
@@ -55,7 +55,7 @@ def test_criterion_1_discrimination():
     finals, runtimes = {}, {}
     for hand in (L, R):
         start = time.perf_counter()
-        traj = propagate(schedule_hamiltonian(schedule, hand),
+        traj = propagate(schedule_hamiltonian(schedule, hand, DEFAULT_CLAMP),
                          QuantumState.basis(2), grid)
         runtimes[hand] = time.perf_counter() - start
         finals[hand] = traj.populations[-1]
@@ -75,7 +75,7 @@ def test_criterion_1_discrimination():
 
 def test_criterion_2_systematic_optimum():
     start = time.perf_counter()
-    result = optimize_n("systematic", (0.5, 1.5), tolerance=1e-3)
+    result = optimize_n("systematic", (0.5, 1.5), 1e-3, 1.0)
     elapsed = time.perf_counter() - start
     ok = (abs(result.n_star - 1.07) <= 0.02 and abs(result.q_min - 0.52) <= 0.02
           and elapsed < 30.0)
@@ -88,7 +88,7 @@ def test_criterion_2_systematic_optimum():
 
 def test_criterion_3_detuning_optimum_location():
     start = time.perf_counter()
-    result = optimize_n("detuning", (0.5, 1.5), tolerance=1e-3)
+    result = optimize_n("detuning", (0.5, 1.5), 1e-3, 1.0)
     elapsed = time.perf_counter() - start
     ok = abs(result.n_star - 1.12) <= 0.02 and elapsed < 30.0
     report("3 detuning optimum location", ok,
@@ -105,7 +105,7 @@ def test_criterion_3_detuning_optimum_location():
            "of 1e-3 is not attainable by this schedule family",
 )
 def test_criterion_3_detuning_minimum_value_as_stated():
-    result = optimize_n("detuning", (0.5, 1.5), tolerance=1e-3)
+    result = optimize_n("detuning", (0.5, 1.5), 1e-3, 1.0)
     report("3 detuning minimum value <= 1e-3", result.q_min <= 1e-3,
            f"q_min={result.q_min:.6f}")
     assert result.q_min <= 1e-3
@@ -113,10 +113,10 @@ def test_criterion_3_detuning_minimum_value_as_stated():
 
 def test_criterion_3_detuning_minimum_verified_by_exact_propagation():
     # the perturbative minimum is real: exact dynamics reproduce it to 4 digits
-    result = optimize_n("detuning", (0.5, 1.5), tolerance=1e-3)
+    result = optimize_n("detuning", (0.5, 1.5), 1e-3, 1.0)
     schedule = ansatz_schedule(result.n_star, 1.0)
     eps = 0.004
-    loss = 1.0 - exact_fidelities(schedule, 0.0, eps)[0]
+    loss = 1.0 - exact_fidelities(schedule, 0.0, eps, DEFAULT_STEPS, DEFAULT_CLAMP)[0]
     q_exact = 4.0 * loss / eps ** 2
     report("3 detuning minimum cross-check", abs(q_exact - result.q_min) < 5e-4,
            f"perturbative={result.q_min:.6f} exact={q_exact:.6f}")
@@ -129,9 +129,10 @@ def test_criterion_3_detuning_minimum_verified_by_exact_propagation():
 
 def _ordering_margin(kind, lo, hi, better_label, better_schedule):
     amplitudes = np.linspace(lo, hi, 51)
-    sps = fidelity_curve("sps", sps_schedule(1.0), kind, amplitudes, clamp=COMPARISON_CLAMP)
-    better = fidelity_curve(better_label, better_schedule, kind, amplitudes,
-                            clamp=COMPARISON_CLAMP)
+    sps = fidelity_curve("sps", sps_schedule(1.0), kind, amplitudes, "exact", DEFAULT_STEPS,
+                         COMPARISON_CLAMP)
+    better = fidelity_curve(better_label, better_schedule, kind, amplitudes, "exact",
+                            DEFAULT_STEPS, COMPARISON_CLAMP)
     margin = (better.column(f"F_{better_label}_exact_left")
               - sps.column("F_sps_exact_left"))
     return float(np.min(margin))
@@ -158,7 +159,7 @@ def _consistency_gaps(schedule, kind):
     gaps = []
     for eps in (0.01, 0.02, 0.04):
         alpha, delta = (eps, 0.0) if kind == "systematic" else (0.0, eps)
-        exact = exact_fidelities(schedule, alpha, delta)[0]
+        exact = exact_fidelities(schedule, alpha, delta, DEFAULT_STEPS, DEFAULT_CLAMP)[0]
         gaps.append(abs(exact - second_order_fidelity(kind, eps, q)))
     return gaps
 
@@ -209,7 +210,8 @@ def test_criterion_5_remainder_bounded_by_cubic():
 
 def test_criterion_6_heatmap():
     result = fidelity_heatmap(ansatz_schedule(1.10, 1.0),
-                              np.linspace(-0.1, 0.1, 41), np.linspace(-0.5, 0.5, 41))
+                              np.linspace(-0.1, 0.1, 41), np.linspace(-0.5, 0.5, 41),
+                              DEFAULT_STEPS, DEFAULT_CLAMP)
     rows = result.data
     center = rows[(rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)][0, 2]
     fraction = float(result.metadata["region_F>=0.99_fraction_left"])
@@ -284,8 +286,8 @@ def test_criterion_8_handedness_symmetry():
             alpha, delta = 0.0, rng.uniform(-0.8, 0.8)
         else:
             alpha, delta = rng.uniform(-0.1, 0.1), rng.uniform(-0.5, 0.5)
-        fl = exact_fidelities(schedule, alpha, delta)[0]
-        fr = right_exact_fidelities(schedule, alpha, delta)[0]
+        fl = exact_fidelities(schedule, alpha, delta, DEFAULT_STEPS, DEFAULT_CLAMP)[0]
+        fr = right_exact_fidelities(schedule, alpha, delta, DEFAULT_STEPS, DEFAULT_CLAMP)[0]
         worst = max(worst, abs(fl - fr))
     report("8 handedness symmetry", worst <= 1e-6, f"max |F_L - F_R|={worst:.2e}")
     assert worst <= 1e-6

@@ -277,6 +277,15 @@ OVERFLOWING_SPANS = [
     ["optimize", "--n-min=-1e308", "--n-max", "1e308"],
 ]
 
+# a huge ansatz weight overflows X^2 in the schedule sample (and 3n at 1e308);
+# the singular-theta or clamp check rejects the result
+HUGE_ANSATZ_N = [
+    ["design", "--scheme", "ansatz", "--n", "1e200"],
+    ["simulate", "--scheme", "ansatz", "--n", "1e200"],
+    ["scan", "--mode", "exact", "--schemes", "ansatz:1e200", "--points", "3"],
+    ["design", "--scheme", "ansatz", "--n", "1e308"],
+]
+
 
 @pytest.mark.parametrize("args", [
     ["simulate", "--T", "1e-300"],
@@ -293,6 +302,7 @@ OVERFLOWING_SPANS = [
      "--min", "0", "--max", "1e200", "--points", "3"],   # delta^2 overflows
     ["scan", "--mode", "perturbative", "--schemes", "sps,oss,osd,ansatz"],  # no --n
     *OVERFLOWING_SPANS,
+    *HUGE_ANSATZ_N,
 ])
 def test_non_finite_sweep_data_rejected(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(tmp_path)]) == 2
@@ -328,6 +338,7 @@ def test_optimize_with_overflowing_sensitivities_exits_2(capsys):
     ["optimize", "--T", "1e-300"],                       # step propagators overflow
     ["optimize", "--kind", "detuning", "--T", "1e300"],  # q_delta overflows
     *OVERFLOWING_SPANS,
+    *HUGE_ANSATZ_N,
 ])
 def test_overflow_errors_print_only_the_error_line(tmp_path, args):
     # numpy's overflow warnings at the spots whose non-finite result is

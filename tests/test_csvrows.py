@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from chiralpulse import Handedness, make_grid, population_trace, pulses_from_invariant, sps_schedule
 from chiralpulse import _csvrows
 from chiralpulse._csvrows import VECTOR_MIN_VALUES, format_rows
+from chiralpulse.cli import DEFAULT_CLAMP, DEFAULT_STEPS
 
 TAILS = ("\n", ",1.5707963267949\n")
 
@@ -104,8 +105,10 @@ def test_csv_writers_end_lines_in_a_bare_line_feed(tmp_path, monkeypatch):
 
     monkeypatch.setattr(builtins, "open", crlf_open)
     schedule = sps_schedule(1.0)
-    pulses_from_invariant(schedule, make_grid(1.0, 4000)).to_csv(tmp_path / "pulses.csv")
-    population_trace(schedule)[Handedness.LEFT].to_csv(tmp_path / "trace.csv")
+    pulses_from_invariant(schedule, make_grid(1.0, 4000), DEFAULT_CLAMP).to_csv(
+        tmp_path / "pulses.csv")
+    population_trace(schedule, DEFAULT_STEPS, DEFAULT_CLAMP)[Handedness.LEFT].to_csv(
+        tmp_path / "trace.csv")
     for name in ("pulses.csv", "trace.csv"):
         data = (tmp_path / name).read_bytes()
         assert b"\r" not in data and data.endswith(b"\n")

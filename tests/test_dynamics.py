@@ -16,8 +16,8 @@ from chiralpulse import (
     schedule_hamiltonian,
     sps_schedule,
 )
+from chiralpulse.cli import DEFAULT_CLAMP, DEFAULT_STEPS
 from chiralpulse.dynamics import (
-    DEFAULT_STEPS,
     _combine,
     _half_step_exponentials,
     _half_steps,
@@ -101,7 +101,7 @@ def test_sps_discrimination_left_and_right():
     grid = make_grid(1.0, DEFAULT_STEPS)
     schedule = sps_schedule(1.0)
     for hand, level in ((L, 3), (R, 1)):
-        traj = propagate(schedule_hamiltonian(schedule, hand),
+        traj = propagate(schedule_hamiltonian(schedule, hand, DEFAULT_CLAMP),
                          QuantumState.basis(2), grid)
         pops = traj.populations[-1]
         assert pops[level - 1] > 1.0 - 1e-4
@@ -110,14 +110,14 @@ def test_sps_discrimination_left_and_right():
 
 def test_norm_preserved_everywhere():
     schedule = sps_schedule(1.0)
-    traj = propagate(schedule_hamiltonian(schedule, L),
+    traj = propagate(schedule_hamiltonian(schedule, L, DEFAULT_CLAMP),
                      QuantumState.basis(2), make_grid(1.0, 2000))
     sums = traj.populations.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-10
 
 
 def test_populations_match_amplitudes():
-    traj = propagate(schedule_hamiltonian(sps_schedule(1.0), R),
+    traj = propagate(schedule_hamiltonian(sps_schedule(1.0), R, DEFAULT_CLAMP),
                      QuantumState.basis(2), make_grid(1.0, 500))
     np.testing.assert_allclose(traj.populations, np.abs(traj.states) ** 2)
 
@@ -126,7 +126,7 @@ def test_scalar_only_callable_raises():
     # propagate calls the callable once on the array of 2N Gauss nodes; a
     # callable that returns the couplings at one time is rejected by shape,
     # not looped over the times
-    w, q = schedule_hamiltonian(sps_schedule(1.0), L)(np.array([0.5]))
+    w, q = schedule_hamiltonian(sps_schedule(1.0), L, DEFAULT_CLAMP)(np.array([0.5]))
     with pytest.raises(ValueError, match=r"shapes \(\) and \(\) for 600 times"):
         propagate(lambda t: (w[0], q[0]), QuantumState.basis(2), make_grid(1.0, 300))
 
@@ -142,7 +142,7 @@ def test_library_error_is_not_resampled(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(invariants, "pulses_from_invariant", counting)
-    ham = schedule_hamiltonian(sps_schedule(1.0), L, clamp=1.0)
+    ham = schedule_hamiltonian(sps_schedule(1.0), L, 1.0)
     with pytest.raises(ClampViolation):
         propagate(ham, QuantumState.basis(2), make_grid(1.0, DEFAULT_STEPS))
     assert len(calls) == 1
@@ -207,7 +207,8 @@ def test_propagate_states_match_stepwise_matvec(level):
     # half-step exponentials of the batched fidelity kernel
     schedule = invariants.ansatz_schedule(1.1, 1.5)
     grid = make_grid(1.5, 137)
-    pulses = invariants.pulses_from_invariant(schedule, gauss_nodes(grid))
+    clamp = DEFAULT_CLAMP / 1.5
+    pulses = invariants.pulses_from_invariant(schedule, gauss_nodes(grid), clamp)
     u = _exponentials(_combine(pulses.omega), _combine(R.coupling_sign * pulses.omega_q),
                       _half_steps(np.diff(grid)), [0.0], [0.0])
     halves = np.moveaxis(u[:, :, 0], -1, 0)
@@ -216,7 +217,7 @@ def test_propagate_states_match_stepwise_matvec(level):
     for first, second in zip(halves[0::2], halves[1::2]):
         state = second @ (first @ state)
         expected.append(state)
-    traj = propagate(schedule_hamiltonian(schedule, R), QuantumState.basis(level), grid)
+    traj = propagate(schedule_hamiltonian(schedule, R, clamp), QuantumState.basis(level), grid)
     np.testing.assert_allclose(traj.states, expected, rtol=0, atol=1e-14)
 
 
@@ -224,7 +225,7 @@ def test_fourth_order_convergence_on_smooth_schedule():
     # CF4 is fourth order: halving the step divides the final-state error by 16
     from chiralpulse import ansatz_schedule
     schedule = ansatz_schedule(0.9, 1.0)
-    ham = schedule_hamiltonian(schedule, L)
+    ham = schedule_hamiltonian(schedule, L, DEFAULT_CLAMP)
     ref = propagate(ham, QuantumState.basis(2), make_grid(1.0, 3200)).states[-1]
     errs = []
     for steps in (100, 200):

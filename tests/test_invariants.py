@@ -19,7 +19,7 @@ from chiralpulse import (
     sps_schedule,
     validate_schedule,
 )
-from chiralpulse.dynamics import DEFAULT_STEPS
+from chiralpulse.cli import DEFAULT_CLAMP, DEFAULT_STEPS
 from chiralpulse.invariants import (
     CLAMP_WINDOW_FRACTION,
     PULSE_HEADER,
@@ -28,7 +28,6 @@ from chiralpulse.invariants import (
     ValidationReport,
     _invariant_residual,
     _raw_pulses,
-    default_clamp,
 )
 from oracles import (SWAP_1_3, invariant_eigensystem, invariant_matrix, invariant_residual,
                      lr_phase)
@@ -169,7 +168,7 @@ def test_schedules_reject_a_non_finite_or_non_positive_duration(duration):
 def test_sps_pulses_match_closed_forms():
     s = sps_schedule(1.0)
     grid = make_grid(1.0, 1000)
-    pulses = pulses_from_invariant(s, grid)
+    pulses = pulses_from_invariant(s, grid, DEFAULT_CLAMP)
     np.testing.assert_allclose(pulses.omega, np.pi / 2, atol=1e-14)
     mid = np.argmin(np.abs(grid - 0.5))
     assert pulses.omega_q[mid] == pytest.approx(np.pi / 2, abs=1e-12)
@@ -177,7 +176,7 @@ def test_sps_pulses_match_closed_forms():
 
 
 def test_sps_pulse_scaling_with_duration():
-    pulses = pulses_from_invariant(sps_schedule(2.0), make_grid(2.0, 800))
+    pulses = pulses_from_invariant(sps_schedule(2.0), make_grid(2.0, 800), DEFAULT_CLAMP / 2.0)
     np.testing.assert_allclose(pulses.omega, np.pi / 4, atol=1e-14)
     mid = len(pulses.times) // 2
     assert pulses.omega_q[mid] == pytest.approx((np.pi / 4) / np.tan(np.pi / 4), abs=1e-12)
@@ -185,7 +184,7 @@ def test_sps_pulse_scaling_with_duration():
 
 def test_sps_clamping_confined_to_endpoint_window():
     grid = make_grid(1.0, 4000)
-    pulses = pulses_from_invariant(sps_schedule(1.0), grid, clamp=100.0)
+    pulses = pulses_from_invariant(sps_schedule(1.0), grid, 100.0)
     clamped = np.abs(pulses.omega_q) >= 100.0 - 1e-9
     assert np.any(clamped)
     assert np.all(grid[clamped] <= 0.01 + 1e-12)
@@ -198,7 +197,7 @@ def test_ansatz_omega_q_is_finite_and_unclamped():
     n = 1.07
     s = ansatz_schedule(n, 1.0)
     grid = make_grid(1.0, 4000)
-    pulses = pulses_from_invariant(s, grid, clamp=100.0)
+    pulses = pulses_from_invariant(s, grid, 100.0)
     assert np.all(np.isfinite(pulses.omega_q))
     assert np.max(np.abs(pulses.omega_q)) < 100.0
     expected0 = 2.0 * (3 * n + 1) * np.pi / 2
@@ -207,14 +206,15 @@ def test_ansatz_omega_q_is_finite_and_unclamped():
 
 def test_ansatz_omega_positive_everywhere():
     for n in (0.0, 0.5, 1.07, 1.12, 2.0):
-        pulses = pulses_from_invariant(ansatz_schedule(n, 1.0), make_grid(1.0, 2000))
+        pulses = pulses_from_invariant(ansatz_schedule(n, 1.0), make_grid(1.0, 2000),
+                                       DEFAULT_CLAMP)
         assert np.all(pulses.omega > 0)
 
 
 def test_clamp_violation_outside_window():
     # a clamp so low that even the mid-pulse loop coupling exceeds it
     with pytest.raises(ClampViolation):
-        pulses_from_invariant(sps_schedule(1.0), make_grid(1.0, 1000), clamp=1.0)
+        pulses_from_invariant(sps_schedule(1.0), make_grid(1.0, 1000), 1.0)
 
 
 def _singular_sample(t):
@@ -229,16 +229,16 @@ def test_singular_theta_detected():
                             eta_plus_of=lambda t: np.zeros_like(np.asarray(t, float)))
     with pytest.raises(SingularTheta, match=r"sin\(theta\) - cos\(theta\) = 1\.110e-16 "
                        r"at t = 0\.01; the pulse constraint is singular there"):
-        pulses_from_invariant(bad, make_grid(1.0, 100))
+        pulses_from_invariant(bad, make_grid(1.0, 100), DEFAULT_CLAMP)
 
 
 def test_pulses_are_handedness_independent():
     # one pulse table serves both systems; handedness only flips the loop sign
     s = ansatz_schedule(1.1, 1.0)
     grid = make_grid(1.0, 500)
-    pulses = pulses_from_invariant(s, grid)
-    wl, ql = schedule_hamiltonian(s, L)(grid)
-    wr, qr = schedule_hamiltonian(s, R)(grid)
+    pulses = pulses_from_invariant(s, grid, DEFAULT_CLAMP)
+    wl, ql = schedule_hamiltonian(s, L, DEFAULT_CLAMP)(grid)
+    wr, qr = schedule_hamiltonian(s, R, DEFAULT_CLAMP)(grid)
     np.testing.assert_array_equal(wl, wr)
     np.testing.assert_array_equal(ql, -qr)
     np.testing.assert_array_equal(wl, pulses.omega)
@@ -247,7 +247,7 @@ def test_pulses_are_handedness_independent():
 
 def test_pulse_csv_roundtrip(tmp_path):
     s = ansatz_schedule(1.07, 2.0)
-    pulses = pulses_from_invariant(s, make_grid(2.0, 200))
+    pulses = pulses_from_invariant(s, make_grid(2.0, 200), DEFAULT_CLAMP / 2.0)
     path = tmp_path / "pulses.csv"
     pulses.to_csv(path)
     lines = path.read_text().splitlines()
@@ -278,7 +278,8 @@ def _per_row_pulse_csv(pulses, extra_metadata):
 @pytest.mark.parametrize("schedule", [sps_schedule(1.3), ansatz_schedule(1.1, 0.7)],
                          ids=["sps", "ansatz"])
 def test_pulse_csv_matches_per_row_formatting(tmp_path, schedule):
-    pulses = pulses_from_invariant(schedule, make_grid(schedule.duration, 4000))
+    T = schedule.duration
+    pulses = pulses_from_invariant(schedule, make_grid(T, 4000), DEFAULT_CLAMP / T)
     path = tmp_path / "pulses.csv"
     pulses.to_csv(path, extra_metadata={"config.steps": 4000})
     assert path.read_bytes() == _per_row_pulse_csv(pulses, {"config.steps": 4000})
@@ -327,7 +328,7 @@ def test_transport_of_zero_channel():
     grid = make_grid(1.0, DEFAULT_STEPS)
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.12, 1.0)):
         for hand in (L, R):
-            traj = propagate(schedule_hamiltonian(schedule, hand, clamp=5000.0),
+            traj = propagate(schedule_hamiltonian(schedule, hand, 5000.0),
                              QuantumState.basis(2), grid)
             s = schedule.sample(grid)
             _, v0 = invariant_eigensystem(hand, s.phi, s.theta)[0]
@@ -342,7 +343,8 @@ def test_plus_channel_phase_matches_closed_form():
     schedule = ansatz_schedule(n, 1.0)
     grid = make_grid(1.0, DEFAULT_STEPS)
     _, vplus0 = invariant_eigensystem(L, 0.0, schedule.sample(0.0).theta)[1]
-    traj = propagate(schedule_hamiltonian(schedule, L), QuantumState(vplus0), grid)
+    traj = propagate(schedule_hamiltonian(schedule, L, DEFAULT_CLAMP), QuantumState(vplus0),
+                     grid)
     for k in (DEFAULT_STEPS // 4, DEFAULT_STEPS // 2, 3 * DEFAULT_STEPS // 4):
         t = grid[k]
         s = schedule.sample(t)
@@ -402,14 +404,14 @@ def test_lr_phase_sps_matches_log_form():
 
 def test_validate_schedule_passes_for_both_families():
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.07, 1.0)):
-        report = validate_schedule(schedule)
+        report = validate_schedule(schedule, DEFAULT_CLAMP)
         assert report.all_passed, report.to_text()
 
 
 def test_validate_schedule_flags_singular_theta():
     bad = InvariantSchedule(kind="sps", n=None, duration=1.0, sample=_singular_sample,
                             eta_plus_of=lambda t: np.zeros_like(np.asarray(t, float)))
-    report = validate_schedule(bad)
+    report = validate_schedule(bad, DEFAULT_CLAMP)
     assert not report.all_passed
     failed = {c.name for c in report.checks if not c.passed}
     assert "theta singularity gap" in failed
@@ -428,7 +430,7 @@ def test_validate_schedule_fails_a_nan_derivative():
         return good._replace(theta_dot=theta_dot)
 
     bad = dataclasses.replace(s, sample=sample)
-    report = validate_schedule(bad)
+    report = validate_schedule(bad, DEFAULT_CLAMP)
     failed = {c.name: c.worst for c in report.checks if not c.passed}
     assert set(failed) == {"derivative consistency", "dynamical invariant"}, report.to_text()
     assert all(np.isnan(worst) for worst in failed.values())
@@ -445,7 +447,7 @@ def test_validate_schedule_fails_a_nan_derivative_on_a_time_interval():
         t = np.asarray(t, dtype=float)
         return good._replace(theta_dot=np.where((t > 0.4) & (t < 0.6), np.nan, good.theta_dot))
 
-    report = validate_schedule(dataclasses.replace(s, sample=sample))
+    report = validate_schedule(dataclasses.replace(s, sample=sample), DEFAULT_CLAMP)
     failed = {c.name: c.worst for c in report.checks if not c.passed}
     assert set(failed) == {"derivative consistency", "dynamical invariant"}, report.to_text()
     assert all(np.isnan(worst) for worst in failed.values())
@@ -457,7 +459,7 @@ def _invariant_check_samples(schedule):
     window = CLAMP_WINDOW_FRACTION * T
     s = schedule.sample(np.linspace(window, T - window, VALIDATION_SAMPLES))
     omega, omega_q = _raw_pulses(s, np.sin(s.theta) - np.cos(s.theta))
-    keep = np.isfinite(omega) & np.isfinite(omega_q) & (np.abs(omega_q) <= default_clamp(T))
+    keep = np.isfinite(omega) & np.isfinite(omega_q) & (np.abs(omega_q) <= DEFAULT_CLAMP / T)
     return omega[keep], omega_q[keep], type(s)(*(field[keep] for field in s))
 
 
@@ -501,7 +503,7 @@ def test_component_major_invariant_residual_matches_matmul(schedule):
         assert np.array_equal(magnitude[:, j, i], magnitude[:, i, j]), (i, j)
     assert not np.any(np.diagonal(magnitude, axis1=1, axis2=2))
     # validation.txt is the same, byte for byte, as with the @ residual
-    report = validate_schedule(schedule)
+    report = validate_schedule(schedule, DEFAULT_CLAMP / schedule.duration)
     last = report.checks[-1]
     assert last.name == "dynamical invariant"
     worst = float(np.max(magnitude))
@@ -520,7 +522,7 @@ def test_validate_schedule_fails_a_violated_invariant_condition():
         return good._replace(factor=1.01 * good.factor)
 
     bad = dataclasses.replace(s, sample=sample)
-    report = validate_schedule(bad)
+    report = validate_schedule(bad, DEFAULT_CLAMP)
     failed = {c.name: c.worst for c in report.checks if not c.passed}
     assert list(failed) == ["dynamical invariant"], report.to_text()
     assert np.isfinite(failed["dynamical invariant"])

@@ -11,7 +11,6 @@ from chiralpulse import (
     PulseSchedule,
     QuantumState,
     ansatz_schedule,
-    default_clamp,
     exact_fidelities,
     make_grid,
     make_schedule,
@@ -22,7 +21,8 @@ from chiralpulse import (
     q_delta,
     sps_schedule,
 )
-from chiralpulse.dynamics import DEFAULT_STEPS, _cf4_products
+from chiralpulse.cli import DEFAULT_CLAMP, DEFAULT_STEPS
+from chiralpulse.dynamics import _cf4_products
 from chiralpulse.robustness import golden_section, second_order_fidelity
 from oracles import perturbed_hamiltonian, right_exact_fidelities
 
@@ -31,6 +31,7 @@ DETUNING = np.diag([-1.0, 0.0, 1.0])   # |3><3| - |1><1|
 # exact_fidelities returns the left-handed value; the right-handed one comes
 # from an independent right-handed propagation
 FIDELITY_OF = {L: exact_fidelities, R: right_exact_fidelities}
+CLAMP = DEFAULT_CLAMP / 1.0     # the CLI's cap of a T = 1 schedule, in absolute units
 
 
 def test_q_alpha_known_values():
@@ -82,9 +83,10 @@ def test_exact_fidelity_no_error_full_transfer():
     # propagation with p1 and p3 swapped, so for R it also checks that mirror
     # against a right-handed propagation (the oracle)
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0), ansatz_schedule(2.0, 0.3)):
-        traces = population_trace(schedule)
+        clamp = DEFAULT_CLAMP / schedule.duration
+        traces = population_trace(schedule, DEFAULT_STEPS, clamp)
         for hand in (L, R):
-            fidelity = FIDELITY_OF[hand](schedule, 0.0, 0.0)[0]
+            fidelity = FIDELITY_OF[hand](schedule, 0.0, 0.0, DEFAULT_STEPS, clamp)[0]
             assert fidelity > 1.0 - 1e-4
             final = traces[hand].data[-1, hand.target_level]
             assert final == pytest.approx(fidelity, rel=0, abs=1e-14)
@@ -120,14 +122,15 @@ def test_exact_fidelity_matches_stepwise_propagation():
     # the Hamiltonian matrices at the Gauss nodes
     t1, t2, dts = _node_times(DEFAULT_STEPS)
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0)):
-        samples = [pulses_from_invariant(schedule, t) for t in (t1, t2)]
+        samples = [pulses_from_invariant(schedule, t, CLAMP) for t in (t1, t2)]
         for hand in (L, R):
             for alpha, delta in ((0.0, 0.0), (0.05, 0.3)):
                 h1, h2 = (perturbed_hamiltonian(p.omega, p.omega_q, hand.coupling_sign,
                                                 alpha, delta) for p in samples)
                 total = _cf4_reference(h1, h2, dts)
                 expected = abs(total[hand.target_level - 1, 1]) ** 2
-                assert FIDELITY_OF[hand](schedule, alpha, delta)[0] == pytest.approx(
+                assert FIDELITY_OF[hand](schedule, alpha, delta, DEFAULT_STEPS,
+                                         CLAMP)[0] == pytest.approx(
                     expected, rel=0, abs=1e-12)
 
 
@@ -138,7 +141,7 @@ def test_fidelity_from_pulses_matches_expm_sequential_product(steps):
     t1, t2, dts = _node_times(steps)
     nodes = np.column_stack([t1, t2]).ravel()
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0)):
-        pulses = pulses_from_invariant(schedule, nodes)
+        pulses = pulses_from_invariant(schedule, nodes, CLAMP)
         for hand in (L, R):
             for alpha, delta in ((0.0, 0.0), (0.05, 0.3)):
                 # H of the dynamics module docstring, written out here
@@ -149,19 +152,19 @@ def test_fidelity_from_pulses_matches_expm_sequential_product(steps):
                 h = (1.0 + alpha) * h + delta * DETUNING
                 total = _cf4_reference(h[0::2], h[1::2], dts)
                 expected = abs(total[hand.target_level - 1, 1]) ** 2
-                value = FIDELITY_OF[hand](schedule, alpha, delta, steps)[0]
+                value = FIDELITY_OF[hand](schedule, alpha, delta, steps, CLAMP)[0]
                 assert value == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_exact_fidelities_reject_non_finite_amplitudes():
     for alpha, delta in ((np.nan, 0.0), (0.0, [0.1, np.inf])):
         with pytest.raises(ValueError, match="error amplitudes must be finite"):
-            exact_fidelities(sps_schedule(1.0), alpha, delta)
+            exact_fidelities(sps_schedule(1.0), alpha, delta, DEFAULT_STEPS, CLAMP)
 
 
 def _dop853_fidelity(schedule, alpha, delta, hand):
     """Adaptive 8th-order Runge-Kutta (rtol = atol = 1e-12) on the perturbed H."""
-    clamp = default_clamp(schedule.duration)
+    clamp = DEFAULT_CLAMP / schedule.duration
     s = hand.coupling_sign
     detuning = delta * DETUNING
 
@@ -186,15 +189,15 @@ def test_default_steps_accuracy_against_dop853(scheme, alpha, delta, bound):
     # the default 400 CF4 steps are 10-40x more accurate than the 4000-step
     # midpoint rule they replace (3.3e-7, 9.6e-8 and 8.4e-8 on these cases)
     schedule = sps_schedule(1.0) if scheme == "sps" else ansatz_schedule(1.10, 1.0)
-    assert abs(exact_fidelities(schedule, alpha, delta)[0]
+    assert abs(exact_fidelities(schedule, alpha, delta, DEFAULT_STEPS, CLAMP)[0]
                - _dop853_fidelity(schedule, alpha, delta, L)) < bound
 
 
 def test_exact_fidelity_handedness_symmetry():
     schedule = ansatz_schedule(1.07, 1.0)
     for alpha, delta in ((0.05, 0.0), (0.0, 0.4), (0.08, -0.3)):
-        fl = exact_fidelities(schedule, alpha, delta)[0]
-        fr = right_exact_fidelities(schedule, alpha, delta)[0]
+        fl = exact_fidelities(schedule, alpha, delta, DEFAULT_STEPS, CLAMP)[0]
+        fr = right_exact_fidelities(schedule, alpha, delta, DEFAULT_STEPS, CLAMP)[0]
         assert abs(fl - fr) < 1e-6
 
 
@@ -219,7 +222,7 @@ def test_mirror_symmetries_of_random_pulses(pulses, alpha, delta):
     # The sweeps fold +-delta onto |delta|, so the kernel is called directly
     pulses, dts = pulses
     alphas, deltas = np.array([alpha, alpha]), np.array([delta, -delta])
-    left, right = (_cf4_products(pulses.omega, pulses.omega_q, hand.coupling_sign, dts,
+    left, right = (_cf4_products(pulses.omega, hand.coupling_sign * pulses.omega_q, dts,
                                  alphas, deltas) for hand in (L, R))
     populations = np.abs(left[:, 1]) ** 2
     assert populations[:, 0].tolist() == populations[:, 1].tolist()
@@ -238,8 +241,8 @@ def test_sps_q_is_the_closed_form_of_the_unclamped_schedule():
     amplitudes = [-eps, 0.0, eps]
     for label in ("sps", "oss", "osd"):
         schedule = make_schedule(label, 1.0)
-        fa = exact_fidelities(schedule, amplitudes, 0.0, 1600)
-        fd = exact_fidelities(schedule, 0.0, amplitudes, 1600)
+        fa = exact_fidelities(schedule, amplitudes, 0.0, 1600, CLAMP)
+        fd = exact_fidelities(schedule, 0.0, amplitudes, 1600, CLAMP)
         gap_alpha = -(fa[0] - 2 * fa[1] + fa[2]) / (2 * eps ** 2) / q_alpha(schedule) - 1
         gap_delta = -2 * (fd[0] - 2 * fd[1] + fd[2]) / eps ** 2 / q_delta(schedule) - 1
         if label == "sps":
@@ -254,7 +257,8 @@ def test_quadratic_leading_order_recovers_q_alpha():
     schedule = ansatz_schedule(1.07, 1.0)
     qa = q_alpha(schedule)
     alphas = np.linspace(-0.02, 0.02, 9)
-    losses = np.array([1.0 - exact_fidelities(schedule, a, 0.0)[0] for a in alphas])
+    losses = np.array([1.0 - exact_fidelities(schedule, a, 0.0, DEFAULT_STEPS, CLAMP)[0]
+                       for a in alphas])
     coeff = np.polyfit(alphas, losses, 2)[0]
     assert coeff == pytest.approx(qa, rel=0.05)
 
@@ -265,26 +269,27 @@ def test_perturbative_remainder_is_third_order_bounded():
     qa = q_alpha(schedule)
     constants = []
     for eps in (0.01, 0.02, 0.04):
-        diff = abs(exact_fidelities(schedule, eps, 0.0)[0] - (1.0 - eps ** 2 * qa))
+        exact = exact_fidelities(schedule, eps, 0.0, DEFAULT_STEPS, CLAMP)[0]
+        diff = abs(exact - (1.0 - eps ** 2 * qa))
         constants.append(diff / eps ** 3)
     assert max(constants) < 0.2, f"remainder constants {constants}"
 
 
 def test_optimize_n_systematic_finds_known_optimum():
-    result = optimize_n("systematic", (0.9, 1.3), tolerance=1e-3)
+    result = optimize_n("systematic", (0.9, 1.3), 1e-3, 1.0)
     assert result.n_star == pytest.approx(1.07, abs=0.02)
     assert result.q_min == pytest.approx(0.52, abs=0.02)
 
 
 def test_optimize_n_detuning_location():
-    result = optimize_n("detuning", (0.9, 1.3), tolerance=1e-3)
+    result = optimize_n("detuning", (0.9, 1.3), 1e-3, 1.0)
     assert result.n_star == pytest.approx(1.12, abs=0.02)
     assert result.q_min < q_delta(sps_schedule(1.0))
 
 
 def test_optimize_n_refinement_consistency():
-    coarse = optimize_n("systematic", (0.9, 1.3), tolerance=1e-2)
-    fine = optimize_n("systematic", (1.04, 1.09), tolerance=1e-4)
+    coarse = optimize_n("systematic", (0.9, 1.3), 1e-2, 1.0)
+    fine = optimize_n("systematic", (1.04, 1.09), 1e-4, 1.0)
     assert abs(coarse.n_star - fine.n_star) < 2e-2
     assert fine.q_min <= coarse.q_min + 1e-10
 
@@ -305,18 +310,18 @@ def test_golden_section_stops_below_float_spacing():
 def test_optimize_n_boundary_minimum_raises():
     # q_alpha decreases monotonically toward the upper edge on [0.2, 0.6]
     with pytest.raises(NoInteriorMinimum):
-        optimize_n("systematic", (0.2, 0.6), tolerance=1e-3)
+        optimize_n("systematic", (0.2, 0.6), 1e-3, 1.0)
 
 
 def test_optimize_n_rejects_bad_arguments():
     for kind in ("nonsense", "alpha"):     # exactly systematic or detuning
         with pytest.raises(ValueError, match="unknown sensitivity kind"):
-            optimize_n(kind)
+            optimize_n(kind, (0.5, 1.5), 1e-3, 1.0)
     with pytest.raises(ValueError):
-        optimize_n("systematic", (1.5, 0.5))
+        optimize_n("systematic", (1.5, 0.5), 1e-3, 1.0)
     for n_range in ((-1e308, 1e308), (0.5, np.inf), (np.nan, 1.5)):   # hi - lo not finite
         with pytest.raises(ValueError, match="invalid n range"):
-            optimize_n("systematic", n_range)
+            optimize_n("systematic", n_range, 1e-3, 1.0)
     with pytest.raises(ValueError):
-        optimize_n("systematic", tolerance=-1.0)
+        optimize_n("systematic", (0.5, 1.5), -1.0, 1.0)
 

@@ -5,31 +5,30 @@ from chiralpulse import (
     Handedness,
     QuantumState,
     ansatz_schedule,
-    default_clamp,
     exact_fidelities,
     fidelity_curve,
     fidelity_heatmap,
-    high_fidelity_region,
     make_grid,
     make_schedule,
     population_trace,
     propagate,
-    pulses_from_invariant,
     q_alpha,
     q_delta,
     schedule_hamiltonian,
     sps_schedule,
 )
 from chiralpulse import dynamics, robustness
-from chiralpulse.dynamics import _CHUNK_BYTES, DEFAULT_STEPS, gauss_nodes
-from chiralpulse.sweeps import TRACE_POINTS, SweepResult
+from chiralpulse.cli import DEFAULT_CLAMP, DEFAULT_STEPS
+from chiralpulse.dynamics import _CHUNK_BYTES, gauss_nodes
+from chiralpulse.sweeps import TRACE_POINTS, SweepResult, _high_fidelity_region
 from oracles import right_exact_fidelities
 
 L, R = Handedness.LEFT, Handedness.RIGHT
+CLAMP = DEFAULT_CLAMP / 1.0     # the CLI's cap of a T = 1 schedule, in absolute units
 
 
 def test_population_trace_sps_left():
-    trace = population_trace(sps_schedule(1.0))[L]
+    trace = population_trace(sps_schedule(1.0), DEFAULT_STEPS, CLAMP)[L]
     assert trace.columns == ("t_over_T", "p1", "p2", "p3")
     assert len(trace.data) >= 200
     assert trace.data[0, 2] == pytest.approx(1.0, abs=1e-12)       # starts in |2>
@@ -40,13 +39,13 @@ def test_population_trace_sps_left():
 
 
 def test_population_trace_sps_right():
-    trace = population_trace(sps_schedule(1.0))[R]
+    trace = population_trace(sps_schedule(1.0), DEFAULT_STEPS, CLAMP)[R]
     assert trace.data[0, 2] == pytest.approx(1.0, abs=1e-12)
     assert trace.data[-1, 1] > 1.0 - 1e-4                          # ends in |1>
 
 
 def test_population_trace_row_sums_for_ansatz():
-    trace = population_trace(ansatz_schedule(1.12, 1.0), steps=2000)[R]
+    trace = population_trace(ansatz_schedule(1.12, 1.0), 2000, CLAMP)[R]
     sums = trace.data[:, 1:].sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-10
 
@@ -58,7 +57,7 @@ def test_right_trace_is_the_mirror_of_a_right_handed_propagation(kind, n):
     # one with p1 and p3 swapped; an independent propagation agrees to rounding
     for T in (0.68, 1.0, 1.525):
         schedule = make_schedule(kind, T, n)
-        clamp = default_clamp(T)
+        clamp = DEFAULT_CLAMP / T
         for steps in (37, 400, 2000):
             traces = population_trace(schedule, steps, clamp)
             left, right = traces[L], traces[R]
@@ -76,7 +75,7 @@ def test_right_trace_is_the_mirror_of_a_right_handed_propagation(kind, n):
 def test_fidelity_curve_zero_error_is_unity():
     axis = ("systematic", np.linspace(-0.1, 0.1, 5))
     for label, schedule in (("sps", sps_schedule(1.0)), ("oss", ansatz_schedule(1.07, 1.0))):
-        result = fidelity_curve(label, schedule, *axis)
+        result = fidelity_curve(label, schedule, *axis, "exact", DEFAULT_STEPS, CLAMP)
         at_zero = result.data[2]
         assert result.data[2, 0] == 0.0
         assert np.all(at_zero[1:] > 1.0 - 1e-4)
@@ -86,23 +85,24 @@ def test_fidelity_curve_scheme_ordering_systematic():
     # compare schemes with the truncation bias suppressed (high clamp), so the
     # margin reflects the schedules rather than the pulse cap
     axis = ("systematic", np.linspace(-0.2, 0.2, 21))
-    sps = fidelity_curve("sps", sps_schedule(1.0), *axis, clamp=5000.0)
-    oss = fidelity_curve("oss", ansatz_schedule(1.07, 1.0), *axis, clamp=5000.0)
+    sps = fidelity_curve("sps", sps_schedule(1.0), *axis, "exact", DEFAULT_STEPS, 5000.0)
+    oss = fidelity_curve("oss", ansatz_schedule(1.07, 1.0), *axis, "exact", DEFAULT_STEPS, 5000.0)
     margin = oss.column("F_oss_exact_left") - sps.column("F_sps_exact_left")
     assert np.min(margin) >= -1e-6
 
 
 def test_fidelity_curve_scheme_ordering_detuning():
     axis = ("detuning", np.linspace(-1.0, 1.0, 21))
-    sps = fidelity_curve("sps", sps_schedule(1.0), *axis, clamp=5000.0)
-    osd = fidelity_curve("osd", ansatz_schedule(1.12, 1.0), *axis, clamp=5000.0)
+    sps = fidelity_curve("sps", sps_schedule(1.0), *axis, "exact", DEFAULT_STEPS, 5000.0)
+    osd = fidelity_curve("osd", ansatz_schedule(1.12, 1.0), *axis, "exact", DEFAULT_STEPS, 5000.0)
     margin = osd.column("F_osd_exact_left") - sps.column("F_sps_exact_left")
     assert np.min(margin) >= -1e-6
 
 
 def test_fidelity_curve_both_mode_agreement():
     result = fidelity_curve("oss", ansatz_schedule(1.07, 1.0),
-                            "systematic", np.linspace(-0.3, 0.3, 13), "both")
+                            "systematic", np.linspace(-0.3, 0.3, 13), "both",
+                            DEFAULT_STEPS, CLAMP)
     exact = result.column("F_oss_exact_left")
     pert = result.column("F_oss_pert")
     inside = np.abs(result.column("alpha")) <= 0.1
@@ -117,7 +117,8 @@ def test_agreement_stats_of_the_default_scan(label, flagged, worst):
     # 100/T at T = 1; a flagged point counts once per exact column, so the
     # counts are even
     result = fidelity_curve(label, make_schedule(label, 1.0),
-                            "systematic", np.linspace(-0.3, 0.3, 101), "both", clamp=100.0)
+                            "systematic", np.linspace(-0.3, 0.3, 101), "both",
+                            DEFAULT_STEPS, 100.0)
     assert result.metadata["agreement_window"] == "|alpha|<=0.1"
     assert result.metadata["agreement_worst_inside"] == worst
     assert result.metadata["agreement_flagged_outside"] == flagged
@@ -126,28 +127,31 @@ def test_agreement_stats_of_the_default_scan(label, flagged, worst):
 def test_fidelity_curve_rejects_an_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode 'magic'"):
         fidelity_curve("sps", sps_schedule(1.0), "systematic", np.linspace(-0.1, 0.1, 3),
-                       mode="magic")
+                       "magic", DEFAULT_STEPS, CLAMP)
 
 
 def test_fidelity_curve_rejects_an_unknown_error_kind():
     with pytest.raises(ValueError, match="unknown error kind 'resonance'"):
-        fidelity_curve("sps", sps_schedule(1.0), "resonance", np.linspace(-0.1, 0.1, 3))
+        fidelity_curve("sps", sps_schedule(1.0), "resonance", np.linspace(-0.1, 0.1, 3),
+                       "exact", DEFAULT_STEPS, CLAMP)
 
 
 def test_fidelity_curve_perturbative_handedness_free():
     result = fidelity_curve("osd", ansatz_schedule(1.12, 1.0),
-                            "detuning", np.linspace(-0.5, 0.5, 5), "perturbative")
+                            "detuning", np.linspace(-0.5, 0.5, 5), "perturbative",
+                            DEFAULT_STEPS, CLAMP)
     assert result.columns == ("delta", "F_osd_pert")
     assert result.metadata["error_axis"] == "detuning[-0.5,0.5]x5"
     assert np.all(result.column("F_osd_pert") <= 1.0)
-    assert result.metadata["clamp"] == default_clamp(1.0)
+    assert result.metadata["clamp"] == CLAMP
 
 
 def test_heatmap_small_grid():
     schedule = ansatz_schedule(1.10, 1.0)
-    result = fidelity_heatmap(schedule, np.linspace(-0.1, 0.1, 7), np.linspace(-0.5, 0.5, 7))
+    result = fidelity_heatmap(schedule, np.linspace(-0.1, 0.1, 7), np.linspace(-0.5, 0.5, 7),
+                              DEFAULT_STEPS, CLAMP)
     assert result.metadata["scheme"].startswith("ansatz1.1:")
-    assert result.metadata["clamp"] == default_clamp(1.0)
+    assert result.metadata["clamp"] == CLAMP
     assert (result.metadata["alpha_axis"], result.metadata["delta_axis"]) == (
         "[-0.1,0.1]x7", "[-0.5,0.5]x7")
     rows = result.data
@@ -157,7 +161,8 @@ def test_heatmap_small_grid():
     # an independent right-handed propagation agrees to rounding
     right = result.column("F_exact_right")
     for k in (0, 10, 24, 40, 48):
-        oracle = right_exact_fidelities(schedule, rows[k, 0], rows[k, 1])[0]
+        oracle = right_exact_fidelities(schedule, rows[k, 0], rows[k, 1], DEFAULT_STEPS,
+                                        CLAMP)[0]
         assert abs(right[k] - oracle) < 1e-13
     assert float(result.metadata["region_F>=0.99_fraction_left"]) > 0.0
     assert result.metadata["region_F>=0.99_contiguous_left"]
@@ -167,8 +172,10 @@ def test_heatmap_cells_equal_single_point_fidelities():
     # the heatmap batches its cells; each value is the same, bit for bit, as
     # that cell computed alone
     schedule = ansatz_schedule(1.10, 1.0)
-    result = fidelity_heatmap(schedule, np.linspace(-0.3, 0.3, 5), np.linspace(-1.0, 1.0, 5))
-    alone = [exact_fidelities(schedule, a, d)[0] for a, d in result.data[:, :2]]
+    result = fidelity_heatmap(schedule, np.linspace(-0.3, 0.3, 5), np.linspace(-1.0, 1.0, 5),
+                              DEFAULT_STEPS, CLAMP)
+    alone = [exact_fidelities(schedule, a, d, DEFAULT_STEPS, CLAMP)[0]
+             for a, d in result.data[:, :2]]
     assert result.column("F_exact_left").tolist() == alone
 
 
@@ -176,10 +183,12 @@ def test_scan_points_equal_single_point_fidelities():
     schemes = (("sps", sps_schedule(1.0)), ("ansatz1.1", ansatz_schedule(1.10, 1.0)))
     for kind in ("systematic", "detuning"):
         for label, schedule in schemes:
-            result = fidelity_curve(label, schedule, kind, np.linspace(-0.3, 0.3, 7), "both")
+            result = fidelity_curve(label, schedule, kind, np.linspace(-0.3, 0.3, 7), "both",
+                                    DEFAULT_STEPS, CLAMP)
             points = [(amp, 0.0) if kind == "systematic" else (0.0, amp)
                       for amp in result.data[:, 0]]
-            alone = [exact_fidelities(schedule, a, d)[0] for a, d in points]
+            alone = [exact_fidelities(schedule, a, d, DEFAULT_STEPS, CLAMP)[0]
+                     for a, d in points]
             assert result.column(f"F_{label}_exact_left").tolist() == alone
 
 
@@ -190,8 +199,9 @@ def test_fidelities_across_a_chunk_boundary_equal_single_points():
     chunk = _CHUNK_BYTES // (9 * 16 * 2 * DEFAULT_STEPS)
     alphas = np.linspace(-0.3, 0.3, chunk + 1)
     deltas = np.linspace(1.0, -1.0, chunk + 1)
-    batch = exact_fidelities(schedule, alphas, deltas)
-    alone = [exact_fidelities(schedule, a, d)[0] for a, d in zip(alphas, deltas)]
+    batch = exact_fidelities(schedule, alphas, deltas, DEFAULT_STEPS, CLAMP)
+    alone = [exact_fidelities(schedule, a, d, DEFAULT_STEPS, CLAMP)[0]
+             for a, d in zip(alphas, deltas)]
     assert batch.tolist() == alone
 
 
@@ -199,9 +209,9 @@ def _count_kernel_points(monkeypatch) -> list:
     """Record the number of error points of every ``_cf4_products`` call of the sweeps."""
     calls = []
 
-    def counting(omega, omega_q, sign, dts, alphas, deltas):
+    def counting(w, q, dts, alphas, deltas):
         calls.append(len(alphas))
-        return dynamics._cf4_products(omega, omega_q, sign, dts, alphas, deltas)
+        return dynamics._cf4_products(w, q, dts, alphas, deltas)
 
     monkeypatch.setattr(robustness, "_cf4_products", counting)
     return calls
@@ -210,9 +220,8 @@ def _count_kernel_points(monkeypatch) -> list:
 def _unfolded(schedule, alphas, deltas):
     """Left-handed fidelities with each point propagated at its signed delta."""
     grid = make_grid(schedule.duration, DEFAULT_STEPS)
-    pulses = pulses_from_invariant(schedule, gauss_nodes(grid))
-    total = dynamics._cf4_products(pulses.omega, pulses.omega_q, L.coupling_sign,
-                                   np.diff(grid), np.asarray(alphas, dtype=float),
+    w, q = schedule_hamiltonian(schedule, L, CLAMP)(gauss_nodes(grid))
+    total = dynamics._cf4_products(w, q, np.diff(grid), np.asarray(alphas, dtype=float),
                                    np.asarray(deltas, dtype=float))
     return (np.abs(total[2, 1]) ** 2).tolist()
 
@@ -222,12 +231,13 @@ def test_heatmap_folds_onto_distinct_alpha_abs_delta(monkeypatch):
     # exact negatives: 4 alphas x 3 distinct |delta|
     schedule = ansatz_schedule(1.10, 1.0)
     calls = _count_kernel_points(monkeypatch)
-    result = fidelity_heatmap(schedule, np.linspace(-0.3, 0.3, 4), np.linspace(-1.0, 1.0, 4))
+    result = fidelity_heatmap(schedule, np.linspace(-0.3, 0.3, 4), np.linspace(-1.0, 1.0, 4),
+                              DEFAULT_STEPS, CLAMP)
     assert calls == [12]
     rows = result.data[:, :2]
     left = result.column("F_exact_left").tolist()
     assert left == _unfolded(schedule, rows[:, 0], rows[:, 1])
-    assert left == [exact_fidelities(schedule, a, d)[0] for a, d in rows]
+    assert left == [exact_fidelities(schedule, a, d, DEFAULT_STEPS, CLAMP)[0] for a, d in rows]
 
 
 def test_folded_101_point_delta_axis_equals_unfolded(monkeypatch):
@@ -236,7 +246,7 @@ def test_folded_101_point_delta_axis_equals_unfolded(monkeypatch):
     deltas = np.linspace(-1.0, 1.0, 101)
     cell_alphas, cell_deltas = np.repeat(alphas, 101), np.tile(deltas, 3)
     calls = _count_kernel_points(monkeypatch)
-    folded = exact_fidelities(schedule, cell_alphas, cell_deltas)
+    folded = exact_fidelities(schedule, cell_alphas, cell_deltas, DEFAULT_STEPS, CLAMP)
     assert calls == [3 * len(np.unique(np.abs(deltas)))]
     assert folded.tolist() == _unfolded(schedule, cell_alphas, cell_deltas)
 
@@ -246,7 +256,7 @@ def test_fold_merges_signed_zeros_and_repeated_points(monkeypatch):
     alphas = [0.1, 0.1, -0.0, 0.0, 0.0, 0.2, 0.2]
     deltas = [0.3, -0.3, -0.0, 0.0, -0.0, 0.7, 0.7]
     calls = _count_kernel_points(monkeypatch)
-    folded = exact_fidelities(schedule, alphas, deltas)
+    folded = exact_fidelities(schedule, alphas, deltas, DEFAULT_STEPS, CLAMP)
     assert calls == [3]
     assert folded.tolist() == _unfolded(schedule, alphas, deltas)
 
@@ -254,12 +264,14 @@ def test_fold_merges_signed_zeros_and_repeated_points(monkeypatch):
 def test_scans_propagate_each_distinct_point_once(monkeypatch):
     schemes = tuple((label, make_schedule(label, 1.0)) for label in ("sps", "oss", "osd"))
     calls = _count_kernel_points(monkeypatch)
-    detuning = [fidelity_curve(label, schedule, "detuning", np.linspace(-1.0, 1.0, 5), "both")
+    detuning = [fidelity_curve(label, schedule, "detuning", np.linspace(-1.0, 1.0, 5), "both",
+                               DEFAULT_STEPS, CLAMP)
                 for label, schedule in schemes]
     assert calls == [3, 3, 3]
     calls.clear()
     for label, schedule in schemes:
-        fidelity_curve(label, schedule, "systematic", np.linspace(-0.3, 0.3, 5), "both")
+        fidelity_curve(label, schedule, "systematic", np.linspace(-0.3, 0.3, 5), "both",
+                       DEFAULT_STEPS, CLAMP)
     assert calls == [5, 5, 5]
     for (label, schedule), result in zip(schemes, detuning):
         amps = result.data[:, 0]
@@ -269,14 +281,14 @@ def test_scans_propagate_each_distinct_point_once(monkeypatch):
 
 def test_high_fidelity_region_helper():
     f = np.array([[0.5, 0.5, 0.5], [0.5, 1.0, 0.995], [0.5, 0.5, 0.5]])
-    frac, contiguous = high_fidelity_region(f, np.array([-1, 0, 1]),
-                                            np.array([-1, 0, 1]))
+    frac, contiguous = _high_fidelity_region(f, np.array([-1, 0, 1]),
+                                             np.array([-1, 0, 1]))
     assert frac == pytest.approx(2 / 9)
     assert contiguous
     f[1, 2] = 0.5
     f[0, 0] = 1.0  # disconnected island
-    frac, contiguous = high_fidelity_region(f, np.array([-1, 0, 1]),
-                                            np.array([-1, 0, 1]))
+    frac, contiguous = _high_fidelity_region(f, np.array([-1, 0, 1]),
+                                             np.array([-1, 0, 1]))
     assert not contiguous
 
 
@@ -309,7 +321,8 @@ def test_sensitivity_curves_smooth_with_single_interior_minimum():
 
 
 def test_sweep_csv_determinism(tmp_path):
-    args = ("sps", sps_schedule(1.0), "systematic", np.linspace(-0.1, 0.1, 5), "exact", 500)
+    args = ("sps", sps_schedule(1.0), "systematic", np.linspace(-0.1, 0.1, 5), "exact", 500,
+            CLAMP)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     fidelity_curve(*args).to_csv(p1)
     fidelity_curve(*args).to_csv(p2)
@@ -332,9 +345,10 @@ def test_sweep_csv_matches_per_row_formatting(tmp_path):
                             [3.0, -7.0, 123456789012345.0, 0.1 + 0.2],
                             [np.pi, -2.0 / 3.0, 1.0 / 7.0, 9.999999999999999e22]])
     for k, result in enumerate([
-            *population_trace(sps_schedule(1.0)).values(),
-            fidelity_curve("sps", sps_schedule(1.0), *axis, "both"),
-            fidelity_curve("oss", ansatz_schedule(1.07, 1.0), *axis, "both"),
+            *population_trace(sps_schedule(1.0), DEFAULT_STEPS, CLAMP).values(),
+            fidelity_curve("sps", sps_schedule(1.0), *axis, "both", DEFAULT_STEPS, CLAMP),
+            fidelity_curve("oss", ansatz_schedule(1.07, 1.0), *axis, "both", DEFAULT_STEPS,
+                           CLAMP),
             SweepResult(columns=("a", "b", "c", "d"), data=adversarial, metadata={"x": 1}),
             SweepResult(columns=("a", "b"), data=adversarial.T[:, :2])]):  # not C-contiguous
         path = tmp_path / f"{k}.csv"
