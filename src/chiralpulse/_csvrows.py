@@ -228,12 +228,12 @@ def format_rows(values, tail: str = "\n") -> bytes:
     return body + tail_bytes
 
 
-def write_table(path, preamble: str, values, tail: str = "\n") -> None:
-    """Write `preamble` and the ``format_rows`` of `values` to `path` as bytes.
-
-    The file is binary, so every platform writes the same bytes: "\\n" line
-    ends, UTF-8 text.
+def write_table(path, metadata: dict, header: str, values, tail: str = "\n") -> None:
+    """Write the only CSV format: a ``# key = value`` line per `metadata` item, `header`,
+    then the ``format_rows`` of `values`.  The file is binary, so every platform
+    writes the same bytes: "\\n" line ends, UTF-8 text.
     """
+    text = "".join(f"# {key} = {value}\n" for key, value in metadata.items()) + header + "\n"
     with open(path, "wb") as fh:
-        fh.write(preamble.encode("utf-8"))
+        fh.write(text.encode("utf-8"))
         fh.write(format_rows(values, tail))

@@ -283,7 +283,7 @@ def cmd_design(cfg: dict) -> int:
     pulses = pulses_from_invariant(schedule, grid, _absolute_clamp(cfg))
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    pulses.to_csv(out / "pulses.csv", extra_metadata=_effective_metadata(cfg))
+    pulses.to_csv(out / "pulses.csv", _effective_metadata(cfg))
     report = validate_schedule(schedule, clamp=_absolute_clamp(cfg))
     (out / "validation.txt").write_text(report.to_text(), encoding="utf-8")
     _summary("design", {
@@ -300,8 +300,8 @@ def cmd_simulate(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     for handedness, trace in traces.items():
-        trace.metadata.update(_effective_metadata(cfg))
-        trace.to_csv(out / f"populations_{schedule.slug}_{handedness.value}.csv")
+        trace.to_csv(out / f"populations_{schedule.slug}_{handedness.value}.csv",
+                     _effective_metadata(cfg))
     left_p3 = traces[Handedness.LEFT].column("p3")[-1]
     right_p1 = traces[Handedness.RIGHT].column("p1")[-1]
     print(f"final populations: left -> |3> at P3={left_p3:.6f}, "
@@ -335,9 +335,8 @@ def cmd_scan(cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for label, result in results:
-        result.metadata.update(_effective_metadata(cfg))
         path = out / f"{kind}_{label}_{cfg['mode']}.csv"
-        result.to_csv(path)
+        result.to_csv(path, _effective_metadata(cfg))
         written.append(str(path))
     _summary("scan", {"error": kind, "points": cfg["points"],
                       "range": f"[{lo:g},{hi:g}]", "files": ";".join(written)})
@@ -352,11 +351,10 @@ def cmd_heatmap(cfg: dict) -> int:
     schedule = _scheme_from_config(cfg)
     label = schedule.slug
     result = fidelity_heatmap(schedule, alphas, deltas, cfg["steps"], _absolute_clamp(cfg))
-    result.metadata.update(_effective_metadata(cfg))
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"heatmap_{label}_exact.csv"
-    result.to_csv(path)
+    result.to_csv(path, _effective_metadata(cfg))
     region = {k.split("_fraction_")[-1]: v for k, v in result.metadata.items()
               if "fraction" in k}
     _summary("heatmap", {"scheme": label,

@@ -356,7 +356,7 @@ def propagate(
         N grid steps, it returns the real couplings (W, Q) there, two (2N,)
         arrays: W = Omega and Q = ``coupling_sign`` * Omega_q, as from
         ``schedule_hamiltonian``.  Every such pair is a cyclic Hamiltonian.
-    initial : QuantumState or complex 3-vector
+    initial : QuantumState or normalized complex 3-vector
     grid : strictly increasing, finite time samples covering the evolution window
 
     Returns
@@ -371,8 +371,10 @@ def propagate(
         midpoint of the first step whose propagator is not finite (couplings
         or a step too large to exponentiate).
     ValueError
-        naming the shapes the callable returned, if they are not (2N,).
+        naming the shapes the callable returned, if they are not (2N,), or
+        the shape or norm of an `initial` that is not a ``QuantumState``.
     """
+    initial = QuantumState(initial)
     grid = np.asarray(grid, dtype=float)
     if (grid.ndim != 1 or len(grid) < 2 or not np.isfinite(grid).all()
             or not np.all(np.diff(grid) > 0)):
@@ -406,7 +408,7 @@ def propagate(
             "finite: its Hamiltonian is too large to exponentiate over the step"
         )
     props = _mul3(halves[..., 1::2], halves[..., 0::2]).reshape(9, -1).T.tolist()
-    a, b, c = np.asarray(initial, dtype=complex).tolist()
+    a, b, c = initial.amplitudes.tolist()
     states = [(a, b, c)]
     for m00, m01, m02, m10, m11, m12, m20, m21, m22 in props:
         a, b, c = (m00 * a + m01 * b + m02 * c,

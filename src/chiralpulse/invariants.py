@@ -73,9 +73,12 @@ Two schedule families are provided:
 
       sin(theta) - cos(theta) = sqrt(2) / sqrt(X^2 + 1) > 0,
 
-  so the pulses are finite and smooth on the whole window (no clamping is
-  ever active: the sin(theta)+cos(theta) zero at t=0 cancels the cot(phi)
-  pole, leaving Omega_q(0) = 2*(3n+1)*phi_dot).
+  so the pulses are finite and smooth on the whole window: the
+  sin(theta)+cos(theta) zero at t=0 cancels the cot(phi) pole, leaving
+  Omega_q(0) = 2*(3n+1)*phi_dot.  Finite is not bounded: |Omega_q| grows
+  with n, and above n ~ 7.088 it exceeds the CLI's default clamp (100/T)
+  outside the endpoint windows.  At n = 1e9 the gap sqrt(2)/sqrt(X^2 + 1)
+  falls below SINGULAR_TOL, and ``SingularTheta`` is raised.
 """
 
 from __future__ import annotations
@@ -93,6 +96,7 @@ VALIDATION_SAMPLES = 2000
 SINGULAR_TOL = 1e-9
 CLAMP_WINDOW_FRACTION = 0.01
 PULSE_HEADER = "t,omega,omega_q,gamma"
+LOOP_PHASE = np.pi / 2   # gamma: the 1-3 loop phase (i*Omega_q) that every propagator assumes
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +194,8 @@ def ansatz_schedule(n: float, duration: float) -> InvariantSchedule:
     theta(0) = 3*pi/4, evaluated in closed form as
     arctan2(1, (X-1)/(X+1)) + (pi where X < -1).  theta(T) = pi/2 holds
     exactly for every n, and sin(theta) - cos(theta) = sqrt(2)/sqrt(X^2+1)
-    never vanishes, so the synthesized pulses are finite on the whole window.
+    never vanishes, so the synthesized pulses are finite on the whole window;
+    |Omega_q| grows with n, though (see the module docstring).
     The coupling factor is 3n cos(3 phi) + 1, and
     theta_dot = -phi_dot X' / (X^2 + 1) with X' = dX/dphi.
     """
@@ -281,7 +286,6 @@ class PulseSchedule:
     omega_q: np.ndarray
     duration: float
     clamp_value: float
-    gamma: float = np.pi / 2
     kind: str = ""
     n: Optional[float] = None
 
@@ -301,21 +305,18 @@ class PulseSchedule:
         return meta
 
     def to_csv(self, path, extra_metadata: dict | None = None) -> None:
-        """Write `t,omega,omega_q,gamma` rows; times in units of T, frequencies in 1/T.
+        """Write `t,omega,omega_q,gamma` rows, gamma = ``LOOP_PHASE``, after the metadata.
 
-        Every value is written with 15 significant digits, the bytes of
-        ``%.15g`` (``_csvrows.format_rows``), and every line ends in a line feed.
+        The metadata block is ``metadata()``, then the `extra_metadata` keys.
+        Times are in units of T, frequencies in 1/T, each value the bytes of
+        ``%.15g`` (``_csvrows.format_rows``), each line ending in a line feed.
         The columns are scaled as whole arrays, which round exactly as the
         per-sample scalar operations would.
         """
-        meta = self.metadata()
-        if extra_metadata:
-            meta.update(extra_metadata)
         T = self.duration
         values = np.column_stack([self.times / T, self.omega * T, self.omega_q * T])
-        lines = [f"# {key} = {value}\n" for key, value in meta.items()]
-        lines.append(PULSE_HEADER + "\n")
-        write_table(path, "".join(lines), values, f",{self.gamma:.15g}\n")
+        write_table(path, {**self.metadata(), **(extra_metadata or {})}, PULSE_HEADER, values,
+                    f",{LOOP_PHASE:.15g}\n")
 
 
 def pulses_from_invariant(schedule: InvariantSchedule, grid: np.ndarray,

@@ -33,8 +33,8 @@ These are the q of the unclamped sps schedule, whose cot pulse they
 integrate down to t = 0; the dynamics propagate the clamped one.  At the
 CLI's default clamp, 100/T, the exact curvature of F (central differences
 of ``exact_fidelities`` at eps = 1e-2, 1600 steps) is 2.26% below q_alpha
-and 0.87% above q_delta.  No ansatz clamp is active, and there q is the exact
-curvature to within the differencing error.
+and 0.87% above q_delta.  No clamp is active on the oss and osd pulses, and
+there q is the exact curvature to within the differencing error.
 
 ``second_order_fidelity`` evaluates the closed forms from a given q, so a
 sweep computes q once per scheme; ``exact_fidelities`` propagates the
@@ -96,6 +96,19 @@ def second_order_fidelity(kind: str, amplitude, q: float):
     return 1.0 - scale * q
 
 
+def _sampled_couplings(schedule: InvariantSchedule, steps: int,
+                       clamp: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dts, W, Q): the steps of the uniform `steps`-interval grid and the
+    left-handed couplings at its ``gauss_nodes``, capped at `clamp`.
+
+    The one pulse sampling of the exact fidelities; it raises what
+    ``pulses_from_invariant`` raises (``ClampViolation``, ``SingularTheta``).
+    """
+    grid = make_grid(schedule.duration, steps)
+    w, q = schedule_hamiltonian(schedule, Handedness.LEFT, clamp)(gauss_nodes(grid))
+    return np.diff(grid), w, q
+
+
 def exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
                      steps: int, clamp: float) -> np.ndarray:
     """Transfer fidelities under the perturbed Hamiltonian, one per error point.
@@ -122,8 +135,7 @@ def exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
     is not finite: finite Hamiltonian entries can still overflow
     r^2 = 2 W^2 + Q^2 + delta^2 in the step propagators.
     """
-    grid = make_grid(schedule.duration, steps)
-    w, q = schedule_hamiltonian(schedule, Handedness.LEFT, clamp)(gauss_nodes(grid))
+    dts, w, q = _sampled_couplings(schedule, steps, clamp)
     alphas, deltas = (np.ravel(x) for x in np.broadcast_arrays(
         np.asarray(alphas, dtype=float), np.asarray(deltas, dtype=float)))
     if not (np.isfinite(alphas).all() and np.isfinite(deltas).all()):
@@ -132,7 +144,7 @@ def exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
     pairs.real, pairs.imag = alphas, np.abs(deltas)
     pairs, inverse = np.unique(pairs, return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value is rejected next
-        total = _cf4_products(w, q, np.diff(grid), pairs.real, pairs.imag)
+        total = _cf4_products(w, q, dts, pairs.real, pairs.imag)
         values = (np.abs(total[Handedness.LEFT.target_level - 1, 1]) ** 2)[inverse]
     bad = ~np.isfinite(values)
     if bad.any():

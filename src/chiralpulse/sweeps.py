@@ -50,7 +50,8 @@ from ._version import __version__
 from .dynamics import Handedness, QuantumState, make_grid, propagate
 from .invariants import InvariantSchedule, schedule_hamiltonian
 from .quadrature import ABS_TOL
-from .robustness import exact_fidelities, q_alpha, q_delta, second_order_fidelity
+from .robustness import (_sampled_couplings, exact_fidelities, q_alpha, q_delta,
+                         second_order_fidelity)
 
 TRACE_POINTS = 201          # rows per population trace at most, endpoints included
 HIGH_FIDELITY_LEVEL = 0.99  # the heatmap's F >= level region
@@ -72,15 +73,15 @@ class SweepResult:
     def column(self, name: str) -> np.ndarray:
         return self.data[:, self.columns.index(name)]
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path, extra_metadata: dict | None = None) -> None:
         """Write the metadata block, the column header and one ``%.15g`` row per data row.
 
+        The metadata block holds ``metadata``, then the `extra_metadata` keys.
         The rows are the bytes of the ``%.15g`` row template
         (``_csvrows.format_rows``), and every line ends in a line feed.
         """
-        lines = [f"# {key} = {value}\n" for key, value in self.metadata.items()]
-        lines.append(",".join(self.columns) + "\n")
-        write_table(path, "".join(lines), self.data)
+        write_table(path, {**self.metadata, **(extra_metadata or {})}, ",".join(self.columns),
+                    self.data)
 
 
 def _base_metadata(spec_like: dict) -> dict:
@@ -140,6 +141,8 @@ def fidelity_curve(label: str, schedule: InvariantSchedule, kind: str, amplitude
     `kind` is "systematic" (the amplitudes are alphas) or "detuning" (deltas).
     `mode` "exact" writes the exact left- and right-handed columns, "perturbative"
     the second-order column, and "both" all three plus the agreement metadata.
+    Every mode samples the pulses once, at the nodes the exact fidelities use,
+    so a pulse that violates `clamp` is rejected in every mode.
     """
     column = {"systematic": "alpha", "detuning": "delta"}.get(kind)
     if column is None:
@@ -149,7 +152,11 @@ def fidelity_curve(label: str, schedule: InvariantSchedule, kind: str, amplitude
     amplitudes = np.asarray(amplitudes, dtype=float)
     columns = [column]
     data = [amplitudes]
-    if mode != "perturbative":
+    if mode == "perturbative":
+        # the pulses the exact modes would propagate, so that the same clamp and
+        # singularity checks reject the scheme
+        _sampled_couplings(schedule, steps, clamp)
+    else:
         alphas, deltas = (amplitudes, 0.0) if kind == "systematic" else (0.0, amplitudes)
         exact = exact_fidelities(schedule, alphas, deltas, steps, clamp)
         columns += [f"F_{label}_exact_{hand.value}" for hand in Handedness]

@@ -106,6 +106,32 @@ def test_simulate_samples_and_propagates_once(tmp_path, capsys, monkeypatch):
     assert propagations == [1]
 
 
+@pytest.mark.parametrize("mode", ["exact", "perturbative", "both"])
+def test_scan_rejects_a_clamp_violation_in_every_mode(tmp_path, capsys, mode):
+    # a perturbative scan checks the pulses that the exact modes propagate
+    out = tmp_path / "out"
+    assert run_cli(["scan", "--mode", mode, "--schemes", "ansatz:30", "--points", "3",
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: |Omega_q| = 186.4 exceeds clamp 100 at t = 0.0105283, "
+        "outside the 1% endpoint windows\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "perturbative", "both"])
+def test_scan_samples_the_pulses_once_per_scheme_in_every_mode(tmp_path, monkeypatch, mode):
+    samples = []
+
+    def counting_pulses(schedule, times, *args, **kwargs):
+        samples.append(len(times))
+        return pulses_from_invariant(schedule, times, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "pulses_from_invariant", counting_pulses)
+    assert run_cli(["scan", "--mode", mode, "--schemes", "osd", "--points", "3",
+                    "--out", str(tmp_path)]) == 0
+    assert samples == [800]
+
+
 def test_simulate_zero_duration_rejected(tmp_path, capsys):
     assert run_cli(["simulate", "--T", "0", "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
@@ -189,6 +215,7 @@ def test_scan_rejects_a_repeated_scheme(tmp_path, capsys, monkeypatch, schemes):
     ["scan", "--min", "0.5", "--points", "3"],           # above the default maximum 0.3
     ["scan", "--error", "detuning", "--min=-inf"],
     ["heatmap", "--alpha-min", "0.3", "--alpha-points", "2", "--delta-points", "2"],
+    ["design", "--scheme", "ansatz", "--n", "7.44"],     # |Omega_q| grows with n
 ])
 def test_rejected_run_creates_no_out_directory(tmp_path, capsys, args):
     # every command computes before it creates --out

@@ -112,3 +112,19 @@ def test_csv_writers_end_lines_in_a_bare_line_feed(tmp_path, monkeypatch):
     for name in ("pulses.csv", "trace.csv"):
         data = (tmp_path / name).read_bytes()
         assert b"\r" not in data and data.endswith(b"\n")
+
+
+def test_to_csv_writes_the_extra_metadata_after_its_own(tmp_path):
+    # both writers take the caller's keys in to_csv and leave the result's own unchanged
+    schedule = sps_schedule(1.0)
+    extra = {"config.steps": 400, "config.T": 1.0}
+    pulses = pulses_from_invariant(schedule, make_grid(1.0, 10), DEFAULT_CLAMP)
+    trace = population_trace(schedule, DEFAULT_STEPS, DEFAULT_CLAMP)[Handedness.LEFT]
+    for result, own in ((pulses, pulses.metadata), (trace, lambda: trace.metadata)):
+        before = dict(own())
+        path = tmp_path / "table.csv"
+        result.to_csv(path, extra)
+        block = [line for line in path.read_text().splitlines() if line.startswith("#")]
+        assert block == [f"# {key} = {value}" for key, value in {**before, **extra}.items()]
+        assert block[-2:] == ["# config.steps = 400", "# config.T = 1.0"]
+        assert own() == before

@@ -90,6 +90,21 @@ def test_quantum_state_converts_to_an_array():
         QuantumState.basis(4)
 
 
+@pytest.mark.parametrize("initial, message", [
+    (np.array([1, 1, 0]), "state norm\\^2 deviates from 1 by 1.000e\\+00"),
+    (np.array([1, 0]), r"state must be a complex 3-vector, got shape \(2,\)"),
+], ids=["unnormalized", "two_levels"])
+def test_propagate_rejects_a_raw_initial_state_that_is_not_a_state(initial, message):
+    # a raw vector is checked as a QuantumState is: an unnormalized one would
+    # give populations that do not sum to 1
+    couplings = schedule_hamiltonian(sps_schedule(1.0), L, DEFAULT_CLAMP)
+    with pytest.raises(ValueError, match=message):
+        propagate(couplings, initial, make_grid(1.0, 50))
+    raw = propagate(couplings, np.array([0, 1, 0]), make_grid(1.0, 50))
+    np.testing.assert_array_equal(
+        raw.states, propagate(couplings, QuantumState.basis(2), make_grid(1.0, 50)).states)
+
+
 def test_zero_hamiltonian_is_identity_evolution():
     traj = propagate(lambda t: (np.zeros(len(t)), np.zeros(len(t))),
                      QuantumState.basis(2), make_grid(1.0, 100))

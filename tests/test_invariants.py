@@ -22,6 +22,7 @@ from chiralpulse import (
 from chiralpulse.cli import DEFAULT_CLAMP, DEFAULT_STEPS
 from chiralpulse.invariants import (
     CLAMP_WINDOW_FRACTION,
+    LOOP_PHASE,
     PULSE_HEADER,
     VALIDATION_SAMPLES,
     CheckResult,
@@ -271,7 +272,7 @@ def _per_row_pulse_csv(pulses, extra_metadata):
     text += PULSE_HEADER + "\n"
     T = pulses.duration
     for t, om, oq in zip(pulses.times, pulses.omega, pulses.omega_q):
-        text += f"{t / T:.15g},{om * T:.15g},{oq * T:.15g},{pulses.gamma:.15g}\n"
+        text += f"{t / T:.15g},{om * T:.15g},{oq * T:.15g},{LOOP_PHASE:.15g}\n"
     return text.encode()
 
 
@@ -292,7 +293,7 @@ def test_pulse_csv_formats_adversarial_values_like_per_row(tmp_path, duration):
     values = np.array([-0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, 7.0, 123456789012345.0,
                        0.1 + 0.2, np.pi, -2.0 / 3.0, 1.0 / 7.0, 9.999999999999999e22])
     pulses = PulseSchedule(times=values[::-1].copy(), omega=values, omega_q=-values,
-                           duration=duration, clamp_value=1e30, gamma=np.e)
+                           duration=duration, clamp_value=1e30)
     path = tmp_path / "pulses.csv"
     pulses.to_csv(path)
     assert path.read_bytes() == _per_row_pulse_csv(pulses, {})
