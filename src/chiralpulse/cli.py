@@ -82,8 +82,10 @@ def _common_parser() -> argparse.ArgumentParser:
                    help="pulse duration T (time unit; frequencies are in 1/T)")
     p.add_argument("--steps", type=int,
                    help=f"fourth-order (CF4) propagation steps on [0,T] (default "
-                        f"{DEFAULT_STEPS}); for design, the pulses.csv grid "
-                        f"intervals (default {COMMAND_DEFAULTS['design']['steps']})")
+                        f"{DEFAULT_STEPS}): equal for the ansatz schemes; for sps one "
+                        f"step to the clamp switch, then steps growing with t; for "
+                        f"design, the equal pulses.csv grid intervals (default "
+                        f"{COMMAND_DEFAULTS['design']['steps']})")
     p.add_argument("--clamp", type=float,
                    help=f"cap on |Omega_q| in units of 1/T (default {DEFAULT_CLAMP:g})")
     p.add_argument("--workers", type=int,

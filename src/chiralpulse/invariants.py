@@ -89,7 +89,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._csvrows import write_table
-from .dynamics import Handedness, _checked_duration
+from .dynamics import Handedness, _checked_duration, make_grid
 from .errors import ClampViolation, SingularTheta
 
 VALIDATION_SAMPLES = 2000
@@ -160,6 +160,48 @@ class InvariantSchedule:
         if self.n is not None:
             meta["n"] = self.n
         return meta
+
+    def grid(self, steps: int, clamp: float) -> np.ndarray:
+        """The `steps`-interval CF4 grid on [0, T] on which the schedule is propagated.
+
+        An ansatz schedule (oss, osd, ``ansatz:n``) gets ``make_grid(T, steps)``,
+        uniform.  No ansatz run is accepted with an active clamp: the |Omega_q|
+        peak straddles t = 0.99 T (at the default cap, n = 7.09-7.18 exceed it on
+        [0.9890, 0.9913] T), so a cap that bites also bites outside the 1%
+        endpoint windows, where ``ClampViolation`` is raised.
+
+        The clamped sps pulse leaves the cap at t_c = (2T/pi) arctan(pi/(2T clamp)),
+        where cot meets it.  Its grid is 0, t_c, then steps - 1 geometric steps
+        t_k = T (t_c/T)^(1 - k/(steps - 1)) up to T.  On [0, t_c] the
+        Hamiltonian is constant, so that one CF4 step is exact.  After t_c the
+        n-th derivative of cot grows like n!/t^(n+1), and steps proportional to
+        t spread the CF4 error evenly: a graded mesh (Hairer, Norsett & Wanner,
+        Solving ODEs I, II.4) that restores fourth order.  It is built in units
+        of T, so grid / T depends only on `steps` and clamp*T, and grid[1] = t_c
+        and grid[-1] = T exactly.  If t_c lies past the first 1% of the window,
+        ``ClampViolation`` is raised, naming a time between the two.
+        """
+        T = self.duration
+        if self.kind != "sps":
+            return make_grid(T, steps)
+        if steps < 2:
+            raise ValueError(f"an sps grid needs steps >= 2, one on each side of the "
+                             f"clamp switch, got {steps}")
+        if not clamp > 0:
+            raise ValueError(f"clamp must be positive, got {clamp}")
+        switch = np.arctan(np.pi / (2.0 * (T * clamp))) / (0.5 * np.pi)     # t_c / T
+        if not switch > 0.0:
+            raise ValueError(f"clamp * T = {T * clamp:g} is too large to place the "
+                             "sps clamp switch on the grid")
+        if switch > CLAMP_WINDOW_FRACTION:
+            # the cap holds on all of [0, t_c], where the nodes of the one step
+            # there may all fall inside the window
+            pulses_from_invariant(self, [0.5 * (CLAMP_WINDOW_FRACTION + switch) * T], clamp)
+        units = np.empty(steps + 1)
+        units[0] = 0.0
+        units[1:] = switch ** (1.0 - np.arange(steps) / (steps - 1))
+        units[1], units[-1] = switch, 1.0
+        return units * T
 
 
 def sps_schedule(duration: float) -> InvariantSchedule:
@@ -319,17 +361,15 @@ class PulseSchedule:
                     f",{LOOP_PHASE:.15g}\n")
 
 
-def pulses_from_invariant(schedule: InvariantSchedule, grid: np.ndarray,
-                          clamp: float) -> PulseSchedule:
-    """Solve the invariant constraint for (Omega, Omega_q) on `grid`.
+def _checked_pulses(schedule: InvariantSchedule, grid: np.ndarray,
+                    clamp: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Omega, Omega_q) on `grid`, past the singularity and clamp checks.
 
-    |Omega_q| is capped at `clamp`, in absolute angular-frequency units; the
-    cap may only be active within the first/last 1% of the duration, otherwise
-    ``ClampViolation`` is raised.  ``SingularTheta`` is raised if theta
-    touches the singular set sin(theta) = cos(theta) on (0, T].  The schedule
-    is sampled once (``InvariantSchedule.sample``).
+    The one pulse sampling of ``pulses_from_invariant`` and of the
+    ``schedule_hamiltonian`` sampler.  Omega_q leaves ``_clamp_omega_q``
+    finite and within the cap, so the sampler returns the arrays as they are;
+    only a directly constructed ``PulseSchedule`` is checked again.
     """
-    grid = np.asarray(grid, dtype=float)
     if clamp <= 0:
         raise ValueError(f"clamp must be positive, got {clamp}")
     sample = schedule.sample(grid)
@@ -343,7 +383,21 @@ def pulses_from_invariant(schedule: InvariantSchedule, grid: np.ndarray,
             "the pulse constraint is singular there"
         )
     omega, omega_q = _raw_pulses(sample, denominator)
-    omega_q = _clamp_omega_q(omega_q, grid, schedule.duration, clamp)
+    return omega, _clamp_omega_q(omega_q, grid, schedule.duration, clamp)
+
+
+def pulses_from_invariant(schedule: InvariantSchedule, grid: np.ndarray,
+                          clamp: float) -> PulseSchedule:
+    """Solve the invariant constraint for (Omega, Omega_q) on `grid`.
+
+    |Omega_q| is capped at `clamp`, in absolute angular-frequency units; the
+    cap may only be active within the first/last 1% of the duration, otherwise
+    ``ClampViolation`` is raised.  ``SingularTheta`` is raised if theta
+    touches the singular set sin(theta) = cos(theta) on (0, T].  The schedule
+    is sampled once (``InvariantSchedule.sample``).
+    """
+    grid = np.asarray(grid, dtype=float)
+    omega, omega_q = _checked_pulses(schedule, grid, clamp)
     return PulseSchedule(
         times=grid, omega=omega, omega_q=omega_q,
         duration=schedule.duration, clamp_value=clamp,
@@ -362,8 +416,8 @@ def schedule_hamiltonian(schedule: InvariantSchedule, handedness: Handedness,
     sign = handedness.coupling_sign
 
     def couplings_at(times):
-        pulses = pulses_from_invariant(schedule, times, clamp)
-        return pulses.omega, sign * pulses.omega_q
+        omega, omega_q = _checked_pulses(schedule, np.asarray(times, dtype=float), clamp)
+        return omega, sign * omega_q
 
     return couplings_at
 

@@ -44,11 +44,12 @@ for both handednesses, and ``optimize_n`` minimizes q over the ansatz weight n.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Handedness, _cf4_products, gauss_nodes, make_grid
+from .dynamics import Handedness, _cf4_products, gauss_nodes
 from .errors import NoInteriorMinimum
 from .invariants import InvariantSchedule, ansatz_schedule, schedule_hamiltonian
 from .quadrature import complex_quad
@@ -57,15 +58,22 @@ GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
 COARSE_POINTS = 201     # n grid that brackets the minimum for golden-section search
 
 
+@functools.cache
+def _sps_integral(which: str) -> complex:
+    """The T-free sps integral over u of q_alpha ("alpha") or q_delta, once per process."""
+    # the tail beyond u = 40 is O(e^-40), below the quadrature tolerance
+    if which == "alpha":
+        return complex_quad(lambda u: np.exp(1j * u) / np.cosh(u), 0.0, 40.0)
+    return complex_quad(lambda u: np.tanh(u) * np.exp(1j * u) / np.cosh(u) ** 2, 0.0, 40.0)
+
+
 def _sensitivity_amplitude(schedule: InvariantSchedule, which: str) -> complex:
     """The complex channel-leakage integral whose squared modulus is q."""
     T = schedule.duration
     if schedule.kind == "sps":
-        # the tail beyond u = 40 is O(e^-40), below the quadrature tolerance
         if which == "alpha":
-            return 1j * complex_quad(lambda u: np.exp(1j * u) / np.cosh(u), 0.0, 40.0)
-        return (-4.0 * T / np.pi) * complex_quad(
-            lambda u: np.tanh(u) * np.exp(1j * u) / np.cosh(u) ** 2, 0.0, 40.0)
+            return 1j * _sps_integral("alpha")
+        return (-4.0 * T / np.pi) * _sps_integral("delta")
 
     def integrand(t):
         phase = np.exp(1j * schedule.eta_plus_of(t))
@@ -98,13 +106,14 @@ def second_order_fidelity(kind: str, amplitude, q: float):
 
 def _sampled_couplings(schedule: InvariantSchedule, steps: int,
                        clamp: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dts, W, Q): the steps of the uniform `steps`-interval grid and the
-    left-handed couplings at its ``gauss_nodes``, capped at `clamp`.
+    """(dts, W, Q): the steps of the schedule's `steps`-interval grid
+    (``InvariantSchedule.grid``) and the left-handed couplings at its
+    ``gauss_nodes``, capped at `clamp`.
 
     The one pulse sampling of the exact fidelities; it raises what
     ``pulses_from_invariant`` raises (``ClampViolation``, ``SingularTheta``).
     """
-    grid = make_grid(schedule.duration, steps)
+    grid = schedule.grid(steps, clamp)
     w, q = schedule_hamiltonian(schedule, Handedness.LEFT, clamp)(gauss_nodes(grid))
     return np.diff(grid), w, q
 
@@ -118,8 +127,10 @@ def exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
     from |2> (the error perturbs the dynamics, not the goal); the
     right-handed |1> population is the same number (see the ``sweeps`` module
     docstring).  The pulses are sampled once, capped at `clamp`, at the
-    ``gauss_nodes`` of the uniform `steps`-interval grid, by the sampler of
-    ``propagate`` (``schedule_hamiltonian``).  Only the final state from |2>
+    ``gauss_nodes`` of the schedule's `steps`-interval grid
+    (``InvariantSchedule.grid``: uniform for the ansatz, graded after the
+    clamp switch for sps), by the sampler of ``propagate``
+    (``schedule_hamiltonian``).  Only the final state from |2>
     is needed, so each point's 2N half-step exponentials are multiplied into
     one matrix (``dynamics._cf4_products``) and its |2> column read off.  The points are
     batched, but every operation is elementwise over them, so a point's value

@@ -47,7 +47,7 @@ import numpy as np
 
 from ._csvrows import write_table
 from ._version import __version__
-from .dynamics import Handedness, QuantumState, make_grid, propagate
+from .dynamics import Handedness, QuantumState, propagate
 from .invariants import InvariantSchedule, schedule_hamiltonian
 from .quadrature import ABS_TOL
 from .robustness import (_sampled_couplings, exact_fidelities, q_alpha, q_delta,
@@ -103,14 +103,19 @@ def population_trace(schedule: InvariantSchedule, steps: int,
                      clamp: float) -> dict[Handedness, SweepResult]:
     """Level populations against t/T from the initial state |2>, at TRACE_POINTS times.
 
-    Returns one trace per handedness from one left-handed propagation.  With
+    The state is propagated on the schedule's `steps`-interval grid
+    (``InvariantSchedule.grid``), and the rows are the grid points of
+    TRACE_POINTS equally spaced indices (all of them if steps < TRACE_POINTS).
+    The ansatz grid is uniform; the sps grid is graded after the clamp switch,
+    so at the default clamp and 400 steps 101 of the 201 sps rows fall below
+    0.1 T.  Returns one trace per handedness from one left-handed propagation.  With
     P the swap of levels 1 and 3, H_R(t) = P H_L(t) P, and P leaves |2>
     unchanged, so psi_R(t) = P psi_L(t): the right-handed trace is the left
     one with its columns p1 and p3 swapped.  An independent right-handed
     propagation agrees to rounding (about 1e-14).
     """
     T = schedule.duration
-    grid = make_grid(T, steps)
+    grid = schedule.grid(steps, clamp)
     pops = propagate(schedule_hamiltonian(schedule, Handedness.LEFT, clamp),
                      QuantumState.basis(2), grid).populations
     keep = np.unique(np.round(np.linspace(0, steps, TRACE_POINTS)).astype(int))

@@ -18,6 +18,9 @@
 * ``lr_phase``: the +channel phase by quadrature of its defining integral,
   computed from the sampled theta independently of the schedule's
   closed-form ``eta_plus_of``;
+* ``doubling_quad``: the composite Gauss-Legendre rule with one integrand
+  call per panel count, the reference for ``complex_quad``, which evaluates
+  its first five panel counts in one call;
 * ``reference_schedule``: the schedule families as six per-quantity
   closures, each evaluating its own sines and cosines, with the pulses
   (``reference_pulses``), the validation report (``reference_validation``)
@@ -31,14 +34,15 @@ from typing import Callable
 import numpy as np
 
 from chiralpulse import (Handedness, InvariantSchedule, PulseSchedule, ValidationReport,
-                         make_grid, schedule_hamiltonian)
+                         schedule_hamiltonian)
 from chiralpulse.dynamics import _cf4_products, gauss_nodes
-from chiralpulse.errors import SingularTheta
+from chiralpulse.errors import QuadratureFailure, SingularTheta
 from chiralpulse.invariants import (CLAMP_WINDOW_FRACTION, SINGULAR_TOL, VALIDATION_SAMPLES,
                                     CheckResult, _clamp_omega_q)
-from chiralpulse.quadrature import complex_quad
+from chiralpulse.quadrature import ABS_TOL, MAX_PANELS, REL_TOL, complex_quad
 
 SWAP_1_3 = np.eye(3)[::-1]      # P, the swap of levels 1 and 3
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)    # of ``doubling_quad``
 
 
 def hamiltonian_stack(omega, omega_q, sign: int) -> np.ndarray:
@@ -122,16 +126,35 @@ def right_exact_fidelities(schedule: InvariantSchedule, alphas, deltas, steps: i
                            clamp: float) -> np.ndarray:
     """|1> populations from |2> of the right-handed system, one per error point.
 
-    The pulses, grid and kernel are those of ``exact_fidelities``, but the
-    couplings are the right-handed ones (``Handedness.RIGHT``) and every point
-    is propagated at its own signed delta, with no fold onto |delta|.
+    The pulses, grid (``InvariantSchedule.grid``) and kernel are those of
+    ``exact_fidelities``, but the couplings are the right-handed ones
+    (``Handedness.RIGHT``) and every point is propagated at its own signed
+    delta, with no fold onto |delta|.
     """
-    grid = make_grid(schedule.duration, steps)
+    grid = schedule.grid(steps, clamp)
     w, q = schedule_hamiltonian(schedule, Handedness.RIGHT, clamp)(gauss_nodes(grid))
     alphas, deltas = (np.ravel(x) for x in np.broadcast_arrays(
         np.asarray(alphas, dtype=float), np.asarray(deltas, dtype=float)))
     total = _cf4_products(w, q, np.diff(grid), alphas, deltas)
     return np.abs(total[0, 1]) ** 2         # level |1>, from the |2> column
+
+
+def doubling_quad(f, a: float, b: float) -> complex:
+    """``complex_quad`` with one call of `f` per panel count: 1, 2, 4, ... MAX_PANELS."""
+    if a == b:
+        return 0j
+    previous, panels = np.nan, 1
+    while panels <= MAX_PANELS:
+        edges = np.linspace(a, b, panels + 1)
+        halves = 0.5 * (edges[1:] - edges[:-1])
+        values = f(0.5 * (edges[:-1] + edges[1:])[:, None] + halves[:, None] * GAUSS_NODES)
+        current = complex(np.sum((values @ GAUSS_WEIGHTS) * halves))
+        change = np.abs(current - previous)
+        if change <= max(ABS_TOL, REL_TOL * np.abs(current)):
+            return current
+        previous, panels = current, 2 * panels
+    raise QuadratureFailure(f"quadrature on [{a:.6g}, {b:.6g}] did not converge in "
+                            f"{MAX_PANELS} panels (last change {change:.3g})")
 
 
 def invariant_eigensystem(handedness: Handedness, phi, theta):

@@ -9,7 +9,7 @@ import chiralpulse
 from chiralpulse import invariants, sweeps
 from chiralpulse.cli import build_parser, main, read_config_file
 from chiralpulse.dynamics import propagate
-from chiralpulse.invariants import pulses_from_invariant
+from chiralpulse.invariants import _checked_pulses
 
 
 def run_cli(args):
@@ -92,13 +92,13 @@ def test_simulate_samples_and_propagates_once(tmp_path, capsys, monkeypatch):
 
     def counting_pulses(schedule, times, *args, **kwargs):
         samples.append(len(times))
-        return pulses_from_invariant(schedule, times, *args, **kwargs)
+        return _checked_pulses(schedule, times, *args, **kwargs)
 
     def counting_propagate(*args, **kwargs):
         propagations.append(1)
         return propagate(*args, **kwargs)
 
-    monkeypatch.setattr(invariants, "pulses_from_invariant", counting_pulses)
+    monkeypatch.setattr(invariants, "_checked_pulses", counting_pulses)
     monkeypatch.setattr(sweeps, "propagate", counting_propagate)
     assert run_cli(["simulate", "--scheme", "osd", "--out", str(tmp_path)]) == 0
     assert "discriminated=True" in capsys.readouterr().out
@@ -124,9 +124,9 @@ def test_scan_samples_the_pulses_once_per_scheme_in_every_mode(tmp_path, monkeyp
 
     def counting_pulses(schedule, times, *args, **kwargs):
         samples.append(len(times))
-        return pulses_from_invariant(schedule, times, *args, **kwargs)
+        return _checked_pulses(schedule, times, *args, **kwargs)
 
-    monkeypatch.setattr(invariants, "pulses_from_invariant", counting_pulses)
+    monkeypatch.setattr(invariants, "_checked_pulses", counting_pulses)
     assert run_cli(["scan", "--mode", mode, "--schemes", "osd", "--points", "3",
                     "--out", str(tmp_path)]) == 0
     assert samples == [800]
@@ -204,6 +204,15 @@ def test_scan_rejects_a_repeated_scheme(tmp_path, capsys, monkeypatch, schemes):
     assert list(tmp_path.iterdir()) == []
 
 
+# the sps grid steps once over the clamped segment [0, t_c], where
+# Omega_q^2 = 1e400 overflows the step propagators
+HUGE_SPS_CLAMP = [
+    ["scan", "--error", "detuning", "--schemes", "sps", "--mode", "exact", "--points", "3",
+     "--clamp", "1e200"],
+    ["simulate", "--scheme", "sps", "--clamp", "1e200"],
+]
+
+
 @pytest.mark.parametrize("args", [
     ["scan", "--schemes", "sps,SPS"],
     ["scan", "--schemes", "sps,foo"],
@@ -216,6 +225,7 @@ def test_scan_rejects_a_repeated_scheme(tmp_path, capsys, monkeypatch, schemes):
     ["scan", "--error", "detuning", "--min=-inf"],
     ["heatmap", "--alpha-min", "0.3", "--alpha-points", "2", "--delta-points", "2"],
     ["design", "--scheme", "ansatz", "--n", "7.44"],     # |Omega_q| grows with n
+    *HUGE_SPS_CLAMP,
 ])
 def test_rejected_run_creates_no_out_directory(tmp_path, capsys, args):
     # every command computes before it creates --out
@@ -353,6 +363,14 @@ def test_overflow_error_names_the_first_point_with_its_sign(tmp_path, capsys, ar
         "(Hamiltonian entries too large to exponentiate)\n")
 
 
+def test_huge_sps_clamp_exits_2_with_the_overflow_line(tmp_path, capsys):
+    assert run_cli(HUGE_SPS_CLAMP[0] + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: exact fidelity is nan at alpha = 0, delta = -1: the step propagators "
+        "overflowed (Hamiltonian entries too large to exponentiate)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_optimize_with_overflowing_sensitivities_exits_2(capsys):
     # q_delta grows like T^2 and overflows at T = 1e300; the error names the
     # first overflowing q, not the n-range boundary its argmin would give
@@ -366,6 +384,7 @@ def test_optimize_with_overflowing_sensitivities_exits_2(capsys):
     ["optimize", "--kind", "detuning", "--T", "1e300"],  # q_delta overflows
     *OVERFLOWING_SPANS,
     *HUGE_ANSATZ_N,
+    *HUGE_SPS_CLAMP,
 ])
 def test_overflow_errors_print_only_the_error_line(tmp_path, args):
     # numpy's overflow warnings at the spots whose non-finite result is

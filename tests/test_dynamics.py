@@ -150,13 +150,13 @@ def test_library_error_is_not_resampled(monkeypatch):
     # propagate samples the callable once: a ChiralPulseError it raises
     # propagates without a second call
     calls = []
-    original = invariants.pulses_from_invariant
+    original = invariants._checked_pulses
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(invariants, "pulses_from_invariant", counting)
+    monkeypatch.setattr(invariants, "_checked_pulses", counting)
     ham = schedule_hamiltonian(sps_schedule(1.0), L, 1.0)
     with pytest.raises(ClampViolation):
         propagate(ham, QuantumState.basis(2), make_grid(1.0, DEFAULT_STEPS))

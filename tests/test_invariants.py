@@ -11,6 +11,7 @@ from chiralpulse import (
     QuantumState,
     SingularTheta,
     ansatz_schedule,
+    exact_fidelities,
     make_grid,
     make_schedule,
     propagate,
@@ -216,6 +217,68 @@ def test_clamp_violation_outside_window():
     # a clamp so low that even the mid-pulse loop coupling exceeds it
     with pytest.raises(ClampViolation):
         pulses_from_invariant(sps_schedule(1.0), make_grid(1.0, 1000), 1.0)
+
+
+@pytest.mark.parametrize("kind, n", [("oss", None), ("osd", None), ("ansatz", 1.1),
+                                     ("ansatz", 3.0)])
+def test_ansatz_grid_is_make_grid(kind, n):
+    for T in (0.68, 1.0, 1.525):
+        schedule = make_schedule(kind, T, n)
+        for steps in (1, 2, 37, DEFAULT_STEPS):
+            for clamp in (DEFAULT_CLAMP / T, 1e200):
+                grid = schedule.grid(steps, clamp)
+                assert grid.tobytes() == make_grid(T, steps).tobytes()
+
+
+def _switch_time(T, clamp):
+    """t_c, where the sps cot pulse (pi/2T) cot(pi t/2T) falls to the clamp."""
+    return 2.0 * T / np.pi * np.arctan(np.pi / (2.0 * T * clamp))
+
+
+@pytest.mark.parametrize("clamp", [DEFAULT_CLAMP, 150.0, 1000.0, 1e9, 1e200])
+def test_sps_grid_puts_the_clamp_switch_on_a_grid_point(clamp):
+    for T in (0.68, 1.0, 1.525):
+        for steps in (2, 3, 37, DEFAULT_STEPS):
+            grid = sps_schedule(T).grid(steps, clamp / T)
+            assert len(grid) == steps + 1
+            assert np.all(np.diff(grid) > 0)
+            assert grid[0] == 0.0 and grid[-1] == T
+            assert grid[1] == pytest.approx(_switch_time(T, clamp / T), rel=1e-15)
+            # geometric after t_c: every step is the same multiple of its start
+            ratios = grid[2:] / grid[1:-1]
+            np.testing.assert_allclose(ratios, (T / grid[1]) ** (1.0 / (steps - 1)), rtol=1e-12)
+    # the cap holds up to t_c, and the cot pulse is below it after
+    grid = sps_schedule(1.0).grid(DEFAULT_STEPS, clamp)
+    pulses = pulses_from_invariant(sps_schedule(1.0), grid[1:3], clamp)
+    assert pulses.omega_q[0] == pytest.approx(clamp, rel=1e-13)
+    assert pulses.omega_q[1] < clamp
+
+
+def test_sps_grid_in_units_of_t_depends_on_clamp_times_t_only():
+    for steps in (2, 37, DEFAULT_STEPS):
+        for clamp in (DEFAULT_CLAMP, 150.0, 1e9):
+            one, two = (sps_schedule(T).grid(steps, clamp / T) / T for T in (1.0, 2.0))
+            assert one.tobytes() == two.tobytes()
+
+
+def test_sps_grid_rejects_what_it_cannot_place():
+    schedule = sps_schedule(1.0)
+    with pytest.raises(ValueError, match="an sps grid needs steps >= 2"):
+        schedule.grid(1, DEFAULT_CLAMP)
+    for clamp in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="clamp must be positive"):
+            schedule.grid(DEFAULT_STEPS, clamp)
+    with pytest.raises(ValueError, match="too large to place the sps clamp switch"):
+        sps_schedule(1e10).grid(DEFAULT_STEPS, 1e300)
+
+
+def test_sps_clamp_switch_past_the_window_is_rejected():
+    # at clamp 99.95/T the cap holds up to t_c = 0.010004 T, past the 1% window;
+    # no Gauss node of the uniform 400-step grid fell on (0.01, t_c) T, so the
+    # violation went unseen there
+    assert _switch_time(1.0, 99.95) > CLAMP_WINDOW_FRACTION
+    with pytest.raises(ClampViolation, match="exceeds clamp 99.95 at t = 0.0100021, outside"):
+        exact_fidelities(sps_schedule(1.0), 0.0, 0.0, DEFAULT_STEPS, 99.95)
 
 
 def _singular_sample(t):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,6 @@ from chiralpulse import (
     QuantumState,
     ansatz_schedule,
     exact_fidelities,
-    make_grid,
     make_schedule,
     optimize_n,
     population_trace,
@@ -111,8 +112,9 @@ def _cf4_reference(h1, h2, dts):
     return total
 
 
-def _node_times(steps):
-    grid = make_grid(1.0, steps)
+def _node_times(schedule, steps):
+    """The two Gauss nodes and the width of every step of the schedule's grid."""
+    grid = schedule.grid(steps, CLAMP)
     h = np.diff(grid)
     return grid[:-1] + (0.5 - SQRT3 / 6.0) * h, grid[:-1] + (0.5 + SQRT3 / 6.0) * h, h
 
@@ -120,8 +122,8 @@ def _node_times(steps):
 def test_exact_fidelity_matches_stepwise_propagation():
     # closed-form exponentials + tree product against an expm step loop over
     # the Hamiltonian matrices at the Gauss nodes
-    t1, t2, dts = _node_times(DEFAULT_STEPS)
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0)):
+        t1, t2, dts = _node_times(schedule, DEFAULT_STEPS)
         samples = [pulses_from_invariant(schedule, t, CLAMP) for t in (t1, t2)]
         for hand in (L, R):
             for alpha, delta in ((0.0, 0.0), (0.05, 0.3)):
@@ -137,10 +139,10 @@ def test_exact_fidelity_matches_stepwise_propagation():
 @pytest.mark.parametrize("steps", [777, 4001])
 def test_fidelity_from_pulses_matches_expm_sequential_product(steps):
     # odd step counts leave a trailing factor at every other tree level; the
-    # sps pulses are clamped, with a kink, inside the first and last 1%
-    t1, t2, dts = _node_times(steps)
-    nodes = np.column_stack([t1, t2]).ravel()
+    # sps pulses are clamped on the first step of their grid, up to the kink
     for schedule in (sps_schedule(1.0), ansatz_schedule(1.10, 1.0)):
+        t1, t2, dts = _node_times(schedule, steps)
+        nodes = np.column_stack([t1, t2]).ravel()
         pulses = pulses_from_invariant(schedule, nodes, CLAMP)
         for hand in (L, R):
             for alpha, delta in ((0.0, 0.0), (0.05, 0.3)):
@@ -162,9 +164,8 @@ def test_exact_fidelities_reject_non_finite_amplitudes():
             exact_fidelities(sps_schedule(1.0), alpha, delta, DEFAULT_STEPS, CLAMP)
 
 
-def _dop853_fidelity(schedule, alpha, delta, hand):
+def _dop853_fidelity(schedule, alpha, delta, hand, clamp):
     """Adaptive 8th-order Runge-Kutta (rtol = atol = 1e-12) on the perturbed H."""
-    clamp = DEFAULT_CLAMP / schedule.duration
     s = hand.coupling_sign
     detuning = delta * DETUNING
 
@@ -181,7 +182,7 @@ def _dop853_fidelity(schedule, alpha, delta, hand):
 
 
 @pytest.mark.parametrize("scheme, alpha, delta, bound", [
-    ("sps", 0.3, 1.0, 5e-8),            # the clamp kink; 2.3e-8 measured
+    ("sps", 0.3, 1.0, 5e-8),            # 3.9e-11 measured; 2.3e-8 on the uniform grid
     ("ansatz", -0.3, -1.0 / 3.0, 5e-11),  # 2.3e-11
     ("ansatz", 0.3, 1.0 / 3.0, 5e-10),    # 2.4e-10
 ], ids=["sps_corner", "ansatz_alpha_min", "ansatz_alpha_max"])
@@ -190,7 +191,42 @@ def test_default_steps_accuracy_against_dop853(scheme, alpha, delta, bound):
     # midpoint rule they replace (3.3e-7, 9.6e-8 and 8.4e-8 on these cases)
     schedule = sps_schedule(1.0) if scheme == "sps" else ansatz_schedule(1.10, 1.0)
     assert abs(exact_fidelities(schedule, alpha, delta, DEFAULT_STEPS, CLAMP)[0]
-               - _dop853_fidelity(schedule, alpha, delta, L)) < bound
+               - _dop853_fidelity(schedule, alpha, delta, L, CLAMP)) < bound
+
+
+# the 11x11 (alpha, delta) box of the sps accuracy tests, alpha-major
+BOX = (np.repeat(np.linspace(-0.3, 0.3, 11), 11), np.tile(np.linspace(-1.0, 1.0, 11), 11))
+
+
+@functools.cache
+def _sps_box_reference(clamp):
+    """Exact sps fidelities on BOX at 6400 steps, its corners checked against DOP853."""
+    schedule = sps_schedule(1.0)
+    reference = exact_fidelities(schedule, *BOX, 6400, clamp)
+    for k in (0, len(reference) - 1):       # (-0.3, -1) and (0.3, 1); 1.9e-11 at most
+        assert abs(reference[k] - _dop853_fidelity(schedule, BOX[0][k], BOX[1][k], L,
+                                                   clamp)) < 1e-10
+    return reference
+
+
+def _sps_box_error(steps, clamp):
+    return float(np.max(np.abs(exact_fidelities(sps_schedule(1.0), *BOX, steps, clamp)
+                               - _sps_box_reference(clamp))))
+
+
+@pytest.mark.parametrize("clamp", [DEFAULT_CLAMP, 150.0, 1000.0])
+def test_sps_error_at_default_steps_is_below_1e_9_at_every_clamp(clamp):
+    # the clamp switch t_c is a grid point and the steps after it are graded:
+    # 2.1e-11, 2.8e-11 and 9.9e-11 measured.  The uniform grid gave 3.4e-8
+    # (one of its points sits 8e-7 T from t_c), 5.4e-6 and 1.5e-4
+    assert _sps_box_error(DEFAULT_STEPS, clamp) < 1e-9
+
+
+def test_sps_error_falls_16_fold_per_step_doubling():
+    # fourth order on the graded grid: 16.3 measured between 100 and 200
+    # steps at clamp 150; 2.8 on the uniform grid, whose steps straddle the kink
+    ratio = _sps_box_error(100, 150.0) / _sps_box_error(200, 150.0)
+    assert 12 <= ratio <= 20
 
 
 def test_exact_fidelity_handedness_symmetry():

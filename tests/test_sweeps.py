@@ -8,7 +8,6 @@ from chiralpulse import (
     exact_fidelities,
     fidelity_curve,
     fidelity_heatmap,
-    make_grid,
     make_schedule,
     population_trace,
     propagate,
@@ -64,7 +63,7 @@ def test_right_trace_is_the_mirror_of_a_right_handed_propagation(kind, n):
             assert np.array_equal(right.data, left.data[:, [0, 3, 2, 1]])
             assert right.metadata == {**left.metadata, "handedness": "right"}
             assert list(right.metadata) == list(left.metadata)
-            grid = make_grid(T, steps)
+            grid = schedule.grid(steps, clamp)
             pops = propagate(schedule_hamiltonian(schedule, R, clamp),
                              QuantumState.basis(2), grid).populations
             keep = np.unique(np.round(np.linspace(0, steps, TRACE_POINTS)).astype(int))
@@ -219,7 +218,7 @@ def _count_kernel_points(monkeypatch) -> list:
 
 def _unfolded(schedule, alphas, deltas):
     """Left-handed fidelities with each point propagated at its signed delta."""
-    grid = make_grid(schedule.duration, DEFAULT_STEPS)
+    grid = schedule.grid(DEFAULT_STEPS, CLAMP)
     w, q = schedule_hamiltonian(schedule, L, CLAMP)(gauss_nodes(grid))
     total = dynamics._cf4_products(w, q, np.diff(grid), np.asarray(alphas, dtype=float),
                                    np.asarray(deltas, dtype=float))
