@@ -1,10 +1,11 @@
 """Command-line front end: design, simulate, scan, heatmap, optimize.
 
 Configuration precedence is CLI flag > config file (`--config`, flat
-`key = value` lines, each value converted with its flag's type) > built-in
-default.  The built-in defaults live only here (``DEFAULT_STEPS``,
-``DEFAULT_CLAMP``, ``COMMON_DEFAULTS`` and ``COMMAND_DEFAULTS``): every
-library function takes its steps, clamp, mode and n range from its caller.
+`key = value` lines, each value parsed as its flag `--key=value`, with the
+flag's type and choices) > built-in default.  The built-in defaults live
+only here (``DEFAULT_STEPS``, ``DEFAULT_CLAMP``, ``COMMON_DEFAULTS`` and
+``COMMAND_DEFAULTS``): every library function takes its steps, clamp, mode
+and n range from its caller.
 The effective configuration is echoed into every output file's
 metadata block, and each run ends with a single machine-parsable
 `key=value` summary line on stdout.  `--workers` is accepted (>= 1) and
@@ -13,7 +14,8 @@ computes its results before it creates `--out`, so a rejected run leaves no
 directory or file behind.
 
 `scan` calls ``fidelity_curve`` once per scheme of `--schemes`, each writing
-one file, so a scheme listed twice is rejected before anything is computed;
+one file named by ``InvariantSchedule.name``, so a scheme listed twice is
+rejected before anything is computed;
 `heatmap` calls ``fidelity_heatmap`` and `optimize` checks its optimum with
 ``exact_fidelities``.  `scan` and `heatmap` build every error axis in
 ``_error_axis``, which holds all the axis checks.  The two handednesses are
@@ -101,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The `chiralpulse` argument parser, built once per process.
 
     Every call returns the same parser.  Parsing leaves it unchanged (each
-    ``parse_args`` fills a fresh namespace), so ``main`` and ``_flag_types``
+    ``parse_args`` fills a fresh namespace), so ``main`` and ``resolve_config``
     share it; a caller must not modify it.
     """
     parser = argparse.ArgumentParser(
@@ -176,35 +178,25 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _flag_types(command: str) -> dict:
-    """{dest: the `type=` its flag declares} for every flag of `command`."""
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a.type for a in sub.choices[command]._actions}
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit CLI flags, then validate."""
+    """defaults < config file < explicit CLI flags, then validate.
+
+    Each file value is parsed as its flag, ``--key=value`` (the `=` keeps a
+    value such as `-1e308` a value), so it gets the flag's type and choices,
+    and a bad one exits 2 through argparse as a bad flag does.  A `none`
+    value leaves the default in place.
+    """
     cfg = dict(COMMON_DEFAULTS)
     cfg.update(COMMAND_DEFAULTS[args.command])
     file_values = read_config_file(args.config) if args.config else {}
     unknown = set(file_values) - set(cfg)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    types = _flag_types(args.command) if file_values else {}
-    for key, text in file_values.items():
-        if text is None:        # `none` leaves the default in place
-            continue
-        flag_type = types[key] or str
-        try:
-            cfg[key] = flag_type(text)
-        except ValueError:
-            raise ValueError(f"config {key}: invalid {flag_type.__name__} "
-                             f"value: {text!r}") from None
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        cfg[key] = value
+    flags = [f"--{key.replace('_', '-')}={text}"
+             for key, text in file_values.items() if text is not None]
+    for parsed in (build_parser().parse_args([args.command, *flags]), args):
+        cfg.update((key, value) for key, value in vars(parsed).items()
+                   if key not in ("command", "config") and value is not None)
     _validate_config(args.command, cfg)
     return cfg
 
@@ -245,11 +237,14 @@ def _scheme_from_config(cfg: dict):
 
 
 def _parse_scheme_token(token: str, duration: float):
-    token = token.strip().lower()
-    if token.startswith("ansatz:"):
-        n = float(token.split(":", 1)[1])
-        return f"ansatz{n:g}", make_schedule("ansatz", duration, n)
-    return token, make_schedule(token, duration)
+    key = token.strip().lower()
+    if key.startswith("ansatz:"):
+        try:
+            n = float(key.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"scheme {token.strip()!r}: n must be a number") from None
+        return make_schedule("ansatz", duration, n)
+    return make_schedule(key, duration)
 
 
 def _absolute_clamp(cfg: dict) -> float:
@@ -289,7 +284,7 @@ def cmd_design(cfg: dict) -> int:
     report = validate_schedule(schedule, clamp=_absolute_clamp(cfg))
     (out / "validation.txt").write_text(report.to_text(), encoding="utf-8")
     _summary("design", {
-        "scheme": schedule.label, "T": cfg["T"], "steps": cfg["steps"],
+        "scheme": schedule.name, "T": cfg["T"], "steps": cfg["steps"],
         "clamp": cfg["clamp"], "validation": "pass" if report.all_passed else "fail",
         "pulses": out / "pulses.csv", "report": out / "validation.txt",
     })
@@ -302,7 +297,7 @@ def cmd_simulate(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     for handedness, trace in traces.items():
-        trace.to_csv(out / f"populations_{schedule.slug}_{handedness.value}.csv",
+        trace.to_csv(out / f"populations_{schedule.name}_{handedness.value}.csv",
                      _effective_metadata(cfg))
     left_p3 = traces[Handedness.LEFT].column("p3")[-1]
     right_p1 = traces[Handedness.RIGHT].column("p1")[-1]
@@ -312,7 +307,7 @@ def cmd_simulate(cfg: dict) -> int:
           if min(left_p3, right_p1) >= 0.999 else
           "discrimination verdict: incomplete transfer")
     _summary("simulate", {
-        "scheme": schedule.label, "T": cfg["T"], "steps": cfg["steps"],
+        "scheme": schedule.name, "T": cfg["T"], "steps": cfg["steps"],
         "left_p3": f"{left_p3:.9f}", "right_p1": f"{right_p1:.9f}",
         "discriminated": min(left_p3, right_p1) >= 0.999,
     })
@@ -325,19 +320,19 @@ def cmd_scan(cfg: dict) -> int:
     hi = cfg["max"] if cfg["max"] is not None else (0.3 if kind == "systematic" else 1.0 / cfg["T"])
     amplitudes = _error_axis("alpha" if kind == "systematic" else "delta", lo, hi, cfg["points"])
     tokens = str(cfg["schemes"]).split(",")
-    schemes = dict(_parse_scheme_token(token, cfg["T"]) for token in tokens)
-    if len(schemes) < len(tokens):
+    schedules = [_parse_scheme_token(token, cfg["T"]) for token in tokens]
+    if len({schedule.name for schedule in schedules}) < len(tokens):
         raise ValueError(f"schemes {cfg['schemes']} lists a scheme twice; "
                          "each scheme writes one file")
     # every scheme is computed before any file is written
-    results = [(label, fidelity_curve(label, schedule, kind, amplitudes, cfg["mode"],
-                                      cfg["steps"], _absolute_clamp(cfg)))
-               for label, schedule in schemes.items()]
+    results = {schedule.name: fidelity_curve(schedule, kind, amplitudes, cfg["mode"],
+                                             cfg["steps"], _absolute_clamp(cfg))
+               for schedule in schedules}
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for label, result in results:
-        path = out / f"{kind}_{label}_{cfg['mode']}.csv"
+    for name, result in results.items():
+        path = out / f"{kind}_{name}_{cfg['mode']}.csv"
         result.to_csv(path, _effective_metadata(cfg))
         written.append(str(path))
     _summary("scan", {"error": kind, "points": cfg["points"],
@@ -351,15 +346,14 @@ def cmd_heatmap(cfg: dict) -> int:
     deltas = _error_axis("delta", cfg["delta_min"] / cfg["T"], cfg["delta_max"] / cfg["T"],
                          cfg["delta_points"])
     schedule = _scheme_from_config(cfg)
-    label = schedule.slug
     result = fidelity_heatmap(schedule, alphas, deltas, cfg["steps"], _absolute_clamp(cfg))
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"heatmap_{label}_exact.csv"
+    path = out / f"heatmap_{schedule.name}_exact.csv"
     result.to_csv(path, _effective_metadata(cfg))
     region = {k.split("_fraction_")[-1]: v for k, v in result.metadata.items()
               if "fraction" in k}
-    _summary("heatmap", {"scheme": label,
+    _summary("heatmap", {"scheme": schedule.name,
                          "grid": f"{cfg['alpha_points']}x{cfg['delta_points']}",
                          **{f"region_fraction_{k}": v for k, v in region.items()},
                          "file": path})

@@ -83,7 +83,7 @@ Two schedule families are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -134,26 +134,18 @@ class InvariantSchedule:
 
     ``eta_plus_of`` is the closed-form channel phase, anchored at t = 0, or
     at t = T for sps, whose t = 0 endpoint diverges.
+
+    ``name`` is the scheme as the CLI's scan token spells it (sps, oss, osd
+    or ``ansatz{n:g}``); every file name, column, summary and metadata line
+    that names the scheme uses it.
     """
 
+    name: str
     kind: str                   # "sps" or "ansatz"
     n: Optional[float]
     duration: float
     sample: Callable[..., ScheduleSample]
     eta_plus_of: Callable
-
-    @property
-    def label(self) -> str:
-        if self.kind == "sps":
-            return "sps"
-        return f"ansatz(n={self.n:g})"
-
-    @property
-    def slug(self) -> str:
-        """Filename-safe scheme tag."""
-        if self.kind == "sps":
-            return "sps"
-        return f"ansatz{self.n:g}"
 
     def describe(self) -> dict:
         meta = {"kind": self.kind, "T": self.duration}
@@ -224,7 +216,7 @@ def sps_schedule(duration: float) -> InvariantSchedule:
         with np.errstate(divide="ignore"):
             return -np.log(np.tan(0.5 * (rate * np.asarray(t, dtype=float))))
 
-    return InvariantSchedule(kind="sps", n=None, duration=T, sample=sample,
+    return InvariantSchedule(name="sps", kind="sps", n=None, duration=T, sample=sample,
                              eta_plus_of=eta_plus_of)
 
 
@@ -266,8 +258,8 @@ def ansatz_schedule(n: float, duration: float) -> InvariantSchedule:
         phi = rate * np.asarray(t, dtype=float)
         return -(n * np.sin(3.0 * phi) + phi)
 
-    return InvariantSchedule(kind="ansatz", n=n, duration=T, sample=sample,
-                             eta_plus_of=eta_plus_of)
+    return InvariantSchedule(name=f"ansatz{n:g}", kind="ansatz", n=n, duration=T,
+                             sample=sample, eta_plus_of=eta_plus_of)
 
 
 def make_schedule(kind: str, duration: float, n: float | None = None) -> InvariantSchedule:
@@ -276,9 +268,9 @@ def make_schedule(kind: str, duration: float, n: float | None = None) -> Invaria
     if key == "sps":
         return sps_schedule(duration)
     if key == "oss":
-        return ansatz_schedule(1.07, duration)
+        return replace(ansatz_schedule(1.07, duration), name="oss")
     if key == "osd":
-        return ansatz_schedule(1.12, duration)
+        return replace(ansatz_schedule(1.12, duration), name="osd")
     if key == "ansatz":
         if n is None:
             raise ValueError("ansatz schedule requires the harmonic weight n")

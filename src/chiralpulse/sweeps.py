@@ -7,9 +7,10 @@ map.  The sensitivity against the ansatz weight n is scanned by
 ``robustness.optimize_n``, which needs only its minimum.
 
 Each sweep takes one scheme and its error amplitudes as arrays:
-``fidelity_curve`` a label, a schedule, an error kind, its amplitudes and a
-mode; ``fidelity_heatmap`` a schedule, its alphas and its deltas.  The
-metadata records each array as `[first,last]xlength`.
+``fidelity_curve`` a schedule, an error kind, its amplitudes and a mode;
+``fidelity_heatmap`` a schedule, its alphas and its deltas.  The metadata
+records each array as `[first,last]xlength`, and names the scheme, like the
+columns of ``fidelity_curve``, by ``InvariantSchedule.name``.
 
 Every output is deterministic: no timestamps, fixed float formatting (15
 significant digits), and one calling thread.  The exact fidelities of a
@@ -90,9 +91,9 @@ def _base_metadata(spec_like: dict) -> dict:
     return meta
 
 
-def _scheme_meta(label: str, schedule: InvariantSchedule) -> str:
+def _scheme_meta(schedule: InvariantSchedule) -> str:
     desc = schedule.describe()
-    return f"{label}:" + ",".join(f"{k}={v}" for k, v in desc.items())
+    return f"{schedule.name}:" + ",".join(f"{k}={v}" for k, v in desc.items())
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +125,7 @@ def population_trace(schedule: InvariantSchedule, steps: int,
     for hand, data in ((Handedness.LEFT, left), (Handedness.RIGHT, left[:, [0, 3, 2, 1]])):
         meta = _base_metadata({
             "sweep": "population_trace",
-            "scheme": _scheme_meta(schedule.label, schedule),
+            "scheme": _scheme_meta(schedule),
             "handedness": hand.value,
             "steps": steps,
             "clamp": clamp,
@@ -139,9 +140,9 @@ def _axis_meta(values: np.ndarray) -> str:
     return f"[{values[0]:g},{values[-1]:g}]x{len(values)}"
 
 
-def fidelity_curve(label: str, schedule: InvariantSchedule, kind: str, amplitudes,
+def fidelity_curve(schedule: InvariantSchedule, kind: str, amplitudes,
                    mode: str, steps: int, clamp: float) -> SweepResult:
-    """Fidelity of one scheme, tagged `label` in the columns, at each error amplitude.
+    """Fidelity of `schedule` at each error amplitude; the columns carry its name.
 
     `kind` is "systematic" (the amplitudes are alphas) or "detuning" (deltas).
     `mode` "exact" writes the exact left- and right-handed columns, "perturbative"
@@ -164,19 +165,19 @@ def fidelity_curve(label: str, schedule: InvariantSchedule, kind: str, amplitude
     else:
         alphas, deltas = (amplitudes, 0.0) if kind == "systematic" else (0.0, amplitudes)
         exact = exact_fidelities(schedule, alphas, deltas, steps, clamp)
-        columns += [f"F_{label}_exact_{hand.value}" for hand in Handedness]
+        columns += [f"F_{schedule.name}_exact_{hand.value}" for hand in Handedness]
         data += [exact] * 2
     if mode != "exact":
         measure = q_alpha if kind == "systematic" else q_delta
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite q is rejected next
             sens = measure(schedule)
         if not math.isfinite(sens):
-            raise ValueError(f"fidelity_curve: q_{kind} of {label} is {sens}; "
+            raise ValueError(f"fidelity_curve: q_{kind} of {schedule.name} is {sens}; "
                              "the sensitivity overflows at this duration")
         # an overflow gives inf, which SweepResult rejects
         with np.errstate(over="ignore", invalid="ignore"):
             pert = second_order_fidelity(kind, amplitudes, sens)
-        columns.append(f"F_{label}_pert")
+        columns.append(f"F_{schedule.name}_pert")
         data.append(pert)
     data = np.column_stack(data)
     meta = _base_metadata({
@@ -187,7 +188,7 @@ def fidelity_curve(label: str, schedule: InvariantSchedule, kind: str, amplitude
         "steps": steps,
         "clamp": clamp,
         "quad_abs_tol": ABS_TOL,
-        "schemes": _scheme_meta(label, schedule),
+        "schemes": _scheme_meta(schedule),
     })
     if mode == "both":
         # validity window: |alpha| <= 0.1, or |delta|*T <= 0.5 for the detuning axis
@@ -229,7 +230,7 @@ def fidelity_heatmap(schedule: InvariantSchedule, alphas, deltas,
     columns = ["alpha", "delta"] + [f"F_exact_{h.value}" for h in Handedness]
     meta = _base_metadata({
         "sweep": "fidelity_heatmap",
-        "scheme": _scheme_meta(schedule.slug, schedule),
+        "scheme": _scheme_meta(schedule),
         "alpha_axis": _axis_meta(alphas),
         "delta_axis": _axis_meta(deltas),
         "handedness": "both",

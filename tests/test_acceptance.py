@@ -127,22 +127,20 @@ def test_criterion_3_detuning_minimum_verified_by_exact_propagation():
 # criterion 4: scheme ordering under exact propagation
 # ---------------------------------------------------------------------------
 
-def _ordering_margin(kind, lo, hi, better_label, better_schedule):
+def _ordering_margin(kind, lo, hi, better_schedule):
     amplitudes = np.linspace(lo, hi, 51)
-    sps = fidelity_curve("sps", sps_schedule(1.0), kind, amplitudes, "exact", DEFAULT_STEPS,
+    sps = fidelity_curve(sps_schedule(1.0), kind, amplitudes, "exact", DEFAULT_STEPS,
                          COMPARISON_CLAMP)
-    better = fidelity_curve(better_label, better_schedule, kind, amplitudes, "exact",
+    better = fidelity_curve(better_schedule, kind, amplitudes, "exact",
                             DEFAULT_STEPS, COMPARISON_CLAMP)
-    margin = (better.column(f"F_{better_label}_exact_left")
+    margin = (better.column(f"F_{better_schedule.name}_exact_left")
               - sps.column("F_sps_exact_left"))
     return float(np.min(margin))
 
 
 def test_criterion_4_scheme_ordering():
-    worst_oss = _ordering_margin("systematic", -0.2, 0.2, "oss",
-                                 ansatz_schedule(1.07, 1.0))
-    worst_osd = _ordering_margin("detuning", -1.0, 1.0, "osd",
-                                 ansatz_schedule(1.12, 1.0))
+    worst_oss = _ordering_margin("systematic", -0.2, 0.2, ansatz_schedule(1.07, 1.0))
+    worst_osd = _ordering_margin("detuning", -1.0, 1.0, ansatz_schedule(1.12, 1.0))
     ok = worst_oss >= -1e-6 and worst_osd >= -1e-6
     report("4 scheme ordering", ok,
            f"min(F_oss-F_sps)={worst_oss:.2e} min(F_osd-F_sps)={worst_osd:.2e}")

@@ -5,14 +5,15 @@ and passes each value down, so the library entry points take their step
 count, pulse cap, sweep mode and n range from the caller.
 """
 
+import dataclasses
 import inspect
 
 import pytest
 
 import chiralpulse
-from chiralpulse import (exact_fidelities, fidelity_curve, fidelity_heatmap, make_grid,
-                         optimize_n, population_trace, pulses_from_invariant,
-                         schedule_hamiltonian, validate_schedule)
+from chiralpulse import (InvariantSchedule, exact_fidelities, fidelity_curve, fidelity_heatmap,
+                         make_grid, make_schedule, optimize_n, population_trace,
+                         pulses_from_invariant, schedule_hamiltonian, validate_schedule)
 
 REQUIRED = {
     pulses_from_invariant: ("clamp",),
@@ -49,3 +50,14 @@ def test_public_names():
     }
     assert len(chiralpulse.__all__) == 30
     assert all(hasattr(chiralpulse, name) for name in chiralpulse.__all__)
+
+
+def test_a_schedule_has_one_name():
+    # the scheme is named by its scan token, in one field, and nowhere else
+    assert list(inspect.signature(fidelity_curve).parameters) == [
+        "schedule", "kind", "amplitudes", "mode", "steps", "clamp"]
+    assert "name" in {field.name for field in dataclasses.fields(InvariantSchedule)}
+    schedules = [make_schedule(kind, 1.0, 1.1) for kind in ("sps", "oss", "osd", "ansatz")]
+    assert [s.name for s in schedules] == ["sps", "oss", "osd", "ansatz1.1"]
+    for schedule in schedules:
+        assert not hasattr(schedule, "label") and not hasattr(schedule, "slug")

@@ -226,6 +226,8 @@ HUGE_SPS_CLAMP = [
     ["heatmap", "--alpha-min", "0.3", "--alpha-points", "2", "--delta-points", "2"],
     ["design", "--scheme", "ansatz", "--n", "7.44"],     # |Omega_q| grows with n
     *HUGE_SPS_CLAMP,
+    ["scan", "--schemes", "ansatz:abc"],
+    ["scan", "--schemes", "ansatz:"],
 ])
 def test_rejected_run_creates_no_out_directory(tmp_path, capsys, args):
     # every command computes before it creates --out
@@ -254,12 +256,55 @@ def test_unknown_error_kind_rejected(tmp_path, capsys):
         run_cli(["scan", "--error", "resonance", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert "invalid choice: 'resonance'" in capsys.readouterr().err
-    # a config file bypasses the flag's choices; the sweep rejects the kind
+    # a config file value is parsed as its flag, with the flag's choices
     config = tmp_path / "bad.cfg"
     config.write_text("error = resonance\n")
-    assert run_cli(["scan", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: unknown error kind 'resonance'\n"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["scan", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --error: invalid choice: 'resonance' "
+        "(choose from 'systematic', 'detuning')\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("token", ["ansatz:abc", "ansatz:", "Ansatz: x"])
+def test_a_bad_scheme_token_names_itself(tmp_path, capsys, token):
+    assert run_cli(["scan", "--schemes", f"sps,{token}", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: scheme {token!r}: n must be a number\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, token, name", [
+    (["--scheme", "sps"], "sps", "sps"),
+    (["--scheme", "oss"], "oss", "oss"),
+    (["--scheme", "osd"], "osd", "osd"),
+    (["--scheme", "ansatz", "--n", "1.1"], "ansatz:1.1", "ansatz1.1"),
+], ids=["sps", "oss", "osd", "ansatz1.1"])
+def test_every_output_names_a_scheme_as_its_scan_token(tmp_path, capsys, flags, token, name):
+    def summary(args):
+        assert run_cli(args + ["--out", str(tmp_path / args[0])]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        return dict(pair.split("=", 1) for pair in line.split())
+
+    def metadata(path, key):
+        return [line for line in path.read_text().splitlines() if line.startswith(f"# {key} = ")]
+
+    assert summary(["design", *flags])["scheme"] == name
+    assert summary(["simulate", *flags])["scheme"] == name
+    for hand in ("left", "right"):
+        trace = tmp_path / "simulate" / f"populations_{name}_{hand}.csv"
+        assert metadata(trace, "scheme")[0].startswith(f"# scheme = {name}:")
+    heatmap = summary(["heatmap", *flags, "--alpha-points", "2", "--delta-points", "2"])
+    path = tmp_path / "heatmap" / f"heatmap_{name}_exact.csv"
+    assert (heatmap["scheme"], heatmap["file"]) == (name, str(path))
+    assert metadata(path, "scheme")[0].startswith(f"# scheme = {name}:")
+    scan = summary(["scan", "--schemes", token, "--points", "3"])
+    path = tmp_path / "scan" / f"systematic_{name}_both.csv"
+    assert scan["files"] == str(path)
+    assert metadata(path, "schemes")[0].startswith(f"# schemes = {name}:")
+    header = [line for line in path.read_text().splitlines() if not line.startswith("#")][0]
+    assert header == f"alpha,F_{name}_exact_left,F_{name}_exact_right,F_{name}_pert"
 
 
 def test_heatmap_small(tmp_path, capsys):
@@ -427,7 +472,7 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 
 def test_read_config_file_parsing(tmp_path):
-    # values stay text; resolve_config converts each with its flag's type
+    # values stay text; resolve_config parses each as its flag
     config = tmp_path / "c.cfg"
     config.write_text("a = 1\nb-c = 2.5 # note\nd = text\ne = none\n")
     values = read_config_file(config)
@@ -436,10 +481,37 @@ def test_read_config_file_parsing(tmp_path):
 
 @pytest.mark.parametrize("line", ["steps = 2.5", "points = abc", "T = abc"])
 def test_config_file_value_of_wrong_type_rejected(tmp_path, capsys, line):
+    # a file value is parsed as its flag, so argparse rejects it as it rejects the flag
+    key, value = line.split(" = ")
     config = tmp_path / "bad.cfg"
     config.write_text(line + "\n")
-    assert run_cli(["scan", "--config", str(config), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["scan", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    flag_type = "float" if key == "T" else "int"
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --{key}: invalid {flag_type} value: '{value}'\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_that_look_like_flags_stay_values(tmp_path, capsys, monkeypatch):
+    # each file value is passed as --key=value, so a leading '-' is not a flag
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("error = detuning\nmin = -0.5\nmax = 0.5\npoints = 3\n"
+                      "schemes = osd\nmode = exact\nout = -dir\nscheme = none\n")
+    assert run_cli(["scan", "--config", str(config)]) == 0
+    assert "files=-dir/detuning_osd_exact.csv" in capsys.readouterr().out
+    assert read_data_rows(tmp_path / "-dir" / "detuning_osd_exact.csv")[:, 0].tolist() == [
+        -0.5, 0.0, 0.5]
+    # a flag still overrides the file, and a file value gets its flag's choices
+    assert run_cli(["scan", "--config", str(config), "--mode", "perturbative"]) == 0
+    assert (tmp_path / "-dir" / "detuning_osd_perturbative.csv").exists()
+    config.write_text("scheme = SPS\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["design", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --scheme: invalid choice: 'SPS'" in capsys.readouterr().err
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -289,8 +289,8 @@ def _singular_sample(t):
 
 
 def test_singular_theta_detected():
-    bad = InvariantSchedule(kind="ansatz", n=0.0, duration=1.0, sample=_singular_sample,
-                            eta_plus_of=lambda t: np.zeros_like(np.asarray(t, float)))
+    bad = InvariantSchedule(name="ansatz0", kind="ansatz", n=0.0, duration=1.0,
+                            sample=_singular_sample, eta_plus_of=lambda t: np.zeros_like(np.asarray(t, float)))
     with pytest.raises(SingularTheta, match=r"sin\(theta\) - cos\(theta\) = 1\.110e-16 "
                        r"at t = 0\.01; the pulse constraint is singular there"):
         pulses_from_invariant(bad, make_grid(1.0, 100), DEFAULT_CLAMP)
@@ -473,8 +473,8 @@ def test_validate_schedule_passes_for_both_families():
 
 
 def test_validate_schedule_flags_singular_theta():
-    bad = InvariantSchedule(kind="sps", n=None, duration=1.0, sample=_singular_sample,
-                            eta_plus_of=lambda t: np.zeros_like(np.asarray(t, float)))
+    bad = InvariantSchedule(name="sps", kind="sps", n=None, duration=1.0,
+                            sample=_singular_sample, eta_plus_of=lambda t: np.zeros_like(np.asarray(t, float)))
     report = validate_schedule(bad, DEFAULT_CLAMP)
     assert not report.all_passed
     failed = {c.name for c in report.checks if not c.passed}
@@ -542,7 +542,7 @@ def test_right_handed_invariant_residual_mirrors_the_left():
         left = invariant_residual(L, *samples)
         right = invariant_residual(R, *samples)
         np.testing.assert_array_equal(right, SWAP_1_3 @ left @ SWAP_1_3,
-                                      err_msg=schedule.label)
+                                      err_msg=schedule.name)
 
 
 _RNG = np.random.default_rng(18)

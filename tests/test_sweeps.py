@@ -73,8 +73,8 @@ def test_right_trace_is_the_mirror_of_a_right_handed_propagation(kind, n):
 
 def test_fidelity_curve_zero_error_is_unity():
     axis = ("systematic", np.linspace(-0.1, 0.1, 5))
-    for label, schedule in (("sps", sps_schedule(1.0)), ("oss", ansatz_schedule(1.07, 1.0))):
-        result = fidelity_curve(label, schedule, *axis, "exact", DEFAULT_STEPS, CLAMP)
+    for schedule in (sps_schedule(1.0), make_schedule("oss", 1.0)):
+        result = fidelity_curve(schedule, *axis, "exact", DEFAULT_STEPS, CLAMP)
         at_zero = result.data[2]
         assert result.data[2, 0] == 0.0
         assert np.all(at_zero[1:] > 1.0 - 1e-4)
@@ -84,22 +84,22 @@ def test_fidelity_curve_scheme_ordering_systematic():
     # compare schemes with the truncation bias suppressed (high clamp), so the
     # margin reflects the schedules rather than the pulse cap
     axis = ("systematic", np.linspace(-0.2, 0.2, 21))
-    sps = fidelity_curve("sps", sps_schedule(1.0), *axis, "exact", DEFAULT_STEPS, 5000.0)
-    oss = fidelity_curve("oss", ansatz_schedule(1.07, 1.0), *axis, "exact", DEFAULT_STEPS, 5000.0)
+    sps = fidelity_curve(sps_schedule(1.0), *axis, "exact", DEFAULT_STEPS, 5000.0)
+    oss = fidelity_curve(make_schedule("oss", 1.0), *axis, "exact", DEFAULT_STEPS, 5000.0)
     margin = oss.column("F_oss_exact_left") - sps.column("F_sps_exact_left")
     assert np.min(margin) >= -1e-6
 
 
 def test_fidelity_curve_scheme_ordering_detuning():
     axis = ("detuning", np.linspace(-1.0, 1.0, 21))
-    sps = fidelity_curve("sps", sps_schedule(1.0), *axis, "exact", DEFAULT_STEPS, 5000.0)
-    osd = fidelity_curve("osd", ansatz_schedule(1.12, 1.0), *axis, "exact", DEFAULT_STEPS, 5000.0)
+    sps = fidelity_curve(sps_schedule(1.0), *axis, "exact", DEFAULT_STEPS, 5000.0)
+    osd = fidelity_curve(make_schedule("osd", 1.0), *axis, "exact", DEFAULT_STEPS, 5000.0)
     margin = osd.column("F_osd_exact_left") - sps.column("F_sps_exact_left")
     assert np.min(margin) >= -1e-6
 
 
 def test_fidelity_curve_both_mode_agreement():
-    result = fidelity_curve("oss", ansatz_schedule(1.07, 1.0),
+    result = fidelity_curve(make_schedule("oss", 1.0),
                             "systematic", np.linspace(-0.3, 0.3, 13), "both",
                             DEFAULT_STEPS, CLAMP)
     exact = result.column("F_oss_exact_left")
@@ -115,7 +115,7 @@ def test_agreement_stats_of_the_default_scan(label, flagged, worst):
     # the default `scan`: systematic axis [-0.3, 0.3] x 101, both modes, clamp
     # 100/T at T = 1; a flagged point counts once per exact column, so the
     # counts are even
-    result = fidelity_curve(label, make_schedule(label, 1.0),
+    result = fidelity_curve(make_schedule(label, 1.0),
                             "systematic", np.linspace(-0.3, 0.3, 101), "both",
                             DEFAULT_STEPS, 100.0)
     assert result.metadata["agreement_window"] == "|alpha|<=0.1"
@@ -125,18 +125,18 @@ def test_agreement_stats_of_the_default_scan(label, flagged, worst):
 
 def test_fidelity_curve_rejects_an_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode 'magic'"):
-        fidelity_curve("sps", sps_schedule(1.0), "systematic", np.linspace(-0.1, 0.1, 3),
+        fidelity_curve(sps_schedule(1.0), "systematic", np.linspace(-0.1, 0.1, 3),
                        "magic", DEFAULT_STEPS, CLAMP)
 
 
 def test_fidelity_curve_rejects_an_unknown_error_kind():
     with pytest.raises(ValueError, match="unknown error kind 'resonance'"):
-        fidelity_curve("sps", sps_schedule(1.0), "resonance", np.linspace(-0.1, 0.1, 3),
+        fidelity_curve(sps_schedule(1.0), "resonance", np.linspace(-0.1, 0.1, 3),
                        "exact", DEFAULT_STEPS, CLAMP)
 
 
 def test_fidelity_curve_perturbative_handedness_free():
-    result = fidelity_curve("osd", ansatz_schedule(1.12, 1.0),
+    result = fidelity_curve(make_schedule("osd", 1.0),
                             "detuning", np.linspace(-0.5, 0.5, 5), "perturbative",
                             DEFAULT_STEPS, CLAMP)
     assert result.columns == ("delta", "F_osd_pert")
@@ -179,16 +179,16 @@ def test_heatmap_cells_equal_single_point_fidelities():
 
 
 def test_scan_points_equal_single_point_fidelities():
-    schemes = (("sps", sps_schedule(1.0)), ("ansatz1.1", ansatz_schedule(1.10, 1.0)))
+    schemes = (sps_schedule(1.0), ansatz_schedule(1.10, 1.0))
     for kind in ("systematic", "detuning"):
-        for label, schedule in schemes:
-            result = fidelity_curve(label, schedule, kind, np.linspace(-0.3, 0.3, 7), "both",
+        for schedule in schemes:
+            result = fidelity_curve(schedule, kind, np.linspace(-0.3, 0.3, 7), "both",
                                     DEFAULT_STEPS, CLAMP)
             points = [(amp, 0.0) if kind == "systematic" else (0.0, amp)
                       for amp in result.data[:, 0]]
             alone = [exact_fidelities(schedule, a, d, DEFAULT_STEPS, CLAMP)[0]
                      for a, d in points]
-            assert result.column(f"F_{label}_exact_left").tolist() == alone
+            assert result.column(f"F_{schedule.name}_exact_left").tolist() == alone
 
 
 def test_fidelities_across_a_chunk_boundary_equal_single_points():
@@ -261,20 +261,20 @@ def test_fold_merges_signed_zeros_and_repeated_points(monkeypatch):
 
 
 def test_scans_propagate_each_distinct_point_once(monkeypatch):
-    schemes = tuple((label, make_schedule(label, 1.0)) for label in ("sps", "oss", "osd"))
+    schemes = tuple(make_schedule(name, 1.0) for name in ("sps", "oss", "osd"))
     calls = _count_kernel_points(monkeypatch)
-    detuning = [fidelity_curve(label, schedule, "detuning", np.linspace(-1.0, 1.0, 5), "both",
+    detuning = [fidelity_curve(schedule, "detuning", np.linspace(-1.0, 1.0, 5), "both",
                                DEFAULT_STEPS, CLAMP)
-                for label, schedule in schemes]
+                for schedule in schemes]
     assert calls == [3, 3, 3]
     calls.clear()
-    for label, schedule in schemes:
-        fidelity_curve(label, schedule, "systematic", np.linspace(-0.3, 0.3, 5), "both",
+    for schedule in schemes:
+        fidelity_curve(schedule, "systematic", np.linspace(-0.3, 0.3, 5), "both",
                        DEFAULT_STEPS, CLAMP)
     assert calls == [5, 5, 5]
-    for (label, schedule), result in zip(schemes, detuning):
+    for schedule, result in zip(schemes, detuning):
         amps = result.data[:, 0]
-        assert result.column(f"F_{label}_exact_left").tolist() == _unfolded(
+        assert result.column(f"F_{schedule.name}_exact_left").tolist() == _unfolded(
             schedule, np.zeros(5), amps)
 
 
@@ -320,7 +320,7 @@ def test_sensitivity_curves_smooth_with_single_interior_minimum():
 
 
 def test_sweep_csv_determinism(tmp_path):
-    args = ("sps", sps_schedule(1.0), "systematic", np.linspace(-0.1, 0.1, 5), "exact", 500,
+    args = (sps_schedule(1.0), "systematic", np.linspace(-0.1, 0.1, 5), "exact", 500,
             CLAMP)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     fidelity_curve(*args).to_csv(p1)
@@ -345,8 +345,8 @@ def test_sweep_csv_matches_per_row_formatting(tmp_path):
                             [np.pi, -2.0 / 3.0, 1.0 / 7.0, 9.999999999999999e22]])
     for k, result in enumerate([
             *population_trace(sps_schedule(1.0), DEFAULT_STEPS, CLAMP).values(),
-            fidelity_curve("sps", sps_schedule(1.0), *axis, "both", DEFAULT_STEPS, CLAMP),
-            fidelity_curve("oss", ansatz_schedule(1.07, 1.0), *axis, "both", DEFAULT_STEPS,
+            fidelity_curve(sps_schedule(1.0), *axis, "both", DEFAULT_STEPS, CLAMP),
+            fidelity_curve(make_schedule("oss", 1.0), *axis, "both", DEFAULT_STEPS,
                            CLAMP),
             SweepResult(columns=("a", "b", "c", "d"), data=adversarial, metadata={"x": 1}),
             SweepResult(columns=("a", "b"), data=adversarial.T[:, :2])]):  # not C-contiguous
