@@ -1,11 +1,14 @@
 """Command-line front end: design, simulate, scan, heatmap, optimize.
 
-Configuration precedence is CLI flag > config file (`--config`, flat
-`key = value` lines, each value parsed as its flag `--key=value`, with the
-flag's type and choices) > built-in default.  The built-in defaults live
-only here (``DEFAULT_STEPS``, ``DEFAULT_CLAMP``, ``COMMON_DEFAULTS`` and
-``COMMAND_DEFAULTS``): every library function takes its steps, clamp, mode
-and n range from its caller.
+``build_parser`` states each command's settings once, each flag with its
+default.  Every command takes `--T --steps --clamp --workers --out
+--config`; `--scheme` and `--n` belong to `design`, `simulate` and
+`heatmap`, and `--n` only to `--scheme ansatz`.
+The keys of a `--config` file's flat `key = value` lines are the command's
+own flags: ``main`` parses each as `--key=value` ahead of the CLI flags, so
+it gets its flag's type and choices, and precedence is CLI flag > config
+file > the flag's default.  Every library function takes its steps, clamp,
+mode and n range from its caller.
 The effective configuration is echoed into every output file's
 metadata block, and each run ends with a single machine-parsable
 `key=value` summary line on stdout.  `--workers` is accepted (>= 1) and
@@ -18,7 +21,8 @@ one file named by ``InvariantSchedule.name``, so a scheme listed twice is
 rejected before anything is computed;
 `heatmap` calls ``fidelity_heatmap`` and `optimize` checks its optimum with
 ``exact_fidelities``.  `scan` and `heatmap` build every error axis in
-``_error_axis``, which holds all the axis checks.  The two handednesses are
+``_error_axis``, which holds all the axis checks; their detuning bounds,
+like `--clamp`, are in units of 1/T.  The two handednesses are
 mirrors (see ``sweeps``), so every command propagates the left-handed system
 only: `scan` and `heatmap` copy its fidelities into their right-handed
 columns, and `simulate` writes its right-handed trace as the left one with
@@ -46,55 +50,40 @@ from .invariants import (
 from .robustness import exact_fidelities, optimize_n
 from .sweeps import fidelity_curve, fidelity_heatmap, population_trace
 
-SCHEME_CHOICES = ("sps", "ansatz", "oss", "osd")
 DEFAULT_STEPS = 400     # CF4 steps on [0, T] of every propagating command
 DEFAULT_CLAMP = 100.0   # cap on |Omega_q| in units of 1/T
+HEATMAP_N = 1.10        # the n of the heatmap's default scheme, the ansatz
 
-COMMON_DEFAULTS = {
-    "scheme": "sps",
-    "n": None,
-    "T": 1.0,
-    "steps": DEFAULT_STEPS,
-    "clamp": DEFAULT_CLAMP,
-    "workers": 1,
-    "out": ".",
-}
-
-COMMAND_DEFAULTS = {
-    # design exports pulse samples and propagates nothing: its grid stays at
-    # 4000 intervals, so pulses.csv keeps its 4001 rows
-    "design": {"steps": 4000},
-    "simulate": {},
-    "scan": {"error": "systematic", "schemes": "sps,oss", "mode": "both",
-             "points": 101, "min": None, "max": None},
-    "heatmap": {"scheme": "ansatz", "n": 1.10,
-                "alpha_min": -0.3, "alpha_max": 0.3, "alpha_points": 101,
-                "delta_min": -1.0, "delta_max": 1.0, "delta_points": 101},
-    "optimize": {"kind": "systematic", "n_min": 0.5, "n_max": 1.5, "tol": 1e-3},
-}
+_CF4_STEPS_HELP = ("fourth-order (CF4) propagation steps on [0,T] (default %(default)s): "
+                   "equal for the ansatz schemes; for sps one step to the clamp switch, "
+                   "then steps growing with t")
 
 
-def _common_parser() -> argparse.ArgumentParser:
+def _run_flags(steps: int = DEFAULT_STEPS, steps_help: str = _CF4_STEPS_HELP):
+    # built afresh for each command: argparse shares a parent's actions among
+    # its children, so a default set for one command would reach the others
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--scheme", choices=SCHEME_CHOICES,
-                   help="schedule family; oss/osd are the ansatz at n=1.07/1.12")
-    p.add_argument("--n", type=float,
-                   help="ansatz harmonic weight n (dimensionless)")
-    p.add_argument("--T", type=float, dest="T",
-                   help="pulse duration T (time unit; frequencies are in 1/T)")
-    p.add_argument("--steps", type=int,
-                   help=f"fourth-order (CF4) propagation steps on [0,T] (default "
-                        f"{DEFAULT_STEPS}): equal for the ansatz schemes; for sps one "
-                        f"step to the clamp switch, then steps growing with t; for "
-                        f"design, the equal pulses.csv grid intervals (default "
-                        f"{COMMAND_DEFAULTS['design']['steps']})")
-    p.add_argument("--clamp", type=float,
-                   help=f"cap on |Omega_q| in units of 1/T (default {DEFAULT_CLAMP:g})")
-    p.add_argument("--workers", type=int,
-                   help="accepted (>= 1) and ignored: sweeps run in one thread")
-    p.add_argument("--out", help="output directory (default: current)")
+    p.add_argument("--T", type=float, default=1.0,
+                   help="pulse duration T; frequencies are in 1/T (default %(default)s)")
+    p.add_argument("--steps", type=int, default=steps, help=steps_help)
+    p.add_argument("--clamp", type=float, default=DEFAULT_CLAMP,
+                   help="cap on |Omega_q| in units of 1/T (default %(default)s)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="ignored (>= 1): sweeps run in one thread (default %(default)s)")
+    p.add_argument("--out", default=".", help="output directory (default %(default)s)")
     p.add_argument("--config",
-                   help="flat key=value config file; CLI flags override it")
+                   help="flat key = value file of this command's flags; CLI flags override it")
+    return p
+
+
+def _scheme_flags(scheme: str = "sps", n: float | None = None):
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--scheme", choices=("sps", "ansatz", "oss", "osd"), default=scheme,
+                   help="schedule family; oss/osd are the ansatz at n=1.07/1.12 "
+                        "(default %(default)s)")
+    p.add_argument("--n", type=float, default=n,
+                   help="ansatz harmonic weight n (dimensionless), only with --scheme ansatz"
+                        + (", which requires it" if n is None else " (default %(default)s)"))
     return p
 
 
@@ -103,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The `chiralpulse` argument parser, built once per process.
 
     Every call returns the same parser.  Parsing leaves it unchanged (each
-    ``parse_args`` fills a fresh namespace), so ``main`` and ``resolve_config``
-    share it; a caller must not modify it.
+    ``parse_args`` fills a fresh namespace), so every ``main`` call shares
+    it; a caller must not modify it.
     """
     parser = argparse.ArgumentParser(
         prog="chiralpulse",
@@ -112,50 +101,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_parser()
 
-    sub.add_parser("design", parents=[common],
-                   help="synthesize pulses and write pulses.csv + validation.txt")
-    sub.add_parser("simulate", parents=[common],
-                   help="write both handednesses' population traces and a verdict line")
+    def command(name, help, *parents):
+        # flags are spelled in full: scan's `--scheme` is not its `--schemes`
+        return sub.add_parser(name, parents=list(parents), help=help, allow_abbrev=False)
 
-    scan = sub.add_parser("scan", parents=[common],
-                          help="fidelity vs one error amplitude, one CSV per scheme")
-    scan.add_argument("--error", choices=("systematic", "detuning"),
-                      help="swept error kind (default systematic)")
-    scan.add_argument("--schemes",
-                      help="comma list: sps, oss, osd, or ansatz:<n> (default sps,oss)")
-    scan.add_argument("--mode", choices=("exact", "perturbative", "both"),
-                      help="fidelity evaluation mode (default both)")
-    scan.add_argument("--points", type=int, help="axis points (default 101)")
-    scan.add_argument("--min", type=float, dest="min",
-                      help="axis minimum (default -0.3 systematic, -1/T detuning)")
-    scan.add_argument("--max", type=float, dest="max",
-                      help="axis maximum (default +0.3 systematic, +1/T detuning)")
+    command("design", "synthesize pulses and write pulses.csv + validation.txt",
+            _scheme_flags(),
+            _run_flags(4000, "equal pulses.csv grid intervals on [0,T] (default %(default)s)"))
+    command("simulate", "write both handednesses' population traces and a verdict line",
+            _scheme_flags(), _run_flags())
 
-    heat = sub.add_parser("heatmap", parents=[common],
-                          help="exact fidelity on an (alpha, delta) grid")
-    heat.add_argument("--alpha-min", type=float, dest="alpha_min",
-                      help="systematic amplitude minimum (dimensionless, default -0.3)")
-    heat.add_argument("--alpha-max", type=float, dest="alpha_max",
-                      help="systematic amplitude maximum (default +0.3)")
-    heat.add_argument("--alpha-points", type=int, dest="alpha_points",
-                      help="systematic axis points (default 101)")
-    heat.add_argument("--delta-min", type=float, dest="delta_min",
-                      help="detuning minimum in 1/T (default -1)")
-    heat.add_argument("--delta-max", type=float, dest="delta_max",
-                      help="detuning maximum in 1/T (default +1)")
-    heat.add_argument("--delta-points", type=int, dest="delta_points",
-                      help="detuning axis points (default 101)")
+    scan = command("scan", "fidelity vs one error amplitude, one CSV per scheme", _run_flags())
+    scan.add_argument("--error", choices=("systematic", "detuning"), default="systematic",
+                      help="swept error kind (default %(default)s)")
+    scan.add_argument("--schemes", default="sps,oss",
+                      help="comma list: sps, oss, osd, or ansatz:<n> (default %(default)s)")
+    scan.add_argument("--mode", choices=("exact", "perturbative", "both"), default="both",
+                      help="fidelity evaluation mode (default %(default)s)")
+    scan.add_argument("--points", type=int, default=101, help="axis points (default %(default)s)")
+    scan.add_argument("--min", type=float,
+                      help="axis minimum, detuning in 1/T (default -0.3 systematic, -1 detuning)")
+    scan.add_argument("--max", type=float,
+                      help="axis maximum, detuning in 1/T (default +0.3 systematic, +1 detuning)")
 
-    opt = sub.add_parser("optimize", parents=[common],
-                         help="minimize an error sensitivity over the ansatz weight n")
-    opt.add_argument("--kind", choices=("systematic", "detuning"),
-                     help="sensitivity to minimize (default systematic)")
-    opt.add_argument("--n-min", type=float, dest="n_min", help="scan start (default 0.5)")
-    opt.add_argument("--n-max", type=float, dest="n_max", help="scan end (default 1.5)")
-    opt.add_argument("--tol", type=float,
-                     help="bracket width for the refinement (default 1e-3)")
+    heat = command("heatmap", "exact fidelity on an (alpha, delta) grid",
+                   _scheme_flags("ansatz", HEATMAP_N), _run_flags())
+    heat.add_argument("--alpha-min", type=float, default=-0.3,
+                      help="systematic amplitude minimum (dimensionless, default %(default)s)")
+    heat.add_argument("--alpha-max", type=float, default=0.3,
+                      help="systematic amplitude maximum (default %(default)s)")
+    heat.add_argument("--alpha-points", type=int, default=101,
+                      help="systematic axis points (default %(default)s)")
+    heat.add_argument("--delta-min", type=float, default=-1.0,
+                      help="detuning minimum in 1/T (default %(default)s)")
+    heat.add_argument("--delta-max", type=float, default=1.0,
+                      help="detuning maximum in 1/T (default %(default)s)")
+    heat.add_argument("--delta-points", type=int, default=101,
+                      help="detuning axis points (default %(default)s)")
+
+    opt = command("optimize", "minimize an error sensitivity over the ansatz weight n",
+                  _run_flags())
+    opt.add_argument("--kind", choices=("systematic", "detuning"), default="systematic",
+                     help="sensitivity to minimize (default %(default)s)")
+    opt.add_argument("--n-min", type=float, default=0.5, help="scan start (default %(default)s)")
+    opt.add_argument("--n-max", type=float, default=1.5, help="scan end (default %(default)s)")
+    opt.add_argument("--tol", type=float, default=1e-3,
+                     help="bracket width for the refinement (default %(default)s)")
     return parser
 
 
@@ -178,33 +170,23 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit CLI flags, then validate.
-
-    Each file value is parsed as its flag, ``--key=value`` (the `=` keeps a
-    value such as `-1e308` a value), so it gets the flag's type and choices,
-    and a bad one exits 2 through argparse as a bad flag does.  A `none`
-    value leaves the default in place.
-    """
-    cfg = dict(COMMON_DEFAULTS)
-    cfg.update(COMMAND_DEFAULTS[args.command])
-    file_values = read_config_file(args.config) if args.config else {}
-    unknown = set(file_values) - set(cfg)
+def _config_flags(args: argparse.Namespace) -> list:
+    """The `--config` file as `--key=value` flags; a `none` value leaves the default."""
+    values = read_config_file(args.config)
+    unknown = set(values) - (set(vars(args)) - {"command", "config"})
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    flags = [f"--{key.replace('_', '-')}={text}"
-             for key, text in file_values.items() if text is not None]
-    for parsed in (build_parser().parse_args([args.command, *flags]), args):
-        cfg.update((key, value) for key, value in vars(parsed).items()
-                   if key not in ("command", "config") and value is not None)
-    _validate_config(args.command, cfg)
-    return cfg
+    # the `=` keeps a value such as `-1e308` a value
+    return [f"--{key.replace('_', '-')}={text}" for key, text in values.items() if text]
 
 
-def _validate_config(command: str, cfg: dict) -> None:
+def resolve_config(args: argparse.Namespace) -> dict:
+    """The command's settings as parsed into `args`, once checked."""
+    cfg = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
+
     def positive(key):
         value = cfg[key]
-        if value is None or not np.isfinite(value) or value <= 0:
+        if not np.isfinite(value) or value <= 0:
             raise ValueError(f"{key} must be positive and finite, got {value}")
 
     positive("T")
@@ -213,13 +195,22 @@ def _validate_config(command: str, cfg: dict) -> None:
         raise ValueError(f"steps must be >= 2, got {cfg['steps']}")
     if cfg["workers"] < 1:
         raise ValueError(f"workers must be >= 1, got {cfg['workers']}")
-    if cfg["scheme"] == "ansatz" and command != "scan":
-        if cfg["n"] is None or not np.isfinite(cfg["n"]):
-            raise ValueError("scheme 'ansatz' requires a finite --n")
-    if command == "optimize":
+    if "scheme" in cfg:
+        if cfg["scheme"] == "ansatz":
+            if cfg["n"] is None or not np.isfinite(cfg["n"]):
+                raise ValueError("scheme 'ansatz' requires a finite --n")
+        elif cfg["n"] is not None:
+            # a given --n is a new float: only the heatmap's default n, for
+            # its default ansatz, is the HEATMAP_N object on its flag
+            if cfg["n"] is not HEATMAP_N:
+                raise ValueError(f"--n is the ansatz weight; scheme '{cfg['scheme']}' "
+                                 "takes no --n")
+            cfg["n"] = None
+    if args.command == "optimize":
         if not cfg["n_min"] < cfg["n_max"]:
             raise ValueError("n_min must be below n_max")
         positive("tol")
+    return cfg
 
 
 def _effective_metadata(cfg: dict) -> dict:
@@ -233,7 +224,7 @@ def _summary(command: str, pairs: dict) -> None:
 
 
 def _scheme_from_config(cfg: dict):
-    return make_schedule(cfg["scheme"], cfg["T"], cfg.get("n"))
+    return make_schedule(cfg["scheme"], cfg["T"], cfg["n"])
 
 
 def _parse_scheme_token(token: str, duration: float):
@@ -316,8 +307,10 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_scan(cfg: dict) -> int:
     kind = cfg["error"]
-    lo = cfg["min"] if cfg["min"] is not None else (-0.3 if kind == "systematic" else -1.0 / cfg["T"])
-    hi = cfg["max"] if cfg["max"] is not None else (0.3 if kind == "systematic" else 1.0 / cfg["T"])
+    lo = cfg["min"] if cfg["min"] is not None else (-0.3 if kind == "systematic" else -1.0)
+    hi = cfg["max"] if cfg["max"] is not None else (0.3 if kind == "systematic" else 1.0)
+    if kind == "detuning":      # quoted in units of 1/T, like the heatmap's and --clamp
+        lo, hi = lo / cfg["T"], hi / cfg["T"]
     amplitudes = _error_axis("alpha" if kind == "systematic" else "delta", lo, hi, cfg["points"])
     tokens = str(cfg["schemes"]).split(",")
     schedules = [_parse_scheme_token(token, cfg["T"]) for token in tokens]
@@ -386,9 +379,14 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # file values go before the CLI flags, and argparse keeps a flag's last value
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_flags(args), *argv[at:]])
         cfg = resolve_config(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """The public surface: the exported names, and no library default for the CLI's settings.
 
-The CLI owns every default (``cli.COMMON_DEFAULTS``, ``cli.COMMAND_DEFAULTS``)
-and passes each value down, so the library entry points take their step
-count, pulse cap, sweep mode and n range from the caller.
+The CLI owns every default, each on its flag in ``cli.build_parser``, and
+passes each value down, so the library entry points take their step count,
+pulse cap, sweep mode and n range from the caller.
 """
 
 import dataclasses

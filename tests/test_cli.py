@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -228,6 +229,8 @@ HUGE_SPS_CLAMP = [
     *HUGE_SPS_CLAMP,
     ["scan", "--schemes", "ansatz:abc"],
     ["scan", "--schemes", "ansatz:"],
+    ["design", "--scheme", "oss", "--n", "3"],          # n belongs to the ansatz
+    ["heatmap", "--scheme", "sps", "--n", "1.1", "--alpha-points", "2", "--delta-points", "2"],
 ])
 def test_rejected_run_creates_no_out_directory(tmp_path, capsys, args):
     # every command computes before it creates --out
@@ -235,6 +238,51 @@ def test_rejected_run_creates_no_out_directory(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["scan", "--scheme", "sps"],
+    ["optimize", "--scheme", "sps"],
+    ["scan", "--n", "99"],
+    ["optimize", "--n", "3"],
+])
+def test_scan_and_optimize_take_no_scheme_or_n(tmp_path, capsys, args):
+    # neither command reads them, and a flag is never an abbreviation: scan's
+    # --scheme is not its --schemes
+    out = tmp_path / "new_dir"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_n_from_a_config_file_belongs_to_the_ansatz_too(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("scheme = osd\nn = 3\n")
+    out = tmp_path / "new_dir"
+    assert run_cli(["design", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --n is the ansatz weight; scheme 'osd' takes no --n\n")
+    assert not out.exists()
+
+
+def test_outputs_echo_only_the_settings_the_command_reads(tmp_path):
+    def config_keys(path):
+        return {line.split(" = ")[0].removeprefix("# config.")
+                for line in path.read_text().splitlines() if line.startswith("# config.")}
+
+    assert run_cli(["scan", "--points", "3", "--out", str(tmp_path / "scan")]) == 0
+    files = list((tmp_path / "scan").glob("*.csv"))
+    assert len(files) == 2
+    for path in files:
+        assert "schemes" in config_keys(path) and not {"scheme", "n"} & config_keys(path)
+    # the heatmap's default n belongs to its default scheme, the ansatz
+    heatmap = ["heatmap", "--alpha-points", "2", "--delta-points", "2"]
+    assert run_cli(heatmap + ["--out", str(tmp_path / "a")]) == 0
+    assert "# config.n = 1.1\n" in (tmp_path / "a" / "heatmap_ansatz1.1_exact.csv").read_text()
+    assert run_cli(heatmap + ["--scheme", "oss", "--out", str(tmp_path / "o")]) == 0
+    assert "n" not in config_keys(tmp_path / "o" / "heatmap_oss_exact.csv")
 
 
 @pytest.mark.parametrize("args, message", [
@@ -329,6 +377,18 @@ def test_heatmap_detuning_flags_are_in_units_of_one_over_T(tmp_path):
     t2 = read_data_rows(tmp_path / "t2" / "heatmap_ansatz1.1_exact.csv")
     np.testing.assert_array_equal(t2[:3, 1], [-0.5, 0.0, 0.5])
     np.testing.assert_allclose(t2[:, 2:], t1[:, 2:], rtol=0, atol=1e-12)
+
+
+def test_scan_detuning_bounds_are_in_units_of_one_over_T(tmp_path):
+    # explicit bounds follow 1/T as the default axis and the heatmap's do
+    args = ["scan", "--error", "detuning", "--schemes", "oss", "--mode", "exact",
+            "--points", "3", "--min", "-1", "--max", "1"]
+    assert run_cli(args + ["--out", str(tmp_path / "t1")]) == 0
+    assert run_cli(args + ["--T", "2", "--out", str(tmp_path / "t2")]) == 0
+    t1 = read_data_rows(tmp_path / "t1" / "detuning_oss_exact.csv")
+    t2 = read_data_rows(tmp_path / "t2" / "detuning_oss_exact.csv")
+    np.testing.assert_array_equal(t2[:, 0], [-0.5, 0.0, 0.5])
+    np.testing.assert_allclose(t2[:, 1:], t1[:, 1:], rtol=0, atol=1e-12)
 
 
 def test_optimize_systematic_prints_optimum(capsys):
@@ -460,6 +520,16 @@ def test_config_file_and_precedence(tmp_path, capsys):
     assert "# config.steps = 750" in (out2 / "pulses.csv").read_text()
 
 
+@pytest.mark.parametrize("before", [True, False], ids=["flag_first", "config_first"])
+def test_a_flag_overrides_the_config_file_on_either_side(tmp_path, before):
+    config = tmp_path / "run.cfg"
+    config.write_text("steps = 600\n")
+    flag, file = ["--steps", "750"], ["--config", str(config)]
+    out = tmp_path / "out"
+    assert run_cli(["design", *(flag + file if before else file + flag), "--out", str(out)]) == 0
+    assert "# config.steps = 750" in (out / "pulses.csv").read_text()
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("flux_capacitor = 1\n")
@@ -499,7 +569,7 @@ def test_config_values_that_look_like_flags_stay_values(tmp_path, capsys, monkey
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "run.cfg"
     config.write_text("error = detuning\nmin = -0.5\nmax = 0.5\npoints = 3\n"
-                      "schemes = osd\nmode = exact\nout = -dir\nscheme = none\n")
+                      "schemes = osd\nmode = exact\nout = -dir\nsteps = none\n")
     assert run_cli(["scan", "--config", str(config)]) == 0
     assert "files=-dir/detuning_osd_exact.csv" in capsys.readouterr().out
     assert read_data_rows(tmp_path / "-dir" / "detuning_osd_exact.csv")[:, 0].tolist() == [
@@ -554,3 +624,6 @@ def test_help_lists_every_flag():
         text = sub.format_help()
         for flag in flags:
             assert flag in text, f"{flag} missing from {command} --help"
+        if command in ("scan", "optimize"):
+            # --schemes and --n-min are other flags
+            assert not re.search(r"--(scheme|n)(?![\w-])", text), f"{command} --help"
