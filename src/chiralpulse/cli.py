@@ -3,7 +3,8 @@
 ``build_parser`` states each command's settings once, each flag with its
 default.  Every command takes `--T --steps --clamp --workers --out
 --config`; `--scheme` and `--n` belong to `design`, `simulate` and
-`heatmap`, and `--n` only to `--scheme ansatz`.
+`heatmap`, and `--n` only to `--scheme ansatz`.  A command's parser
+rejects a flag it does not take under its own usage.
 The keys of a `--config` file's flat `key = value` lines are the command's
 own flags: ``main`` parses each as `--key=value` ahead of the CLI flags, so
 it gets its flag's type and choices, and precedence is CLI flag > config
@@ -87,6 +88,16 @@ def _scheme_flags(scheme: str = "sps", n: float | None = None):
     return p
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it rejects the arguments it does not know under its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `chiralpulse` argument parser, built once per process.
@@ -100,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariant-based pulse design and chiral-discrimination simulation",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def command(name, help, *parents):
         # flags are spelled in full: scan's `--scheme` is not its `--schemes`
@@ -387,12 +398,7 @@ def main(argv=None) -> int:
             # file values go before the CLI flags, and argparse keeps a flag's last value
             at = argv.index(args.command) + 1
             args = parser.parse_args([*argv[:at], *_config_flags(args), *argv[at:]])
-        cfg = resolve_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](resolve_config(args))
     except (ChiralPulseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

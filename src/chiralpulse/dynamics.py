@@ -39,21 +39,23 @@ weights 2 a1 and 2 a2 sum to 1, so each combined exponent is again such a
 matrix, with the same alpha and delta.  It is Hermitian and traceless with
 det H = 0, so its spectrum is exactly {-r, 0, r} and each exponential has
 a closed form.  ``gauss_nodes`` gives the 2N interleaved node times of an
-N-step grid.  One routine, ``_half_step_exponentials``, writes that closed
-form from the real couplings of the combined exponents, and both
-propagation paths use it:
+N-step grid.  Both propagation paths share one front end and one
+exponential.  ``_cf4_exponents`` calls a vectorized callable once, on the
+nodes of a grid, for the real couplings (Omega, sign * Omega_q) there,
+rejects samples of the wrong shape or that are not finite, and returns the
+real couplings of the 2N combined exponents with their widths h_k / 2.
+``_half_step_exponentials`` writes the closed form from them:
 
-* ``propagate`` calls a vectorized callable once, on the nodes, for the real
-  couplings (Omega, sign * Omega_q) there, combines them, writes the
-  exponentials at alpha = delta = 0, and advances the state through the
-  steps, returning every intermediate state.  A pair of real couplings can
-  only describe a cyclic Hamiltonian, so no precondition needs checking;
+* ``propagate`` writes the exponentials at alpha = delta = 0 and advances
+  the state through the steps, returning every intermediate state.  A pair
+  of real couplings can only describe a cyclic Hamiltonian, so no
+  precondition needs checking;
 * exact fidelities need only the final state, for many error points
-  (alpha, delta) over one pulse sampling.  ``_cf4_products`` takes the
-  couplings that such a callable returns on the nodes, combines them once,
-  writes the exponentials of every point, and multiplies each point's 2N
-  factors by pairwise reduction (``_tree_product``), a chunk of points at a
-  time, into preallocated buffers.
+  (alpha, delta) over one pulse sampling.  ``_cf4_products`` writes the
+  exponentials of every point from the one set of combined exponents, and
+  multiplies each point's 2N factors by pairwise reduction
+  (``_tree_product``), a chunk of points at a time, into preallocated
+  buffers.
 
 The 3x3 arithmetic runs component-major, on (3,3,N) arrays whose trailing
 axis runs over the steps (and (3,3,M,2N) arrays, M error points, in the
@@ -153,27 +155,41 @@ def gauss_nodes(grid: np.ndarray) -> np.ndarray:
     return nodes
 
 
-def _combine(samples: np.ndarray) -> np.ndarray:
-    """The 2N CF4 exponents from 2N samples at ``gauss_nodes``, along the last axis.
+def _cf4_exponents(couplings_at: Callable,
+                   grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, Q, taus): the real couplings of the 2N CF4 exponents of `grid`, and their widths.
 
-    Step k's pair (H1, H2) becomes 2(a1 H1 + a2 H2), applied first, and
-    2(a2 H1 + a1 H2); each is exponentiated over h_k / 2.  With W = 2 a1 and
-    2 a2 = 1 - W these are H2 + W (H1 - H2) and H1 - W (H1 - H2).  The cyclic
-    Hamiltonian is linear in its real couplings, so the rule combines the
-    (2N,) samples of each coupling, or a batch of them.
+    `couplings_at` is called once, on the ``gauss_nodes`` of `grid`, as in
+    ``propagate``.  Step k's pair of samples (H1, H2) becomes 2(a1 H1 + a2 H2),
+    applied first, and 2(a2 H1 + a1 H2), each exponentiated over h_k / 2.
+    With w1 = 2 a1 and 2 a2 = 1 - w1 these are H2 + w1 (H1 - H2) and
+    H1 - w1 (H1 - H2); the cyclic Hamiltonian is linear in its real couplings,
+    so the rule combines the (2N,) samples of each coupling.  This is the
+    one sampling of both propagation paths; it raises the ``ValueError`` and
+    ``NonFiniteHamiltonian`` that ``propagate`` documents for the samples.
     """
-    h1, h2 = samples[..., 0::2], samples[..., 1::2]
+    nodes = gauss_nodes(grid)
+    w, q = (np.asarray(x, dtype=float) for x in couplings_at(nodes))
+    if w.shape != nodes.shape or q.shape != nodes.shape:
+        raise ValueError(
+            f"couplings callable returned shapes {w.shape} and {q.shape} for "
+            f"{len(nodes)} times; propagate needs two ({len(nodes)},) arrays"
+        )
+    samples = np.stack((w, q))
+    finite = np.isfinite(samples).all(axis=0)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise NonFiniteHamiltonian(
+            f"Hamiltonian sample at t={nodes[bad]:.6g} has non-finite couplings "
+            "(unclamped pulse singularity?)"
+        )
+    h1, h2 = samples[:, 0::2], samples[:, 1::2]
     shift = h1 - h2
     shift *= _W1
-    out = np.empty(samples.shape, dtype=shift.dtype)
-    np.add(h2, shift, out=out[..., 0::2])
-    np.subtract(h1, shift, out=out[..., 1::2])
-    return out
-
-
-def _half_steps(dts: np.ndarray) -> np.ndarray:
-    """(2N,) widths of the CF4 exponentials: each step's h_k / 2, twice."""
-    return np.repeat(0.5 * np.asarray(dts, dtype=float), 2)
+    exponents = np.empty_like(samples)
+    np.add(h2, shift, out=exponents[:, 0::2])
+    np.subtract(h1, shift, out=exponents[:, 1::2])
+    return exponents[0], exponents[1], np.repeat(0.5 * np.diff(grid), 2)
 
 
 @dataclass(frozen=True)
@@ -192,15 +208,12 @@ class Trajectory:
         return float(np.max(np.abs(np.sum(self.populations, axis=1) - 1.0)))
 
 
-def _mul3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-step products a_k b_k of two (3,3,N) component-major stacks."""
-    out = np.empty(a.shape, dtype=complex)
-    _mul3_into(a, b, out, np.empty_like(out))
-    return out
-
-
 def _mul3_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
-    """``_mul3`` of two (3,3,...) stacks written into `out`, each later term built in `term`."""
+    """Per-step products a_k b_k of two (3,3,...) component-major stacks, into `out`.
+
+    The first of the three terms is written into `out`, the later ones into
+    `term` and added.
+    """
     np.multiply(a[:, 0, None], b[None, 0], out=out)
     np.multiply(a[:, 1, None], b[None, 1], out=term)
     out += term
@@ -307,24 +320,21 @@ def _tree_product(u: np.ndarray, work: tuple) -> np.ndarray:
     return p[..., 0]
 
 
-def _cf4_products(w: np.ndarray, q: np.ndarray, dts: np.ndarray,
+def _cf4_products(w: np.ndarray, q: np.ndarray, taus: np.ndarray,
                   alphas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """(3,3,M) CF4 propagators of the steps `dts` at M error points, one pulse sampling.
+    """(3,3,M) CF4 propagators of one pulse sampling at M error points.
 
-    `w` and `q` are the real couplings (W, Q) at the 2N ``gauss_nodes``, as
-    the callable of ``propagate`` returns them; error point m is the
-    Hamiltonian (1 + alphas[m]) H + deltas[m] (|3><3| - |1><1|), with H the
-    cyclic Hamiltonian of the module docstring at these samples.  That is
-    affine in the couplings and the CF4 weights sum to 1, so the couplings
-    are combined once, as real arrays, for all points.  Points run in chunks
+    (w, q, taus) are a grid's 2N combined exponents and their widths, as
+    ``_cf4_exponents`` returns them; error point m is the Hamiltonian
+    (1 + alphas[m]) H + deltas[m] (|3><3| - |1><1|), with H the cyclic
+    Hamiltonian of the module docstring at the samples.  That is affine in
+    the couplings and the CF4 weights sum to 1, so every point shares the
+    combined exponents, with its own alpha and delta.  Points run in chunks
     of about ``_CHUNK_BYTES`` of exponentials, each through
     ``_half_step_exponentials`` and one ``_tree_product``.  Every operation
     is elementwise over the points, so a point's propagator does not depend
     on the other points or on the chunking.
     """
-    w = _combine(np.asarray(w, dtype=float))
-    q = _combine(np.asarray(q, dtype=float))
-    taus = _half_steps(dts)
     points, length = len(alphas), len(taus)
     chunk = max(1, min(points, _CHUNK_BYTES // (9 * 16 * length)))
     u = np.empty((3, 3, chunk, length), dtype=complex)
@@ -379,38 +389,24 @@ def propagate(
     if (grid.ndim != 1 or len(grid) < 2 or not np.isfinite(grid).all()
             or not np.all(np.diff(grid) > 0)):
         raise ValueError("grid must be a strictly increasing 1-D array of finite times")
-    nodes = gauss_nodes(grid)
-    w, q = (np.asarray(x, dtype=float) for x in couplings_at(nodes))
-    if w.shape != nodes.shape or q.shape != nodes.shape:
-        raise ValueError(
-            f"couplings callable returned shapes {w.shape} and {q.shape} for "
-            f"{len(nodes)} times; propagate needs two ({len(nodes)},) arrays"
-        )
-    finite = np.isfinite(w) & np.isfinite(q)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise NonFiniteHamiltonian(
-            f"Hamiltonian sample at t={nodes[bad]:.6g} has non-finite couplings "
-            "(unclamped pulse singularity?)"
-        )
-    dts = np.diff(grid)
-    halves = np.empty((3, 3, 1, len(nodes)), dtype=complex)
+    w, q, taus = _cf4_exponents(couplings_at, grid)
+    halves = np.empty((3, 3, 1, len(taus)), dtype=complex)
     no_error = np.zeros(1)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite step is rejected next
-        _half_step_exponentials(_combine(w), _combine(q), _half_steps(dts),
-                                no_error, no_error, halves)
+        _half_step_exponentials(w, q, taus, no_error, no_error, halves)
     halves = halves[:, :, 0]
     finite = np.isfinite(halves).all(axis=(0, 1))
     if not finite.all():
         k = int(np.flatnonzero(~finite)[0]) // 2
         raise NonFiniteHamiltonian(
-            f"the propagator of the step at t={grid[k] + 0.5 * dts[k]:.6g} is not "
+            f"the propagator of the step at t={grid[k] + taus[2 * k]:.6g} is not "
             "finite: its Hamiltonian is too large to exponentiate over the step"
         )
-    props = _mul3(halves[..., 1::2], halves[..., 0::2]).reshape(9, -1).T.tolist()
+    props = np.empty((3, 3, len(grid) - 1), dtype=complex)
+    _mul3_into(halves[..., 1::2], halves[..., 0::2], props, np.empty_like(props))
     a, b, c = initial.amplitudes.tolist()
     states = [(a, b, c)]
-    for m00, m01, m02, m10, m11, m12, m20, m21, m22 in props:
+    for m00, m01, m02, m10, m11, m12, m20, m21, m22 in props.reshape(9, -1).T.tolist():
         a, b, c = (m00 * a + m01 * b + m02 * c,
                    m10 * a + m11 * b + m12 * c,
                    m20 * a + m21 * b + m22 * c)

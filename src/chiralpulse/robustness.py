@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Handedness, _cf4_products, gauss_nodes
+from .dynamics import Handedness, _cf4_exponents, _cf4_products
 from .errors import NoInteriorMinimum
 from .invariants import InvariantSchedule, ansatz_schedule, schedule_hamiltonian
 from .quadrature import complex_quad
@@ -104,20 +104,6 @@ def second_order_fidelity(kind: str, amplitude, q: float):
     return 1.0 - scale * q
 
 
-def _sampled_couplings(schedule: InvariantSchedule, steps: int,
-                       clamp: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dts, W, Q): the steps of the schedule's `steps`-interval grid
-    (``InvariantSchedule.grid``) and the left-handed couplings at its
-    ``gauss_nodes``, capped at `clamp`.
-
-    The one pulse sampling of the exact fidelities; it raises what
-    ``pulses_from_invariant`` raises (``ClampViolation``, ``SingularTheta``).
-    """
-    grid = schedule.grid(steps, clamp)
-    w, q = schedule_hamiltonian(schedule, Handedness.LEFT, clamp)(gauss_nodes(grid))
-    return np.diff(grid), w, q
-
-
 def exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
                      steps: int, clamp: float) -> np.ndarray:
     """Transfer fidelities under the perturbed Hamiltonian, one per error point.
@@ -129,12 +115,15 @@ def exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
     docstring).  The pulses are sampled once, capped at `clamp`, at the
     ``gauss_nodes`` of the schedule's `steps`-interval grid
     (``InvariantSchedule.grid``: uniform for the ansatz, graded after the
-    clamp switch for sps), by the sampler of ``propagate``
-    (``schedule_hamiltonian``).  Only the final state from |2>
-    is needed, so each point's 2N half-step exponentials are multiplied into
-    one matrix (``dynamics._cf4_products``) and its |2> column read off.  The points are
-    batched, but every operation is elementwise over them, so a point's value
-    does not depend on which batch, or which sweep, it was computed in.
+    clamp switch for sps), through the CF4 front end of ``propagate``
+    (``dynamics._cf4_exponents`` on ``schedule_hamiltonian``).  It raises
+    what that sampling raises (``ClampViolation``, ``SingularTheta``) even
+    for no error points, which return an empty array.  Only the final state
+    from |2> is needed, so each point's 2N half-step exponentials are
+    multiplied into one matrix (``dynamics._cf4_products``) and its |2>
+    column read off.  The points are batched, but every operation is
+    elementwise over them, so a point's value does not depend on which
+    batch, or which sweep, it was computed in.
 
     F is exactly even in delta (see the ``sweeps`` module docstring), and
     |delta| is exactly delta or -delta, so only the distinct pairs
@@ -146,7 +135,8 @@ def exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
     is not finite: finite Hamiltonian entries can still overflow
     r^2 = 2 W^2 + Q^2 + delta^2 in the step propagators.
     """
-    dts, w, q = _sampled_couplings(schedule, steps, clamp)
+    w, q, taus = _cf4_exponents(schedule_hamiltonian(schedule, Handedness.LEFT, clamp),
+                                schedule.grid(steps, clamp))
     alphas, deltas = (np.ravel(x) for x in np.broadcast_arrays(
         np.asarray(alphas, dtype=float), np.asarray(deltas, dtype=float)))
     if not (np.isfinite(alphas).all() and np.isfinite(deltas).all()):
@@ -155,7 +145,7 @@ def exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
     pairs.real, pairs.imag = alphas, np.abs(deltas)
     pairs, inverse = np.unique(pairs, return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value is rejected next
-        total = _cf4_products(w, q, dts, pairs.real, pairs.imag)
+        total = _cf4_products(w, q, taus, pairs.real, pairs.imag)
         values = (np.abs(total[Handedness.LEFT.target_level - 1, 1]) ** 2)[inverse]
     bad = ~np.isfinite(values)
     if bad.any():

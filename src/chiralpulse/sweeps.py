@@ -51,8 +51,7 @@ from ._version import __version__
 from .dynamics import Handedness, QuantumState, propagate
 from .invariants import InvariantSchedule, schedule_hamiltonian
 from .quadrature import ABS_TOL
-from .robustness import (_sampled_couplings, exact_fidelities, q_alpha, q_delta,
-                         second_order_fidelity)
+from .robustness import exact_fidelities, q_alpha, q_delta, second_order_fidelity
 
 TRACE_POINTS = 201          # rows per population trace at most, endpoints included
 HIGH_FIDELITY_LEVEL = 0.99  # the heatmap's F >= level region
@@ -147,8 +146,10 @@ def fidelity_curve(schedule: InvariantSchedule, kind: str, amplitudes,
     `kind` is "systematic" (the amplitudes are alphas) or "detuning" (deltas).
     `mode` "exact" writes the exact left- and right-handed columns, "perturbative"
     the second-order column, and "both" all three plus the agreement metadata.
-    Every mode samples the pulses once, at the nodes the exact fidelities use,
-    so a pulse that violates `clamp` is rejected in every mode.
+    Every mode calls ``exact_fidelities`` once, perturbative mode on no error
+    points, so every mode samples and checks the pulses that the exact
+    fidelities propagate, once, and a pulse that violates `clamp` is rejected
+    in every mode.
     """
     column = {"systematic": "alpha", "detuning": "delta"}.get(kind)
     if column is None:
@@ -158,13 +159,11 @@ def fidelity_curve(schedule: InvariantSchedule, kind: str, amplitudes,
     amplitudes = np.asarray(amplitudes, dtype=float)
     columns = [column]
     data = [amplitudes]
-    if mode == "perturbative":
-        # the pulses the exact modes would propagate, so that the same clamp and
-        # singularity checks reject the scheme
-        _sampled_couplings(schedule, steps, clamp)
-    else:
-        alphas, deltas = (amplitudes, 0.0) if kind == "systematic" else (0.0, amplitudes)
-        exact = exact_fidelities(schedule, alphas, deltas, steps, clamp)
+    # perturbative mode asks for no points, but its pulses are still checked
+    points = amplitudes[:0] if mode == "perturbative" else amplitudes
+    alphas, deltas = (points, 0.0) if kind == "systematic" else (0.0, points)
+    exact = exact_fidelities(schedule, alphas, deltas, steps, clamp)
+    if mode != "perturbative":
         columns += [f"F_{schedule.name}_exact_{hand.value}" for hand in Handedness]
         data += [exact] * 2
     if mode != "exact":

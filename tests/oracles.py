@@ -35,7 +35,7 @@ import numpy as np
 
 from chiralpulse import (Handedness, InvariantSchedule, PulseSchedule, ValidationReport,
                          schedule_hamiltonian)
-from chiralpulse.dynamics import _cf4_products, gauss_nodes
+from chiralpulse.dynamics import _cf4_exponents, _cf4_products
 from chiralpulse.errors import QuadratureFailure, SingularTheta
 from chiralpulse.invariants import (CLAMP_WINDOW_FRACTION, SINGULAR_TOL, VALIDATION_SAMPLES,
                                     CheckResult, _clamp_omega_q)
@@ -131,11 +131,11 @@ def right_exact_fidelities(schedule: InvariantSchedule, alphas, deltas, steps: i
     (``Handedness.RIGHT``) and every point is propagated at its own signed
     delta, with no fold onto |delta|.
     """
-    grid = schedule.grid(steps, clamp)
-    w, q = schedule_hamiltonian(schedule, Handedness.RIGHT, clamp)(gauss_nodes(grid))
+    w, q, taus = _cf4_exponents(schedule_hamiltonian(schedule, Handedness.RIGHT, clamp),
+                                schedule.grid(steps, clamp))
     alphas, deltas = (np.ravel(x) for x in np.broadcast_arrays(
         np.asarray(alphas, dtype=float), np.asarray(deltas, dtype=float)))
-    total = _cf4_products(w, q, np.diff(grid), alphas, deltas)
+    total = _cf4_products(w, q, taus, alphas, deltas)
     return np.abs(total[0, 1]) ** 2         # level |1>, from the |2> column
 
 

@@ -253,7 +253,11 @@ def test_scan_and_optimize_take_no_scheme_or_n(tmp_path, capsys, args):
     with pytest.raises(SystemExit) as exc:
         run_cli(args + ["--out", str(out)])
     assert exc.value.code == 2
-    assert "error: " in capsys.readouterr().err
+    # the command's own parser reports the flag, under the command's usage
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: chiralpulse {args[0]} [-h]")
+    assert err.endswith(f"chiralpulse {args[0]}: error: unrecognized arguments: "
+                        f"{' '.join(args[1:])}\n")
     assert not out.exists()
 
 

@@ -18,12 +18,10 @@ from chiralpulse import (
 )
 from chiralpulse.cli import DEFAULT_CLAMP, DEFAULT_STEPS
 from chiralpulse.dynamics import (
-    _combine,
+    _cf4_exponents,
     _half_step_exponentials,
-    _half_steps,
     _tree_product,
     _tree_workspace,
-    gauss_nodes,
 )
 from chiralpulse.errors import ClampViolation
 from oracles import hamiltonian_stack, perturbed_hamiltonian
@@ -223,9 +221,8 @@ def test_propagate_states_match_stepwise_matvec(level):
     schedule = invariants.ansatz_schedule(1.1, 1.5)
     grid = make_grid(1.5, 137)
     clamp = DEFAULT_CLAMP / 1.5
-    pulses = invariants.pulses_from_invariant(schedule, gauss_nodes(grid), clamp)
-    u = _exponentials(_combine(pulses.omega), _combine(R.coupling_sign * pulses.omega_q),
-                      _half_steps(np.diff(grid)), [0.0], [0.0])
+    w, q, taus = _cf4_exponents(schedule_hamiltonian(schedule, R, clamp), grid)
+    u = _exponentials(w, q, taus, [0.0], [0.0])
     halves = np.moveaxis(u[:, :, 0], -1, 0)
     state = QuantumState.basis(level).amplitudes
     expected = [state]

@@ -8,9 +8,9 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from chiralpulse import (
+    ClampViolation,
     Handedness,
     NoInteriorMinimum,
-    PulseSchedule,
     QuantumState,
     ansatz_schedule,
     exact_fidelities,
@@ -23,7 +23,7 @@ from chiralpulse import (
     sps_schedule,
 )
 from chiralpulse.cli import DEFAULT_CLAMP, DEFAULT_STEPS
-from chiralpulse.dynamics import _cf4_products
+from chiralpulse.dynamics import _cf4_exponents, _cf4_products
 from chiralpulse.robustness import golden_section, second_order_fidelity
 from oracles import perturbed_hamiltonian, right_exact_fidelities
 
@@ -158,6 +158,15 @@ def test_fidelity_from_pulses_matches_expm_sequential_product(steps):
                 assert value == pytest.approx(expected, rel=0, abs=1e-12)
 
 
+def test_exact_fidelities_of_no_points_still_check_the_pulses():
+    # a perturbative scan asks for no points: it gets no values, but the pulses
+    # are sampled and checked as for an exact run
+    values = exact_fidelities(ansatz_schedule(1.1, 1.0), [], 0.0, DEFAULT_STEPS, CLAMP)
+    assert values.shape == (0,)
+    with pytest.raises(ClampViolation, match="exceeds clamp 100"):
+        exact_fidelities(ansatz_schedule(30.0, 1.0), [], 0.0, DEFAULT_STEPS, CLAMP)
+
+
 def test_exact_fidelities_reject_non_finite_amplitudes():
     for alpha, delta in ((np.nan, 0.0), (0.0, [0.1, np.inf])):
         with pytest.raises(ValueError, match="error amplitudes must be finite"):
@@ -239,13 +248,10 @@ def test_exact_fidelity_handedness_symmetry():
 
 @st.composite
 def _random_pulses(draw):
-    """Real (Omega, Omega_q) samples at the Gauss nodes of a random uniform grid."""
+    """A random uniform grid and real (Omega, Omega_q) samples at its Gauss nodes."""
     steps = draw(st.integers(1, 60))
     samples = arrays(float, 2 * steps, elements=st.floats(-20.0, 20.0))
-    omega, omega_q = draw(samples), draw(samples)
-    nodes = np.linspace(0.0, 1.0, 2 * steps)    # unused by the propagation
-    return PulseSchedule(times=nodes, omega=omega, omega_q=omega_q, duration=1.0,
-                         clamp_value=20.0), np.full(steps, 1.0 / steps)
+    return np.linspace(0.0, 1.0, steps + 1), draw(samples), draw(samples)
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,10 +262,11 @@ def test_mirror_symmetries_of_random_pulses(pulses, alpha, delta):
     # P H_L(alpha, delta) P = H_R(alpha, -delta) (P swaps levels 1 and 3), so the
     # sweeps' right-handed columns, F_L, agree with a right-handed propagation.
     # The sweeps fold +-delta onto |delta|, so the kernel is called directly
-    pulses, dts = pulses
+    grid, omega, omega_q = pulses
     alphas, deltas = np.array([alpha, alpha]), np.array([delta, -delta])
-    left, right = (_cf4_products(pulses.omega, hand.coupling_sign * pulses.omega_q, dts,
-                                 alphas, deltas) for hand in (L, R))
+    left, right = (_cf4_products(*_cf4_exponents(lambda nodes: (omega, sign * omega_q), grid),
+                                 alphas, deltas)
+                   for sign in (L.coupling_sign, R.coupling_sign))
     populations = np.abs(left[:, 1]) ** 2
     assert populations[:, 0].tolist() == populations[:, 1].tolist()
     f_right = abs(right[R.target_level - 1, 1, 0]) ** 2

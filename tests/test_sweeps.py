@@ -18,7 +18,7 @@ from chiralpulse import (
 )
 from chiralpulse import dynamics, robustness
 from chiralpulse.cli import DEFAULT_CLAMP, DEFAULT_STEPS
-from chiralpulse.dynamics import _CHUNK_BYTES, gauss_nodes
+from chiralpulse.dynamics import _CHUNK_BYTES, _cf4_exponents
 from chiralpulse.sweeps import TRACE_POINTS, SweepResult, _high_fidelity_region
 from oracles import right_exact_fidelities
 
@@ -208,9 +208,9 @@ def _count_kernel_points(monkeypatch) -> list:
     """Record the number of error points of every ``_cf4_products`` call of the sweeps."""
     calls = []
 
-    def counting(w, q, dts, alphas, deltas):
+    def counting(w, q, taus, alphas, deltas):
         calls.append(len(alphas))
-        return dynamics._cf4_products(w, q, dts, alphas, deltas)
+        return dynamics._cf4_products(w, q, taus, alphas, deltas)
 
     monkeypatch.setattr(robustness, "_cf4_products", counting)
     return calls
@@ -218,9 +218,9 @@ def _count_kernel_points(monkeypatch) -> list:
 
 def _unfolded(schedule, alphas, deltas):
     """Left-handed fidelities with each point propagated at its signed delta."""
-    grid = schedule.grid(DEFAULT_STEPS, CLAMP)
-    w, q = schedule_hamiltonian(schedule, L, CLAMP)(gauss_nodes(grid))
-    total = dynamics._cf4_products(w, q, np.diff(grid), np.asarray(alphas, dtype=float),
+    w, q, taus = _cf4_exponents(schedule_hamiltonian(schedule, L, CLAMP),
+                                schedule.grid(DEFAULT_STEPS, CLAMP))
+    total = dynamics._cf4_products(w, q, taus, np.asarray(alphas, dtype=float),
                                    np.asarray(deltas, dtype=float))
     return (np.abs(total[2, 1]) ** 2).tolist()
 
