@@ -521,8 +521,10 @@ def _derivative_check(schedule: InvariantSchedule) -> CheckResult:
 
 
 def _invariant_check(schedule: InvariantSchedule, clamp: float) -> CheckResult:
-    """Left-handed dI/dt + (1/i)[I, H] on the interior, where the pulses are unclamped.
+    """Left-handed T*(dI/dt + (1/i)[I, H]) on the interior, where the pulses are unclamped.
 
+    The residual is a rate, in units of 1/T; T times it is T-free up to
+    rounding, so the one tolerance means the same at every duration.
     Samples whose Omega_q is infinite or above `clamp` are skipped; a NaN one
     is kept, and fails the check.
     """
@@ -537,9 +539,9 @@ def _invariant_check(schedule: InvariantSchedule, clamp: float) -> CheckResult:
                            "no finite unclamped pulses on the interior")
     kept = [x[keep] for x in (omega, omega_q, s.sin_phi, s.cos_phi, sin_theta, cos_theta,
                               s.phi_dot, s.theta_dot)]
-    worst = _worst(np.abs(_invariant_residual(*kept)))
+    worst = T * _worst(np.abs(_invariant_residual(*kept)))
     return CheckResult("dynamical invariant", worst <= 1e-8, worst, 1e-8,
-                       "dI/dt + (1/i)[I,H] on unclamped interior")
+                       "T*(dI/dt + (1/i)[I,H]) on unclamped interior")
 
 
 def validate_schedule(schedule: InvariantSchedule, clamp: float) -> ValidationReport:
@@ -548,7 +550,9 @@ def validate_schedule(schedule: InvariantSchedule, clamp: float) -> ValidationRe
     Each check samples VALIDATION_SAMPLES times, one ``sample`` call per set
     of times; the boundary values are the ends of the sample of [0, T].
     Failures are reported, not raised; each check carries its worst residual,
-    and a NaN residual fails its check.  The invariant condition is checked
+    and a NaN residual fails its check.  The derivative check is relative to
+    the rates and the invariant check reports T times its residual, so both
+    mean the same at every duration.  The invariant condition is checked
     for the left-handed system, from the three real components of its
     residual (``_invariant_residual``): the right-handed residual is its
     level-swap mirror, bit for bit, because the right-handed H and I are the

@@ -13,20 +13,26 @@ channel gives closed-form fidelities, identical for both handednesses:
     F_systematic = 1 - alpha^2 * q_alpha
     F_detuning   = 1 - (delta^2 / 4) * q_delta
 
-with the sensitivities
+with the sensitivities, integrals over u = t/T in [0, 1]
 
-    q_alpha = | int_0^T (theta_dot sin(phi) + i phi_dot) e^{i eta_plus} dt |^2
-    q_delta = | int_0^T [cos(2 theta) sin(2 phi)
-                         + 2 i sin(2 theta) sin(phi)] e^{i eta_plus} dt |^2
+    q_alpha = | int_0^1 T (theta_dot sin(phi) + i phi_dot) e^{i eta_plus} du |^2
+    q_delta = T^2 | int_0^1 [cos(2 theta) sin(2 phi)
+                             + 2 i sin(2 theta) sin(phi)] e^{i eta_plus} du |^2
+
+Both integrands are T-free (T theta_dot and T phi_dot are rates per unit
+T), so the quadrature's absolute tolerance means the same at every
+duration: q_alpha does not depend on T, and q_delta(T) = T^2 q_delta(1) up
+to rounding.  ``_sensitivity`` computes every q and raises ``ValueError``
+when one is not finite (q_delta overflows at T = 1e300).
 
 Smaller q means a flatter fidelity around zero error.  For the constant-theta
 family the t -> 0 endpoint oscillates with logarithmically divergent phase, so
-those integrals are evaluated after the substitution u = -log tan(phi/2),
-which maps them onto smooth integrands on (0, inf) that decay like e^-u, so
-the integrals stop at u = 40 (the dropped tail is O(e^-40) ~ 4e-18):
+those integrals are evaluated after the substitution v = -log tan(phi/2),
+which maps them onto smooth integrands on (0, inf) that decay like e^-v, so
+the integrals stop at v = 40 (the dropped tail is O(e^-40) ~ 4e-18):
 
-    q_alpha(sps) = | int_0^inf sech(u) e^{iu} du |^2              ~= 1.11726
-    q_delta(sps) = (16 T^2/pi^2) | int_0^inf sech(u)^2 tanh(u) e^{iu} du |^2
+    q_alpha(sps) = | int_0^inf sech(v) e^{iv} dv |^2              ~= 1.11726
+    q_delta(sps) = (16 T^2/pi^2) | int_0^inf sech(v)^2 tanh(v) e^{iv} dv |^2
                                                                   ~= 0.28371 T^2
 
 These are the q of the unclamped sps schedule, whose cot pulse they
@@ -60,42 +66,61 @@ COARSE_POINTS = 201     # n grid that brackets the minimum for golden-section se
 
 @functools.cache
 def _sps_integral(which: str) -> complex:
-    """The T-free sps integral over u of q_alpha ("alpha") or q_delta, once per process."""
-    # the tail beyond u = 40 is O(e^-40), below the quadrature tolerance
+    """The T-free sps amplitude of q_alpha ("alpha") or q_delta, once per process."""
+    # the tail beyond v = 40 is O(e^-40), below the quadrature tolerance
     if which == "alpha":
-        return complex_quad(lambda u: np.exp(1j * u) / np.cosh(u), 0.0, 40.0)
-    return complex_quad(lambda u: np.tanh(u) * np.exp(1j * u) / np.cosh(u) ** 2, 0.0, 40.0)
+        return 1j * complex_quad(lambda v: np.exp(1j * v) / np.cosh(v), 0.0, 40.0)
+    return (-4.0 / np.pi) * complex_quad(
+        lambda v: np.tanh(v) * np.exp(1j * v) / np.cosh(v) ** 2, 0.0, 40.0)
 
 
 def _sensitivity_amplitude(schedule: InvariantSchedule, which: str) -> complex:
-    """The complex channel-leakage integral whose squared modulus is q."""
-    T = schedule.duration
+    """The T-free channel-leakage amplitude of q_alpha ("alpha") or q_delta, over u = t/T."""
     if schedule.kind == "sps":
-        if which == "alpha":
-            return 1j * _sps_integral("alpha")
-        return (-4.0 * T / np.pi) * _sps_integral("delta")
+        return _sps_integral(which)
+    T = schedule.duration
 
-    def integrand(t):
+    def integrand(u):
+        t = T * u
         phase = np.exp(1j * schedule.eta_plus_of(t))
         s = schedule.sample(t)
-        if which == "alpha":
-            envelope = s.theta_dot * s.sin_phi + 1j * s.phi_dot
+        if which == "alpha":    # dt = T du, and T theta_dot and T phi_dot are T-free
+            envelope = (T * s.theta_dot) * s.sin_phi + 1j * (T * s.phi_dot)
         else:
             envelope = (np.cos(2 * s.theta) * np.sin(2 * s.phi)
                         + 2j * np.sin(2 * s.theta) * s.sin_phi)
         return envelope * phase
 
-    return complex_quad(integrand, 0.0, T)
+    return complex_quad(integrand, 0.0, 1.0)
+
+
+def _sensitivity(schedule: InvariantSchedule, which: str) -> float:
+    """q_alpha ("alpha") or q_delta, the squared amplitude; the delta amplitude times T.
+
+    Every q is computed here.  Raises ``ValueError`` naming the q, the
+    schedule and T if q is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite q is rejected next
+        amplitude = _sensitivity_amplitude(schedule, which)
+        q = float(np.abs(amplitude * schedule.duration if which == "delta" else amplitude) ** 2)
+    if not np.isfinite(q):
+        raise ValueError(f"q_{which} of {schedule.name} is {q} at T = {schedule.duration:g}: "
+                         "the sensitivity overflows")
+    return q
 
 
 def q_alpha(schedule: InvariantSchedule) -> float:
-    """Systematic-error sensitivity (negative slope of F against alpha^2 at 0)."""
-    return float(np.abs(_sensitivity_amplitude(schedule, "alpha")) ** 2)
+    """Systematic-error sensitivity (negative slope of F against alpha^2 at 0); T-free."""
+    return _sensitivity(schedule, "alpha")
 
 
 def q_delta(schedule: InvariantSchedule) -> float:
-    """Detuning-error sensitivity; fidelity falls as (delta^2/4) * q_delta."""
-    return float(np.abs(_sensitivity_amplitude(schedule, "delta")) ** 2)
+    """Detuning-error sensitivity; fidelity falls as (delta^2/4) * q_delta.
+
+    q_delta = T^2 times a T-free integral over u = t/T, so q_delta(T) = T^2 q_delta(1)
+    up to rounding.  Raises ``ValueError`` when T^2 overflows it.
+    """
+    return _sensitivity(schedule, "delta")
 
 
 def second_order_fidelity(kind: str, amplitude, q: float):
@@ -118,12 +143,12 @@ def exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
     clamp switch for sps), through the CF4 front end of ``propagate``
     (``dynamics._cf4_exponents`` on ``schedule_hamiltonian``).  It raises
     what that sampling raises (``ClampViolation``, ``SingularTheta``) even
-    for no error points, which return an empty array.  Only the final state
-    from |2> is needed, so each point's 2N half-step exponentials are
-    multiplied into one matrix (``dynamics._cf4_products``) and its |2>
-    column read off.  The points are batched, but every operation is
-    elementwise over them, so a point's value does not depend on which
-    batch, or which sweep, it was computed in.
+    for no error points, which return an empty array and run no kernel.
+    Only the final state from |2> is needed, so each point's 2N half-step
+    exponentials are multiplied into one matrix (``dynamics._cf4_products``)
+    and its |2> column read off.  The points are batched, but every
+    operation is elementwise over them, so a point's value does not depend
+    on which batch, or which sweep, it was computed in.
 
     F is exactly even in delta (see the ``sweeps`` module docstring), and
     |delta| is exactly delta or -delta, so only the distinct pairs
@@ -141,6 +166,8 @@ def exact_fidelities(schedule: InvariantSchedule, alphas, deltas,
         np.asarray(alphas, dtype=float), np.asarray(deltas, dtype=float)))
     if not (np.isfinite(alphas).all() and np.isfinite(deltas).all()):
         raise ValueError("error amplitudes must be finite")
+    if not alphas.size:
+        return np.empty(0)
     pairs = np.empty(len(alphas), dtype=complex)
     pairs.real, pairs.imag = alphas, np.abs(deltas)
     pairs, inverse = np.unique(pairs, return_inverse=True)
@@ -189,9 +216,9 @@ def optimize_n(kind: str, n_range: tuple[float, float], tolerance: float,
 
     A COARSE_POINTS grid scan brackets the minimum; golden-section search
     refines it to |delta n| < tolerance.  ``ValueError`` is raised when the
-    range is empty or its width is not finite, or when a coarse q is not
-    finite, and ``NoInteriorMinimum`` when the coarse minimum sits on the
-    range boundary.
+    range is empty or its width is not finite, or when a q is not finite
+    (``q_alpha`` and ``q_delta`` reject it), and ``NoInteriorMinimum`` when the
+    coarse minimum sits on the range boundary.
     """
     measure = {"systematic": q_alpha, "detuning": q_delta}.get(kind)
     if measure is None:
@@ -207,12 +234,7 @@ def optimize_n(kind: str, n_range: tuple[float, float], tolerance: float,
         return measure(ansatz_schedule(n, duration))
 
     grid = np.linspace(lo, hi, COARSE_POINTS)
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite q is rejected next
-        values = np.array([objective(n) for n in grid])
-    if not np.all(np.isfinite(values)):
-        k = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise ValueError(f"q_{kind} is {values[k]} at n = {grid[k]:g}; "
-                         "the sensitivity overflows at this duration")
+    values = np.array([objective(n) for n in grid])
     imin = int(np.argmin(values))
     if imin in (0, len(grid) - 1):
         raise NoInteriorMinimum(

@@ -350,32 +350,40 @@ def reference_validation(ref: ReferenceSchedule, clamp: float) -> str:
     residual = invariant_residual(Handedness.LEFT, omega, omega_q, ref.phi_of(t_in),
                                   ref.theta_of(t_in), ref.phi_dot_of(t_in),
                                   ref.theta_dot_of(t_in))
-    worst = float(np.max(np.abs(residual)))
+    worst = T * float(np.max(np.abs(residual)))
     checks.append(CheckResult("dynamical invariant", worst <= 1e-8, worst, 1e-8,
-                              "dI/dt + (1/i)[I,H] on unclamped interior"))
+                              "T*(dI/dt + (1/i)[I,H]) on unclamped interior"))
     describe = {"kind": ref.kind, "T": T} | ({} if ref.n is None else {"n": ref.n})
     return ValidationReport(schedule=describe, checks=tuple(checks)).to_text()
 
 
 def reference_q(ref: ReferenceSchedule, which: str) -> float:
-    """q_alpha ("alpha") or q_delta ("delta"), the integrand built from the closures."""
+    """q_alpha ("alpha") or q_delta ("delta"), the integrand built from the closures.
+
+    The amplitudes are integrals over u = t/T in [0, 1], T-free, and the
+    q_delta one is multiplied by T, as the library defines them.
+    """
+    T = ref.duration
     if ref.kind == "sps":
         if which == "alpha":
             amplitude = 1j * complex_quad(lambda u: np.exp(1j * u) / np.cosh(u), 0.0, 40.0)
         else:
-            amplitude = (-4.0 * ref.duration / np.pi) * complex_quad(
+            amplitude = (-4.0 / np.pi) * complex_quad(
                 lambda u: np.tanh(u) * np.exp(1j * u) / np.cosh(u) ** 2, 0.0, 40.0)
-        return float(np.abs(amplitude) ** 2)
+    else:
+        def integrand(u):
+            t = T * u
+            phase = np.exp(1j * ref.eta_plus_of(t))
+            phi = ref.phi_of(t)
+            if which == "alpha":
+                envelope = (T * ref.theta_dot_of(t)) * np.sin(phi) + 1j * (T * ref.phi_dot_of(t))
+            else:
+                theta = ref.theta_of(t)
+                envelope = (np.cos(2 * theta) * np.sin(2 * phi)
+                            + 2j * np.sin(2 * theta) * np.sin(phi))
+            return envelope * phase
 
-    def integrand(t):
-        phase = np.exp(1j * ref.eta_plus_of(t))
-        phi = ref.phi_of(t)
-        if which == "alpha":
-            envelope = ref.theta_dot_of(t) * np.sin(phi) + 1j * ref.phi_dot_of(t)
-        else:
-            theta = ref.theta_of(t)
-            envelope = (np.cos(2 * theta) * np.sin(2 * phi)
-                        + 2j * np.sin(2 * theta) * np.sin(phi))
-        return envelope * phase
-
-    return float(np.abs(complex_quad(integrand, 0.0, ref.duration)) ** 2)
+        amplitude = complex_quad(integrand, 0.0, 1.0)
+    if which == "delta":
+        amplitude = amplitude * T
+    return float(np.abs(amplitude) ** 2)

@@ -38,6 +38,19 @@ def test_design_writes_pulses_and_validation(tmp_path, capsys):
     assert "overall: pass" in report
 
 
+@pytest.mark.parametrize("scheme, T", [("osd", "3e-7"), ("sps", "1e-8"), ("oss", "1e-8"),
+                                       ("osd", "1e-8")])
+def test_design_validates_at_short_durations(tmp_path, capsys, scheme, T):
+    # the invariant residual is a rate; validation.txt judges T times it, so a
+    # 300 ns pulse in seconds passes as its T = 1 counterpart does
+    assert run_cli(["design", "--scheme", scheme, "--T", T, "--out", str(tmp_path)]) == 0
+    assert "validation=pass" in capsys.readouterr().out
+    report = (tmp_path / "validation.txt").read_text()
+    assert "dynamical invariant          pass" in report
+    assert "(T*(dI/dt + (1/i)[I,H]) on unclamped interior)" in report
+    assert "overall: pass" in report
+
+
 def test_design_ansatz_validates(tmp_path, capsys):
     code = run_cli(["design", "--scheme", "ansatz", "--n", "1.07",
                     "--T", "1", "--steps", "500", "--out", str(tmp_path)])
@@ -407,6 +420,18 @@ def test_optimize_systematic_prints_optimum(capsys):
     assert 0.99 < float(fields["exact_fidelity_checkpoint"]) < 1.0
 
 
+def test_optimize_detuning_q_min_scales_with_duration_squared(capsys):
+    # q_delta(T) = T^2 q_delta(1): at T = 1e-8 the summary prints 1e-16 times
+    # the T = 1 q_min, to its 8 digits
+    q_min = {}
+    for T in ("1", "1e-8"):
+        assert run_cli(["optimize", "--kind", "detuning", "--T", T]) == 0
+        summary = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("command=optimize")][0]
+        q_min[T] = dict(kv.split("=", 1) for kv in summary.split())["q_min"]
+    assert q_min["1e-8"] == f"{float(q_min['1']) * 1e-16:.8g}"
+
+
 def test_optimize_tolerance_below_float_spacing_terminates(capsys):
     assert run_cli(["optimize", "--kind", "detuning", "--tol", "1e-17",
                     "--steps", "500"]) == 0
@@ -485,7 +510,7 @@ def test_optimize_with_overflowing_sensitivities_exits_2(capsys):
     # first overflowing q, not the n-range boundary its argmin would give
     assert run_cli(["optimize", "--kind", "detuning", "--T", "1e300"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: q_detuning is inf at n = 0.5;")
+    assert err == "error: q_delta of ansatz0.5 is inf at T = 1e+300: the sensitivity overflows\n"
 
 
 @pytest.mark.parametrize("args", [

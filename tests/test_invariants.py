@@ -570,7 +570,7 @@ def test_component_major_invariant_residual_matches_matmul(schedule):
     report = validate_schedule(schedule, DEFAULT_CLAMP / schedule.duration)
     last = report.checks[-1]
     assert last.name == "dynamical invariant"
-    worst = float(np.max(magnitude))
+    worst = schedule.duration * float(np.max(magnitude))
     expected_check = CheckResult(last.name, worst <= 1e-8, worst, 1e-8, last.note)
     expected_report = ValidationReport(report.schedule, report.checks[:-1] + (expected_check,))
     assert report.to_text() == expected_report.to_text()

@@ -22,6 +22,7 @@ from chiralpulse import (
     q_delta,
     sps_schedule,
 )
+from chiralpulse import robustness
 from chiralpulse.cli import DEFAULT_CLAMP, DEFAULT_STEPS
 from chiralpulse.dynamics import _cf4_exponents, _cf4_products
 from chiralpulse.robustness import golden_section, second_order_fidelity
@@ -60,6 +61,17 @@ def test_q_delta_scales_with_duration_squared():
     q1 = q_delta(sps_schedule(1.0))
     q2 = q_delta(sps_schedule(2.0))
     assert q2 == pytest.approx(4.0 * q1, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["sps", "oss", "osd"])
+@pytest.mark.parametrize("T", [1e-8, 1e-6])
+def test_q_at_extreme_durations_is_the_unit_duration_q(kind, T):
+    # the amplitudes are integrals over t/T, so the absolute quadrature
+    # tolerance means the same at every duration: q_alpha is T-free and
+    # q_delta / T^2 is the T = 1 q_delta, to rounding
+    schedule, unit = make_schedule(kind, T), make_schedule(kind, 1.0)
+    assert q_alpha(schedule) == pytest.approx(q_alpha(unit), rel=1e-12, abs=0)
+    assert q_delta(schedule) / T ** 2 == pytest.approx(q_delta(unit), rel=1e-12, abs=0)
 
 
 def test_perturbative_fidelity_identities():
@@ -165,6 +177,16 @@ def test_exact_fidelities_of_no_points_still_check_the_pulses():
     assert values.shape == (0,)
     with pytest.raises(ClampViolation, match="exceeds clamp 100"):
         exact_fidelities(ansatz_schedule(30.0, 1.0), [], 0.0, DEFAULT_STEPS, CLAMP)
+
+
+def test_exact_fidelities_of_no_points_propagate_nothing(monkeypatch):
+    # the pulses are sampled and checked, but no kernel runs on empty arrays
+    def fail(*args):
+        raise AssertionError("_cf4_products called for no points")
+
+    monkeypatch.setattr(robustness, "_cf4_products", fail)
+    values = exact_fidelities(make_schedule("osd", 1.0), [], 0.0, DEFAULT_STEPS, CLAMP)
+    assert values.shape == (0,)
 
 
 def test_exact_fidelities_reject_non_finite_amplitudes():
