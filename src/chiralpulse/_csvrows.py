@@ -22,8 +22,15 @@ notation:
   time from a table.  A mask looked up by (X, last nonzero digit, sign)
   zeroes every byte that ``%g`` does not write (the point is kept only
   where fraction digits follow it, trailing zeros go), and
-  ``bytes.translate`` deletes the zero bytes of the whole table at once.
+  ``bytes.translate`` deletes the zero bytes of a block of rows at once.
   The first cell of a row carries the previous row's tail as a marker byte.
+
+The rounding runs once over the whole table; the cells, their compaction
+and the splice of the fallback rows (below) run one block of
+``BLOCK_VALUES`` values at a time, in one block-sized buffer, and
+``write_table`` writes each block as it is made, so no step holds or copies
+the cells or the bytes of the whole table.  A default ``pulses.csv``
+(4001 rows of 3 values) is four blocks of 1000 rows and one of a single row.
 
 Every row that holds any other value (exponent notation, or a value that is
 not finite) is formatted by the ``%`` template and spliced back in its
@@ -43,6 +50,7 @@ import numpy as np
 
 FLOAT_FORMAT = "%.15g"
 VECTOR_MIN_VALUES = 1000
+BLOCK_VALUES = 3000     # values per block of rows on the numpy path, by measurement
 
 _SPLITTER = 134217729.0          # 2**27 + 1: Veltkamp's split into 26-bit halves
 _POW10 = np.array([10.0 ** k for k in range(23)])   # exact doubles
@@ -159,13 +167,19 @@ def _fixed_notation(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     fixed |= zero
 
     digits = n.astype(np.int64)
+    # the float stage goes before the digit stage: with both alive, a default
+    # pulses.csv grew the heap past glibc's trim threshold, and each call faulted
+    # about 120 pages back in (ru_minflt)
+    del a, hi, whole, frac, n
     high8 = digits // 100000000
     low8 = digits - high8 * 100000000
-    chunks = np.empty((4, len(n)), dtype=np.int64)
+    del digits
+    chunks = np.empty((4, len(low8)), dtype=np.int64)
     np.floor_divide(high8, 10000, out=chunks[0])
     np.subtract(high8, chunks[0] * 10000, out=chunks[1])
     np.floor_divide(low8, 10000, out=chunks[2])
     np.subtract(low8, chunks[2] * 10000, out=chunks[3])
+    del high8, low8
     # the last nonzero chunk (chunk 0 holds N's first three digits, never 0)
     # and the last nonzero digit of N within it
     nonzero = chunks[1:] != 0
@@ -188,52 +202,77 @@ def format_rows(values, tail: str = "\n") -> bytes:
     """The bytes of ``(row * R) % tuple(values.ravel())``, row = W ``%.15g`` fields + `tail`.
 
     `tail` is a non-empty line end without ``%`` and without the bytes 0, 1
-    and 2, which mark deleted bytes, row ends and fallback rows.
+    and 2, which mark deleted bytes, row ends and fallback rows.  The bytes
+    are those of ``_row_blocks``, joined.
+    """
+    return b"".join(_row_blocks(values, tail))
+
+
+def _row_blocks(values, tail: str):
+    """``format_rows`` in pieces: one per block of ``BLOCK_VALUES`` values on the numpy path.
+
+    The decision between the template and the numpy path, and the rounding
+    and digits of ``_fixed_notation``, are made once for the whole table.  The
+    cells, their compaction and the splice of the fallback rows are made one
+    block of rows at a time, in one block-sized cell buffer, so no step holds
+    a second copy of the whole table's bytes.
     """
     values = np.asarray(values, dtype=float)
     rows, width = values.shape
     tail_bytes = tail.encode()
     if values.size < VECTOR_MIN_VALUES:
-        return _template(values, tail).encode()
-    flat = values.ravel()
-    fixed, key, chunks = _fixed_notation(flat)
+        yield _template(values, tail).encode()
+        return
+    fixed, key, chunks = _fixed_notation(values.ravel())
     fallback = np.unique(np.flatnonzero(~fixed) // width)
     if (rows - len(fallback)) * width < VECTOR_MIN_VALUES:
-        return _template(values, tail).encode()
+        yield _template(values, tail).encode()
+        return
     row_mark = tail_bytes if len(tail_bytes) == 1 else _ROW_MARK
-    cells = np.empty((len(flat), _CELL_UNITS), dtype=np.uint64)
+    mark = _units(row_mark.ljust(8, b"\0"))[0]
     quads = _chunk_tables()[0]
     first_units, digit_masks = _cell_masks()
-    # keys of values outside fixed notation may leave the table; their rows are dropped
-    cells[:, 0] = np.take(first_units, key, mode="clip")
-    for unit in range(4):
-        np.bitwise_and(np.take(quads, chunks[unit]), np.take(digit_masks[unit], key, mode="clip"),
-                       out=cells[:, unit + 1])
-    by_row = cells.reshape(rows, width * _CELL_UNITS)
-    by_row[1:, 0] |= _units(row_mark.ljust(8, b"\0"))[0]
-    for column in range(1, width):
-        by_row[:, column * _CELL_UNITS] |= _COMMA
-    # a fallback row keeps only its leading tail marker, then a fallback marker
-    by_row[fallback, 1:] = 0
-    by_row[fallback, 0] = (by_row[fallback, 0] & _KEEP_SEPARATOR) | _FALLBACK
-    body = cells.tobytes().translate(None, b"\0")
-    if row_mark != tail_bytes:
-        body = body.replace(row_mark, tail_bytes)
-    if len(fallback):
-        parts = [b""] * (2 * len(fallback) + 1)
-        parts[0::2] = body.split(_FALLBACK_MARK)
-        lines = _template(values[fallback], _FALLBACK_MARK.decode()).encode()
-        parts[1::2] = lines.split(_FALLBACK_MARK)[:-1]
-        body = b"".join(parts)
-    return body + tail_bytes
+    block = max(1, BLOCK_VALUES // width)
+    buffer = np.empty((min(block, rows) * width, _CELL_UNITS), dtype=np.uint64)
+    for start in range(0, rows, block):
+        stop = min(start + block, rows)
+        lo, hi = start * width, stop * width
+        cells, keys = buffer[:hi - lo], key[lo:hi]
+        # keys of values outside fixed notation may leave the table; their rows are dropped
+        cells[:, 0] = np.take(first_units, keys, mode="clip")
+        for unit in range(4):
+            np.bitwise_and(np.take(quads, chunks[unit, lo:hi]),
+                           np.take(digit_masks[unit], keys, mode="clip"), out=cells[:, unit + 1])
+        by_row = cells.reshape(stop - start, width * _CELL_UNITS)
+        # every row but the table's first starts with the previous row's tail
+        by_row[0 if start else 1:, 0] |= mark
+        for column in range(1, width):
+            by_row[:, column * _CELL_UNITS] |= _COMMA
+        # a fallback row keeps only its leading tail marker, then a fallback marker
+        here = fallback[np.searchsorted(fallback, start):np.searchsorted(fallback, stop)]
+        local = here - start
+        by_row[local, 1:] = 0
+        by_row[local, 0] = (by_row[local, 0] & _KEEP_SEPARATOR) | _FALLBACK
+        body = cells.tobytes().translate(None, b"\0")
+        if row_mark != tail_bytes:
+            body = body.replace(row_mark, tail_bytes)
+        if len(here):
+            parts = [b""] * (2 * len(here) + 1)
+            parts[0::2] = body.split(_FALLBACK_MARK)
+            lines = _template(values[here], _FALLBACK_MARK.decode()).encode()
+            parts[1::2] = lines.split(_FALLBACK_MARK)[:-1]
+            body = b"".join(parts)
+        yield body
+    yield tail_bytes
 
 
 def write_table(path, metadata: dict, header: str, values, tail: str = "\n") -> None:
     """Write the only CSV format: a ``# key = value`` line per `metadata` item, `header`,
-    then the ``format_rows`` of `values`.  The file is binary, so every platform
-    writes the same bytes: "\\n" line ends, UTF-8 text.
+    then the ``format_rows`` of `values`, each block of rows as it is made.  The
+    file is binary, so every platform writes the same bytes: "\\n" line ends,
+    UTF-8 text.
     """
     text = "".join(f"# {key} = {value}\n" for key, value in metadata.items()) + header + "\n"
     with open(path, "wb") as fh:
         fh.write(text.encode("utf-8"))
-        fh.write(format_rows(values, tail))
+        fh.writelines(_row_blocks(values, tail))

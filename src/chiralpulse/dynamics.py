@@ -405,10 +405,10 @@ def propagate(
     props = np.empty((3, 3, len(grid) - 1), dtype=complex)
     _mul3_into(halves[..., 1::2], halves[..., 0::2], props, np.empty_like(props))
     a, b, c = initial.amplitudes.tolist()
-    states = [(a, b, c)]
+    states = [a, b, c]      # flat: one list of 3N scalars converts faster than N tuples
     for m00, m01, m02, m10, m11, m12, m20, m21, m22 in props.reshape(9, -1).T.tolist():
         a, b, c = (m00 * a + m01 * b + m02 * c,
                    m10 * a + m11 * b + m12 * c,
                    m20 * a + m21 * b + m22 * c)
-        states.append((a, b, c))
-    return Trajectory(times=grid, states=np.array(states, dtype=complex))
+        states += (a, b, c)
+    return Trajectory(times=grid, states=np.array(states, dtype=complex).reshape(-1, 3))

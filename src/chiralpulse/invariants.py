@@ -27,7 +27,9 @@ one ``sample(t)``, which evaluates them once and returns phi, theta, their
 derivatives, the coupling factor and sin/cos of phi together
 (``ScheduleSample``).  ``pulses_from_invariant`` makes one such call per grid
 and takes its singularity gap from the same sin(theta) - cos(theta) that
-Omega divides by.
+Omega divides by.  The checks and the integrand that read only phi and theta
+ask for those alone (``sample(t, rates=False)``), computed by the same
+statements, and skip the rest.
 
 Both handednesses obey the same constraints, so one pulse pair serves both;
 only the sign of the loop coupling differs.  With the boundary conditions
@@ -112,15 +114,21 @@ class ScheduleSample(NamedTuple):
     the loop pulse (Omega_q = phi_dot*cos(phi)*factor - theta_dot) and the
     phase rate (eta_plus_dot = -phi_dot*factor) derive.  ``sin_phi`` and
     ``cos_phi`` are sin and cos of ``phi``, for the consumers that need them.
+
+    An angle-only sample (``sample(t, rates=False)``) holds ``phi`` and
+    ``theta``, bit for bit those of the full sample, and None for
+    ``phi_dot``, ``theta_dot`` and ``cos_phi``.  ``sin_phi`` and ``factor``
+    are kept where theta is computed from them (the ansatz), and are None
+    otherwise (sps).
     """
 
     phi: np.ndarray
-    phi_dot: np.ndarray
+    phi_dot: np.ndarray | None
     theta: np.ndarray
-    theta_dot: np.ndarray
-    factor: np.ndarray
-    sin_phi: np.ndarray
-    cos_phi: np.ndarray
+    theta_dot: np.ndarray | None
+    factor: np.ndarray | None
+    sin_phi: np.ndarray | None
+    cos_phi: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +138,12 @@ class InvariantSchedule:
     ``sample(t)`` returns the ``ScheduleSample`` at the times `t` (an array
     or a scalar), evaluating each sine, cosine and arctangent once; the
     pulses, the validation checks and the sensitivity integrands all read
-    their quantities from it.
+    their quantities from it.  A custom `sample` must also accept a second
+    argument, `rates` (default True), which callers pass by keyword:
+    ``sample(t, rates=False)`` is the angle-only sample that the boundary,
+    singularity-gap and finite-difference checks and the q_delta integrand
+    read, and may return the full one.  An ansatz schedule's angle-only
+    sample must hold ``sin_phi`` too, which the q_delta integrand reads.
 
     ``eta_plus_of`` is the closed-form channel phase, anchored at t = 0, or
     at t = T for sps, whose t = 0 endpoint diverges.
@@ -201,13 +214,16 @@ def sps_schedule(duration: float) -> InvariantSchedule:
     T = _checked_duration(duration)
     rate = np.pi / (2.0 * T)
 
-    def sample(t):
+    def sample(t, rates=True):
         phi = rate * np.asarray(t, dtype=float)
+        theta = np.full_like(phi, np.pi / 2)
+        if not rates:
+            return ScheduleSample(phi=phi, phi_dot=None, theta=theta, theta_dot=None,
+                                  factor=None, sin_phi=None, cos_phi=None)
         sin_phi = np.sin(phi)
         with np.errstate(divide="ignore"):
             factor = 1.0 / sin_phi
-        return ScheduleSample(phi=phi, phi_dot=np.full_like(phi, rate),
-                              theta=np.full_like(phi, np.pi / 2),
+        return ScheduleSample(phi=phi, phi_dot=np.full_like(phi, rate), theta=theta,
                               theta_dot=np.zeros_like(phi), factor=factor,
                               sin_phi=sin_phi, cos_phi=np.cos(phi))
 
@@ -239,16 +255,20 @@ def ansatz_schedule(n: float, duration: float) -> InvariantSchedule:
     n = float(n)
     rate = np.pi / (2.0 * T)
 
-    def sample(t):
+    def sample(t, rates=True):
         phi = rate * np.asarray(t, dtype=float)
-        sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+        sin_phi = np.sin(phi)
         triple = 3.0 * phi
         # a huge n overflows X^2 (or 3n); the singularity and clamp checks reject it
         with np.errstate(over="ignore", invalid="ignore"):
             factor = 3.0 * n * np.cos(triple) + 1.0
             x = sin_phi * factor
-            x_prime = cos_phi * factor - 9.0 * n * sin_phi * np.sin(triple)
             theta = np.arctan2(1.0, (x - 1.0) / (x + 1.0)) + np.where(x < -1.0, np.pi, 0.0)
+            if not rates:
+                return ScheduleSample(phi=phi, phi_dot=None, theta=theta, theta_dot=None,
+                                      factor=factor, sin_phi=sin_phi, cos_phi=None)
+            cos_phi = np.cos(phi)
+            x_prime = cos_phi * factor - 9.0 * n * sin_phi * np.sin(triple)
             theta_dot = -rate * x_prime / (x * x + 1.0)
         return ScheduleSample(phi=phi, phi_dot=np.full_like(phi, rate), theta=theta,
                               theta_dot=theta_dot, factor=factor,
@@ -489,7 +509,7 @@ def _worst(values) -> float:
 def _endpoint_checks(schedule: InvariantSchedule) -> tuple[CheckResult, CheckResult]:
     """Boundary conditions and the theta singularity gap, from one sample of [0, T]."""
     T = schedule.duration
-    s = schedule.sample(np.linspace(0.0, T, VALIDATION_SAMPLES + 1))
+    s = schedule.sample(np.linspace(0.0, T, VALIDATION_SAMPLES + 1), rates=False)
     worst = _worst([float(np.abs(s.phi[0])), float(np.abs(s.phi[-1] - np.pi / 2)),
                     float(np.abs(s.theta[-1] - np.pi / 2))])
     theta = s.theta[1:]
@@ -505,7 +525,8 @@ def _derivative_check(schedule: InvariantSchedule) -> CheckResult:
     T = schedule.duration
     t_mid = np.linspace(0.05 * T, 0.95 * T, VALIDATION_SAMPLES)
     h = 1e-6 * T
-    below, above = schedule.sample(t_mid - h), schedule.sample(t_mid + h)
+    below = schedule.sample(t_mid - h, rates=False)
+    above = schedule.sample(t_mid + h, rates=False)
     differences = ((above.phi - below.phi) / (2 * h), (above.theta - below.theta) / (2 * h))
     # with all three samples live, each call grew the heap past glibc's trim
     # threshold and faulted 80-200 pages back in (ru_minflt)
@@ -549,6 +570,10 @@ def validate_schedule(schedule: InvariantSchedule, clamp: float) -> ValidationRe
 
     Each check samples VALIDATION_SAMPLES times, one ``sample`` call per set
     of times; the boundary values are the ends of the sample of [0, T].
+    That sample and the two finite-difference samples at t_mid -/+ h read only
+    phi and theta, and are angle-only (``sample(t, rates=False)``); the
+    sample at t_mid, whose rates the differences are compared with, and the
+    interior sample of the invariant check are full.
     Failures are reported, not raised; each check carries its worst residual,
     and a NaN residual fails its check.  The derivative check is relative to
     the rates and the invariant check reports T times its residual, so both

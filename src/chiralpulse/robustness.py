@@ -75,7 +75,12 @@ def _sps_integral(which: str) -> complex:
 
 
 def _sensitivity_amplitude(schedule: InvariantSchedule, which: str) -> complex:
-    """The T-free channel-leakage amplitude of q_alpha ("alpha") or q_delta, over u = t/T."""
+    """The T-free channel-leakage amplitude of q_alpha ("alpha") or q_delta, over u = t/T.
+
+    The q_delta integrand reads phi, theta and sin(phi) alone, so it takes
+    angle-only samples (``sample(t, rates=False)``); the q_alpha integrand
+    reads the rates, and takes full ones.
+    """
     if schedule.kind == "sps":
         return _sps_integral(which)
     T = schedule.duration
@@ -83,7 +88,7 @@ def _sensitivity_amplitude(schedule: InvariantSchedule, which: str) -> complex:
     def integrand(u):
         t = T * u
         phase = np.exp(1j * schedule.eta_plus_of(t))
-        s = schedule.sample(t)
+        s = schedule.sample(t, rates=which == "alpha")
         if which == "alpha":    # dt = T du, and T theta_dot and T phi_dot are T-free
             envelope = (T * s.theta_dot) * s.sin_phi + 1j * (T * s.phi_dot)
         else:

@@ -120,6 +120,23 @@ def test_simulate_samples_and_propagates_once(tmp_path, capsys, monkeypatch):
     assert propagations == [1]
 
 
+@pytest.mark.parametrize("args", [["--scheme", "sps"], ["--scheme", "ansatz", "--n", "1.1",
+                                                         "--T", "0.7"], ["--scheme", "oss"]])
+def test_right_trace_file_mirrors_the_left_one(tmp_path, capsys, args):
+    # the right-handed rows are the left ones with fields 2 and 4 swapped, byte
+    # for byte, and the metadata blocks differ only in handedness
+    assert run_cli(["simulate", *args, "--out", str(tmp_path)]) == 0
+    left, right = (next(tmp_path.glob(f"populations_*_{hand}.csv")).read_bytes().splitlines()
+                   for hand in ("left", "right"))
+    assert len(left) == len(right)
+    meta = [(l, r) for l, r in zip(left, right) if l.startswith(b"#") and l != r]
+    assert meta == [(b"# handedness = left", b"# handedness = right")]
+    header, *rows = [(l.split(b","), r.split(b",")) for l, r in zip(left, right)
+                     if not l.startswith(b"#")]
+    assert header[0] == header[1] and rows
+    assert [r for l, r in rows if r != [l[0], l[3], l[2], l[1]]] == []
+
+
 @pytest.mark.parametrize("mode", ["exact", "perturbative", "both"])
 def test_scan_rejects_a_clamp_violation_in_every_mode(tmp_path, capsys, mode):
     # a perturbative scan checks the pulses that the exact modes propagate

@@ -128,3 +128,34 @@ def test_to_csv_writes_the_extra_metadata_after_its_own(tmp_path):
         assert block == [f"# {key} = {value}" for key, value in {**before, **extra}.items()]
         assert block[-2:] == ["# config.steps = 400", "# config.T = 1.0"]
         assert own() == before
+
+
+@pytest.mark.parametrize("tail", TAILS)
+@pytest.mark.parametrize("width", [1, 3, 4])
+def test_row_blocks_are_the_template_bytes(tail, width):
+    # blocks of a few rows, with fallback rows (exponent notation) in the first,
+    # a middle and the last block, at block edges and inside blocks
+    rng = np.random.default_rng(width)
+    table = rng.uniform(-10.0, 10.0, (40, width)) * 10.0 ** rng.integers(-4, 9, (40, width))
+    for row in (0, 2, 17, 20, 21, 39):
+        table[row, row % width] = [1e-7, -3e20, np.inf][row % 3]
+    for block_rows in (1, 2, 3, 7, 40, 41):
+        with mock.patch.object(_csvrows, "VECTOR_MIN_VALUES", 0), \
+                mock.patch.object(_csvrows, "BLOCK_VALUES", block_rows * width):
+            assert format_rows(table, tail) == _template(table, tail), block_rows
+
+
+def test_write_table_writes_the_format_rows_bytes_after_its_header(tmp_path):
+    # a default sps pulses.csv: several blocks, fallback rows in the first and last
+    pulses = pulses_from_invariant(sps_schedule(0.68), make_grid(0.68, 12000), DEFAULT_CLAMP / 0.68)
+    table = np.column_stack([pulses.times, pulses.omega, pulses.omega_q])
+    tail = TAILS[1]
+    assert table.size > 3 * _csvrows.BLOCK_VALUES
+    path = tmp_path / "table.csv"
+    _csvrows.write_table(path, {"a": 1, "b": "x"}, "t,omega,omega_q,gamma", table, tail)
+    rows = format_rows(table, tail)
+    assert path.read_bytes() == b"# a = 1\n# b = x\nt,omega,omega_q,gamma\n" + rows
+    lines, block_rows = rows.splitlines(), _csvrows.BLOCK_VALUES // 3
+    assert any(b"e" in line for line in lines[:block_rows])
+    assert any(b"e" in line for line in lines[len(lines) // block_rows * block_rows:])
+    assert rows == _template(table, tail)

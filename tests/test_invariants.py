@@ -281,9 +281,9 @@ def test_sps_clamp_switch_past_the_window_is_rejected():
         exact_fidelities(sps_schedule(1.0), 0.0, 0.0, DEFAULT_STEPS, 99.95)
 
 
-def _singular_sample(t):
+def _singular_sample(t, rates=True):
     """The sps phi ramp with theta fixed at pi/4, where sin(theta) = cos(theta)."""
-    s = sps_schedule(1.0).sample(t)
+    s = sps_schedule(1.0).sample(t, rates)
     return s._replace(theta=np.full_like(s.phi, np.pi / 4), theta_dot=np.zeros_like(s.phi),
                       factor=np.full_like(s.phi, np.inf))
 
@@ -486,8 +486,8 @@ def test_validate_schedule_fails_a_nan_derivative():
     # its running value when the new one is NaN
     s = ansatz_schedule(1.1, 1.0)
 
-    def sample(t):
-        good = s.sample(t)
+    def sample(t, rates=True):
+        good = s.sample(t, rates)
         theta_dot = np.array(good.theta_dot, dtype=float)
         if theta_dot.size >= 1000:
             theta_dot[999] = np.nan     # one sample of each 2000-sample check
@@ -506,8 +506,8 @@ def test_validate_schedule_fails_a_nan_derivative_on_a_time_interval():
     # check keeps its samples, and fails, instead of skipping them as clamped
     s = ansatz_schedule(1.1, 1.0)
 
-    def sample(t):
-        good = s.sample(t)
+    def sample(t, rates=True):
+        good = s.sample(t, rates)
         t = np.asarray(t, dtype=float)
         return good._replace(theta_dot=np.where((t > 0.4) & (t < 0.6), np.nan, good.theta_dot))
 
@@ -581,8 +581,8 @@ def test_validate_schedule_fails_a_violated_invariant_condition():
     # with a large finite residual
     s = ansatz_schedule(1.1, 1.0)
 
-    def sample(t):
-        good = s.sample(t)
+    def sample(t, rates=True):
+        good = s.sample(t, rates)
         return good._replace(factor=1.01 * good.factor)
 
     bad = dataclasses.replace(s, sample=sample)

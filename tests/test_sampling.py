@@ -4,7 +4,11 @@
 schedule once.  Each quantity it returns, and everything computed from it
 (the pulses, the validation report and the sensitivities), must equal what
 the per-quantity closures of ``oracles.reference_schedule`` give, exactly.
+An angle-only sample (``sample(t, rates=False)``) must give the full
+sample's phi and theta, and the callers that read only those must ask for it.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from chiralpulse import (make_grid, make_schedule, pulses_from_invariant, q_alph
                          validate_schedule)
 from chiralpulse.cli import DEFAULT_CLAMP, DEFAULT_STEPS
 from chiralpulse.dynamics import gauss_nodes
+from chiralpulse.invariants import VALIDATION_SAMPLES
 from oracles import reference_pulses, reference_q, reference_schedule, reference_validation
 
 CASES = [(kind, n, T) for kind, n in [("sps", None)] + [("ansatz", n) for n in
@@ -75,3 +80,52 @@ def test_sensitivities_match_the_closures(pair):
     schedule, ref = pair
     assert q_alpha(schedule) == reference_q(ref, "alpha")
     assert q_delta(schedule) == reference_q(ref, "delta")
+
+
+def _validation_times(T):
+    """The three time sets that validation samples angles alone on."""
+    t_mid = np.linspace(0.05 * T, 0.95 * T, VALIDATION_SAMPLES)
+    h = 1e-6 * T
+    return {"ends": np.linspace(0.0, T, VALIDATION_SAMPLES + 1),
+            "below": t_mid - h, "above": t_mid + h}
+
+
+def test_angle_only_samples_match_the_full_ones(pair):
+    schedule, _ = pair
+    kept = ("phi", "theta") + (("sin_phi", "factor") if schedule.kind == "ansatz" else ())
+    times = {**_grids(schedule.duration), **_validation_times(schedule.duration)}
+    for name, t in times.items():
+        full, angles = schedule.sample(t), schedule.sample(t, rates=False)
+        for field in full._fields:
+            if field in kept:
+                assert np.array_equal(getattr(angles, field), getattr(full, field),
+                                      equal_nan=True), (name, field)
+            else:
+                assert getattr(angles, field) is None, (name, field)
+
+
+def _recording(schedule):
+    """`schedule` with a sample that records the `rates` of each call."""
+    calls = []
+
+    def sample(t, rates=True):
+        calls.append(rates)
+        return schedule.sample(t, rates)
+
+    return dataclasses.replace(schedule, sample=sample), calls
+
+
+@pytest.mark.parametrize("kind", ["sps", "oss", "osd"])
+def test_checks_that_read_only_the_angles_sample_them_alone(kind):
+    # validation: the [0, T] sample and both finite-difference samples read
+    # only phi and theta; the t_mid sample and the invariant check read rates
+    schedule, calls = _recording(make_schedule(kind, 1.0))
+    validate_schedule(schedule, DEFAULT_CLAMP)
+    assert sorted(calls) == [False, False, False, True, True]
+    if kind != "sps":   # the sps q are closed-form integrals, sampled nowhere
+        calls.clear()
+        q_delta(schedule)
+        assert calls and not any(calls)
+        calls.clear()
+        q_alpha(schedule)
+        assert calls and all(calls)
